@@ -1,51 +1,62 @@
-"""Packed int64 backend for exact polynomial products and sums.
+"""Packed numpy backend for exact polynomial products and sums.
 
-Exponent tuples are packed into int64 keys, 5 bits per variable, so numpy
-can add exponent vectors and merge duplicate monomials at C speed.  The
-backend is only engaged when it can certify exactness: the alphabet must
-fit in 63 bits, every exponent must stay below 32, and the running product
-of factor L1 norms (an upper bound for every intermediate coefficient)
-must stay below 2^62.  Anything else falls back to plain dict arithmetic
-on Python ints.
+Exponent vectors are packed into integer keys, each slot given just the
+bits its degree bound needs, so numpy can add exponent vectors and merge
+duplicate monomials in bulk.  Keys are int64 when the layout fits in 63
+bits and Python ints (``dtype=object``) otherwise.  Coefficients are int64
+while an L1-norm bound (an upper bound for every intermediate coefficient)
+stays below ``INT64_HEADROOM``, and Python ints beyond it; numpy promotes
+int64 operands to Python ints when an object array meets them.  Either
+way the arithmetic is exact and the code path is the same.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
 
 from .poly import Polynomial
 
-PACK_BITS = 5
 INT64_HEADROOM = 2**62
 
 
-class FastPathUnavailable(Exception):
-    """Packing width or coefficient bound cannot be certified for int64."""
+def coeff_dtype(bound: int):
+    """int64 when ``bound`` caps every coefficient sum, Python ints otherwise."""
+    return np.int64 if bound < INT64_HEADROOM else object
 
 
 class Packer:
-    def __init__(self, m: int, n: int):
-        nv = 2 + m + n
-        if nv * PACK_BITS > 63 or m * n >= 32:
-            raise FastPathUnavailable(f"context ({m}, {n}) too wide to pack")
-        self.m, self.n, self.nv = m, n, nv
-        self.shifts = [PACK_BITS * k for k in range(nv)]
-        self._shift_arr = np.array(self.shifts, dtype=np.int64)
-        self._place = np.int64(1) << self._shift_arr
+    """Bit layout of exponent vectors: slot k holds exponents 0..bounds[k].
+
+    ``m`` and ``n`` name the context ``unpack`` returns polynomials in; the
+    full-alphabet layout is ``Packer.alphabet(m, n)``.
+    """
+
+    def __init__(self, m: int, n: int, bounds: Iterable[int]):
+        widths = [b.bit_length() for b in bounds]
+        self.m, self.n = m, n
+        self.shifts = [0, *accumulate(widths)][:-1]
+        self.key_dtype = np.int64 if sum(widths) <= 63 else object
+        self._shift_arr = np.array(self.shifts, dtype=self.key_dtype)
+        self._mask_arr = np.array([(1 << w) - 1 for w in widths], dtype=self.key_dtype)
+        self._place = np.array([1 << s for s in self.shifts], dtype=self.key_dtype)
+
+    @classmethod
+    def alphabet(cls, m: int, n: int) -> "Packer":
+        """A, B up to degree mn, each x_p up to n, each y_j up to m."""
+        return cls(m, n, [m * n, m * n] + [n] * m + [m] * n)
 
     def pack_poly(self, p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
         items = list(p.items())
-        if not items:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        exps = np.array([e for e, _ in items], dtype=np.int64)
-        coeffs = np.array([c for _, c in items], dtype=np.int64)
-        return exps @ self._place, coeffs
+        exps = np.array([e for e, _ in items], dtype=self.key_dtype)
+        coeffs = [c for _, c in items]
+        keys = exps.reshape(len(items), len(self.shifts)) @ self._place
+        return keys, np.array(coeffs, dtype=coeff_dtype(sum(map(abs, coeffs))))
 
     def unpack(self, keys: np.ndarray, coeffs: np.ndarray) -> Polynomial:
-        mask = np.int64((1 << PACK_BITS) - 1)
-        mat = ((keys[:, None] >> self._shift_arr[None, :]) & mask).tolist()
+        mat = ((keys[:, None] >> self._shift_arr[None, :]) & self._mask_arr).tolist()
         terms = dict(zip(map(tuple, mat), coeffs.tolist()))
         return Polynomial._raw(self.m, self.n, terms)
 
@@ -70,28 +81,17 @@ def mul_factor(keys, coeffs, fk, fc):
 
 
 def product(m: int, n: int, factors: Iterable[Polynomial]) -> Polynomial:
-    """Exact product of polynomials in context (m, n), packed when possible."""
+    """Exact product of polynomials in context (m, n)."""
     fs = list(factors)
-    usable = True
-    try:
-        packer = Packer(m, n)
-    except FastPathUnavailable:
-        usable = False
-    if usable:
-        bound = 1
-        degree = 0
-        for f in fs:
-            bound *= max(1, f.l1_norm())
-            degree += max(0, f.total_degree())
-        usable = bound < INT64_HEADROOM and degree < 32
-    if usable:
-        keys = np.zeros(1, dtype=np.int64)
-        coeffs = np.ones(1, dtype=np.int64)
-        for f in fs:
-            fk, fc = packer.pack_poly(f)
-            keys, coeffs = mul_factor(keys, coeffs, fk, fc)
-        return packer.unpack(keys, coeffs)
-    out = Polynomial.const(1, m, n)
+    bounds = [0] * (2 + m + n)
+    l1 = 1
     for f in fs:
-        out = out * f
-    return out
+        for k, col in enumerate(zip(*(e for e, _ in f.items()))):
+            bounds[k] += max(col)
+        l1 *= max(1, f.l1_norm())
+    packer = Packer(m, n, bounds)
+    keys = np.zeros(1, dtype=packer.key_dtype)
+    coeffs = np.ones(1, dtype=coeff_dtype(l1))
+    for f in fs:
+        keys, coeffs = mul_factor(keys, coeffs, *packer.pack_poly(f))
+    return packer.unpack(keys, coeffs)

@@ -14,7 +14,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
-from . import _packed
 from . import flux as fluxmod
 from . import grid, schubert, yangbaxter
 
@@ -119,10 +118,7 @@ def _cmd_schubert(args) -> int:
 
 def _beta_report_for(task: tuple[int, int, str]) -> dict:
     m, n, beta = task
-    try:
-        return schubert.reduced_weight_sums(m, n, beta)
-    except _packed.FastPathUnavailable:
-        return schubert.weight_sums_by_pi(m, n, beta)
+    return schubert.reduced_weight_sums(m, n, beta)
 
 
 def check_beta_independence(m: int, n: int, jobs: int = 1) -> CheckReport:
@@ -228,34 +224,35 @@ _CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
 }
 
 _ALL_CHECKS = ("beta", "recurrence", "leading", "mirror", "ybe", "crossing", "flux")
+_SHOWN_FAILURES = 5  # per failing check, in both output formats
 
 
 def _cmd_verify(args) -> int:
     _guard_work(args.m, args.n, args.max_work)
     names = _ALL_CHECKS if args.check == "all" else (args.check,)
-    lines = []
-    any_failed = False
-    for name in names:
-        report = _CHECKS[name](args)
-        if report.ok:
-            lines.append(f"PASS {report.name}")
-        else:
-            any_failed = True
-            lines.append(f"FAIL {report.name}: {report.failures[0]}")
-            for extra in report.failures[1:5]:
-                lines.append(f"     {extra}")
+    reports = [_CHECKS[name](args) for name in names]
     if args.format == "json":
         payload = {
             "checks": [
-                {"name": line[5:].split(":")[0], "status": line[:4].strip()}
-                for line in lines
-                if line.startswith(("PASS", "FAIL"))
+                {
+                    "name": r.name,
+                    "status": "PASS" if r.ok else "FAIL",
+                    "failures": r.failures[:_SHOWN_FAILURES],
+                }
+                for r in reports
             ]
         }
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
+        lines = []
+        for r in reports:
+            if r.ok:
+                lines.append(f"PASS {r.name}")
+            else:
+                lines.append(f"FAIL {r.name}: {r.failures[0]}")
+                lines.extend(f"     {extra}" for extra in r.failures[1:_SHOWN_FAILURES])
         _emit(args, "\n".join(lines) + "\n")
-    return 1 if any_failed else 0
+    return 0 if all(r.ok for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------

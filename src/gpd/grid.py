@@ -28,6 +28,7 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from . import _packed
 from .poly import Polynomial, alphabet
 
 
@@ -274,8 +275,6 @@ def _ab_power(m: int, n: int, e: int) -> Polynomial:
 
 def weight(d: PipeDream) -> Polynomial:
     """Product of the mn tile weights; homogeneous of degree mn."""
-    from . import _packed
-
     phi = pipe_numbering(d.beta)
     elbows = sum(1 for row in d.tiles for t in row if t in ELBOWS)
     factors = [_ab_power(d.m, d.n, elbows)]

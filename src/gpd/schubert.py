@@ -8,10 +8,10 @@ polynomial of the minimal extension as its top B-degree coefficient, and is
 exactly divisible by (A+B)^m, the quotient being the equivariant class of
 the matching lower-upper component.
 
-Summation over dreams is exact integer arithmetic throughout.  A packed
-numpy engine accelerates the sweeps; it guards its own int64 headroom with
-an L1-norm bound and falls back to plain dict arithmetic when the bound or
-the packing width cannot be certified.
+Summation over dreams is exact integer arithmetic throughout.  One packed
+numpy engine runs every sweep; its coefficients are int64 while an L1-norm
+bound certifies them and are promoted in place to Python ints when the
+bound runs out.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import grid
-from ._packed import (
-    INT64_HEADROOM as _INT64_HEADROOM,
-    PACK_BITS as _PACK_BITS,
-    FastPathUnavailable as _FastPathUnavailable,
-    Packer as _Packer,
-    merge as _merge,
-    mul_factor as _mul_factor,
-)
+from . import _packed, grid
 from .grid import PipeDream, Tile, pipe_numbering
 from .poly import ExactDivisionError, Polynomial, Var, alphabet
 
@@ -77,14 +69,18 @@ def _run_engine(
     sharing partial products along the way and deferring every (A+B)
     elbow factor to ``apply_elbows`` at the leaf.  Pipe labels ride on the
     frontier so the connectivity is known without retracing; with targets,
-    the top-row scan prunes exits no target can use.  An L1 bound certifies
-    every int64 intermediate stays exact.
+    the top-row scan prunes exits no target can use.  Every factor has L1
+    norm at most 3, so 3^(mn) bounds one dream's weight and the running sum
+    of those bounds caps every bucket coefficient: coefficients stay int64
+    while that certificate holds and become Python ints, buckets included,
+    from the leaf where it stops holding.
     """
     phi = pipe_numbering(beta)
-    one = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    leaf_bound_max = 3 ** (m * n)
+    dtype = _packed.coeff_dtype(leaf_bound_max)
+    one = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype))
     buckets: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
     bound_total = 0
-    leaf_bound_max = 3 ** (m * n)
     exits_by_col: list[set[int]] | None = None
     if targets is not None:
         exits_by_col = [set() for _ in range(n + 1)]
@@ -94,7 +90,7 @@ def _run_engine(
                 exits_by_col[j].add(cols.get(j, 0))
 
     def leaf(ids: tuple[int, ...], keys, coeffs, elbows):
-        nonlocal bound_total
+        nonlocal bound_total, dtype
         pi = [0] * m
         for col, pipe in enumerate(ids, start=1):
             if pipe:
@@ -103,14 +99,17 @@ def _run_engine(
         if targets is not None and word not in targets:
             return
         bound_total += leaf_bound_max
-        if bound_total >= _INT64_HEADROOM:
-            raise _FastPathUnavailable("coefficient bound exceeds int64 headroom")
+        if dtype is not object and bound_total >= _packed.INT64_HEADROOM:
+            dtype = object
+            for chunks in buckets.values():
+                chunks[:] = [(k, c.astype(object)) for k, c in chunks]
+        k, c = apply_elbows(keys, coeffs, elbows)
         chunks = buckets.setdefault(word, [])
-        chunks.append(apply_elbows(keys, coeffs, elbows))
+        chunks.append((k, c.astype(dtype, copy=False)))
         if len(chunks) >= 64:
             ck = np.concatenate([k for k, _ in chunks])
             cc = np.concatenate([c for _, c in chunks])
-            chunks[:] = [_merge(ck, cc)]
+            chunks[:] = [_packed.merge(ck, cc)]
 
     def do_row(i: int, south_ids: tuple[int, ...], keys, coeffs, elbows):
         west_going = beta[i - 1] == "W"
@@ -144,7 +143,7 @@ def _run_engine(
                     nk, nc, ne = keys, coeffs, elbows + 1
                 else:
                     fk, fc = factors[(i, j, t in grid.STRAIGHTS)]
-                    nk, nc = _mul_factor(keys, coeffs, fk, fc)
+                    nk, nc = _packed.mul_factor(keys, coeffs, fk, fc)
                     ne = elbows
                 north[j - 1] = north_id
                 cell(k + 1, out_side, nk, nc, ne)
@@ -158,36 +157,8 @@ def _run_engine(
     for word, chunks in buckets.items():
         keys = np.concatenate([k for k, _ in chunks])
         coeffs = np.concatenate([c for _, c in chunks])
-        out[word] = _merge(keys, coeffs)
+        out[word] = _packed.merge(keys, coeffs)
     return out
-
-
-def _weight_sums_fast(
-    m: int, n: int, beta: str, targets: set[tuple[int, ...]] | None
-) -> dict[tuple[int, ...], Polynomial]:
-    """Weight sums in the full A, B, x, y alphabet via the packed engine."""
-    packer = _Packer(m, n)
-    a, b, xs, ys = alphabet(m, n)
-    phi = pipe_numbering(beta)
-    factors = {}
-    for i in range(1, m + 1):
-        x = xs[phi[i - 1] - 1]
-        for j in range(1, n + 1):
-            y = ys[j - 1]
-            w_straight = a + x - y if beta[i - 1] == "W" else b - x + y
-            w_blank = b - x + y if beta[i - 1] == "W" else a + x - y
-            factors[(i, j, True)] = packer.pack_poly(w_straight)
-            factors[(i, j, False)] = packer.pack_poly(w_blank)
-    ab_packed = [packer.pack_poly((a + b) ** e) for e in range(m * n + 1)]
-
-    def apply_elbows(keys, coeffs, e):
-        ek, ec = ab_packed[e]
-        fk = (keys[:, None] + ek[None, :]).ravel()
-        fc = (coeffs[:, None] * ec[None, :]).ravel()
-        return _merge(fk, fc)
-
-    raw = _run_engine(m, n, beta, targets, factors, apply_elbows)
-    return {word: packer.unpack(k, c) for word, (k, c) in raw.items()}
 
 
 def reduced_weight_sums(
@@ -202,35 +173,31 @@ def reduced_weight_sums(
     weights become the single variable u0, which keeps these expansions
     small enough for exhaustive hybridization sweeps.
 
-    Returns, per connectivity, a dict from packed exponent key (5 bits per
-    variable, slot order u0, u1..um, v2..vn) to integer coefficient.
+    Returns, per connectivity, a dict from packed exponent key to integer
+    coefficient.  The key layout is the ``Packer`` of slots u0, u1..um,
+    v2..vn with degree bounds mn, n and m; it depends only on (m, n).
     """
     grid.check_beta(beta, m)
     targets = None
     if pis is not None:
         targets = {check_partial_perm(p, m, n) for p in pis}
-    nv = 1 + m + (n - 1)
-    if nv * _PACK_BITS > 63 or m * n >= 32:
-        raise _FastPathUnavailable(f"context ({m}, {n}) too wide to pack")
+    packer = _packed.Packer(m, n, [m * n] + [n] * m + [m] * (n - 1))
+    unit = [1 << s for s in packer.shifts]  # key of each kernel variable
     phi = pipe_numbering(beta)
-
-    def key_of(pairs):
-        return sum(e << (_PACK_BITS * s) for s, e in pairs)
-
     factors = {}
     for i in range(1, m + 1):
         p = phi[i - 1]
         for j in range(1, n + 1):
-            plus = [(key_of([(p, 1)]), 1)]  # up ( + vj )
-            minus = [(key_of([(0, 1)]), 1), (key_of([(p, 1)]), -1)]  # u0 - up ( - vj )
+            plus = {unit[p]: 1}  # up ( + vj )
+            minus = {unit[0]: 1, unit[p]: -1}  # u0 - up ( - vj )
             if j > 1:
-                plus.append((key_of([(m + j - 1, 1)]), 1))
-                minus.append((key_of([(m + j - 1, 1)]), -1))
+                plus[unit[m + j - 1]] = 1
+                minus[unit[m + j - 1]] = -1
             sign_plus = beta[i - 1] == "W"
             for straight in (True, False):
                 rep = plus if (straight == sign_plus) else minus
-                fk = np.array([k for k, _ in rep], dtype=np.int64)
-                fc = np.array([c for _, c in rep], dtype=np.int64)
+                fk = np.array(list(rep), dtype=packer.key_dtype)
+                fc = np.array(list(rep.values()), dtype=np.int64)
                 factors[(i, j, straight)] = (fk, fc)
 
     def apply_elbows(keys, coeffs, e):
@@ -243,6 +210,7 @@ def reduced_weight_sums(
 def _weight_sums_exact(
     m: int, n: int, beta: str, targets: set[tuple[int, ...]] | None
 ) -> dict[tuple[int, ...], Polynomial]:
+    """Dream-by-dream weight sums: the independent oracle for the engine."""
     sums: dict[tuple[int, ...], Polynomial] = {}
     for d in grid.enumerate_dreams(m, n, beta):
         pi, _ = grid.connectivity(d)
@@ -261,10 +229,21 @@ def weight_sums_by_pi(
     targets = None
     if pis is not None:
         targets = {check_partial_perm(p, m, n) for p in pis}
-    try:
-        return _weight_sums_fast(m, n, beta, targets)
-    except _FastPathUnavailable:
-        return _weight_sums_exact(m, n, beta, targets)
+    packer = _packed.Packer.alphabet(m, n)
+    phi = pipe_numbering(beta)
+    factors = {}
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            for straight, t in ((True, Tile.STRAIGHT_H), (False, Tile.BLANK)):
+                w = grid.tile_weight(beta[i - 1], t, phi[i - 1], j, m, n)
+                factors[(i, j, straight)] = packer.pack_poly(w)
+    ab_packed = [packer.pack_poly(grid._ab_power(m, n, e)) for e in range(m * n + 1)]
+
+    def apply_elbows(keys, coeffs, e):
+        return _packed.mul_factor(keys, coeffs, *ab_packed[e])
+
+    raw = _run_engine(m, n, beta, targets, factors, apply_elbows)
+    return {word: packer.unpack(k, c) for word, (k, c) in raw.items()}
 
 
 def generic_polynomial(m: int, n: int, beta: str, pi: Sequence[int]) -> Polynomial:

@@ -133,3 +133,31 @@ def test_render_flux_lattice_dimensions():
     table = fluxmod.flux_grid(1, 3, "W")
     text = render_flux_lattice(1, 3, table)
     assert len(text.splitlines()) == 3
+
+
+def test_verify_json_carries_failures(capsys, monkeypatch):
+    from gpd import cli
+
+    def failing(args):
+        report = cli.CheckReport("crossing-flip (n<=5)")
+        for k in range(7):
+            report.fail(f"broken flip {k}")
+        return report
+
+    monkeypatch.setitem(cli._CHECKS, "crossing", failing)
+    code, out, _ = run(capsys, "verify", "crossing", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "checks": [
+            {
+                "name": "crossing-flip (n<=5)",
+                "status": "FAIL",
+                "failures": [f"broken flip {k}" for k in range(5)],
+            }
+        ]
+    }
+    code, out, _ = run(capsys, "verify", "crossing")
+    assert code == 1
+    assert out == "FAIL crossing-flip (n<=5): broken flip 0\n" + "".join(
+        f"     broken flip {k}\n" for k in range(1, 5)
+    )

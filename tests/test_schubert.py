@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from gpd import grid
+from gpd import _packed, grid
 from gpd.poly import Polynomial, Var, alphabet, parse
 from gpd.schubert import (
     all_hybridizations,
@@ -25,7 +26,6 @@ from gpd.schubert import (
     shift_x_by_a,
     weight_sums_by_pi,
     _weight_sums_exact,
-    _weight_sums_fast,
 )
 
 
@@ -73,22 +73,66 @@ def test_g_homogeneous_and_divisible():
 def test_fast_engine_matches_exact_sums():
     for m, n in [(1, 2), (2, 2), (2, 3)]:
         for beta in all_hybridizations(m):
-            assert _weight_sums_fast(m, n, beta, None) == _weight_sums_exact(
+            assert weight_sums_by_pi(m, n, beta) == _weight_sums_exact(
                 m, n, beta, None
             )
 
 
-def test_wide_context_falls_back_to_exact_arithmetic():
-    # 1 x 11 does not fit the packed alphabet; the dict path must kick in
-    # and agree with a directly computed sum
-    import pytest as _pytest
-    from gpd._packed import FastPathUnavailable
-
-    with _pytest.raises(FastPathUnavailable):
-        _weight_sums_fast(1, 11, "W", None)
+def test_wide_context_matches_exact_sums():
+    # 1 x 11 has 15 variables: its keys fit int64 only with narrow y slots
     sums = weight_sums_by_pi(1, 11, "W")
     assert sums == _weight_sums_exact(1, 11, "W", None)
     assert len(sums) == 11
+
+
+def test_reduced_sums_beta_independent_at_1x12():
+    assert reduced_weight_sums(1, 12, "W") == reduced_weight_sums(1, 12, "E")
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+def test_forced_promotion_keeps_results(monkeypatch, m, n):
+    # lowering the int64 headroom makes the engine promote its buckets to
+    # Python ints after a few dreams, or start in Python ints at all
+    beta = "W" * (m - 1) + "E"
+    full = weight_sums_by_pi(m, n, beta)
+    reduced = reduced_weight_sums(m, n, beta)
+    factors = [parse(f"{k}*A - B + x1 - {k}*y{n}", m, n) for k in (2, 3, 5)]
+    prod = _packed.product(m, n, factors)
+    merged_dtypes = set()
+    merge = _packed.merge
+
+    def spy(keys, coeffs):
+        merged_dtypes.add(coeffs.dtype.kind)
+        return merge(keys, coeffs)
+
+    monkeypatch.setattr(_packed, "merge", spy)
+    for headroom, kinds in ((4 * 3 ** (m * n), {"i", "O"}), (2, {"O"})):
+        monkeypatch.setattr(_packed, "INT64_HEADROOM", headroom)
+        merged_dtypes.clear()
+        assert weight_sums_by_pi(m, n, beta) == full
+        assert reduced_weight_sums(m, n, beta) == reduced
+        assert _packed.product(m, n, factors) == prod
+        assert merged_dtypes == kinds
+
+
+def test_product_beyond_int64_is_exact():
+    factors = [parse(f"{10**6 + k}*A - {10**6 - k}*x2 + y3", 2, 3) for k in range(5)]
+    expected = Polynomial.const(1, 2, 3)
+    for f in factors:
+        expected = expected * f
+    assert _packed.product(2, 3, factors) == expected
+    assert max(abs(c) for _, c in expected.items()) > 2**63
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (2, 30)])
+def test_packer_round_trip_at_bounds(m, n):
+    packer = _packed.Packer.alphabet(m, n)
+    bounds = [m * n, m * n] + [n] * m + [m] * n
+    assert packer.key_dtype == (object if (m, n) == (2, 30) else np.int64)
+    for k, b in enumerate(bounds):
+        exps = tuple(b if s == k else 0 for s in range(len(bounds)))
+        p = Polynomial(m, n, {exps: -7, tuple(bounds): 3})
+        assert packer.unpack(*packer.pack_poly(p)) == p
 
 
 def test_base_case_examples():
