@@ -39,8 +39,7 @@ class Packer:
         self.m, self.n = m, n
         self.shifts = [0, *accumulate(widths)][:-1]
         self.key_dtype = np.int64 if sum(widths) <= 63 else object
-        self._shift_arr = np.array(self.shifts, dtype=self.key_dtype)
-        self._mask_arr = np.array([(1 << w) - 1 for w in widths], dtype=self.key_dtype)
+        self._masks = [(1 << w) - 1 for w in widths]
         self._place = np.array([1 << s for s in self.shifts], dtype=self.key_dtype)
 
     @classmethod
@@ -56,8 +55,8 @@ class Packer:
         return keys, np.array(coeffs, dtype=coeff_dtype(sum(map(abs, coeffs))))
 
     def unpack(self, keys: np.ndarray, coeffs: np.ndarray) -> Polynomial:
-        mat = ((keys[:, None] >> self._shift_arr[None, :]) & self._mask_arr).tolist()
-        terms = dict(zip(map(tuple, mat), coeffs.tolist()))
+        cols = [((keys >> s) & mask).tolist() for s, mask in zip(self.shifts, self._masks)]
+        terms = dict(zip(zip(*cols), coeffs.tolist()))
         return Polynomial._raw(self.m, self.n, terms)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
@@ -126,8 +127,9 @@ def check_beta_independence(m: int, n: int, jobs: int = 1) -> CheckReport:
     report = CheckReport(f"beta-independence ({m},{n})")
     betas = schubert.all_hybridizations(m)
     tasks = [(m, n, beta) for beta in betas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_beta_report_for, tasks))
     else:
         results = [_beta_report_for(t) for t in tasks]

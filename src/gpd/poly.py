@@ -13,13 +13,20 @@ Python ints, hence arbitrary precision.
 
 Canonical term order (used by :meth:`Polynomial.sorted_terms` and the text
 format): total degree descending, ties broken by the exponent vector,
-lexicographically descending in the variable order above.
+lexicographically descending in the variable order above.  ``sorted_terms``
+computes it with one ``np.lexsort`` over the exponent matrix, total degree
+as the primary key and the slots A, B, x1.., y1.. after it, then reverses
+the ascending result; exponent vectors are unique, so reversing reorders no
+ties.  :func:`_canonical_sort_key` is the same order as a Python key and
+drives the leading term of exact division.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 Exponents = tuple[int, ...]
 
@@ -94,6 +101,21 @@ def _canonical_sort_key(exps: Exponents):
     return (-sum(exps), tuple(-e for e in exps))
 
 
+class _Powers(dict):
+    """Text of one variable to each power: "" for 0, the name for 1, name^e.
+
+    Entries past 1 are made on first use, so any exponent renders.
+    """
+
+    def __init__(self, name: str):
+        super().__init__({0: "", 1: name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.name}^{e}"
+        return text
+
+
 class Polynomial:
     """Immutable exact polynomial in Z[A, B, x1..xm, y1..yn]."""
 
@@ -148,7 +170,14 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in canonical order (degree descending, then lex descending)."""
-        return sorted(self._terms.items(), key=lambda kv: _canonical_sort_key(kv[0]))
+        items = list(self._terms.items())
+        if len(items) < 2:
+            return items
+        exps = np.array(list(self._terms))  # int64, or Python ints past its range
+        if exps.dtype != object and exps.max() > np.iinfo(np.int64).max // exps.shape[1]:
+            exps = exps.astype(object)  # so the degree sums cannot wrap
+        order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+        return [items[i] for i in order[::-1].tolist()]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -526,26 +555,21 @@ class Polynomial:
         """Canonical text rendering; parse(format(f)) == f."""
         if not self._terms:
             return "0"
+        powers = [
+            _Powers(slot_var(s, self.m, self.n).name()) for s in range(2 + self.m + self.n)
+        ]
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():
-            factors = []
+            mono = "*".join(filter(None, map(dict.__getitem__, powers, exps)))
+            sign = " + " if coeff > 0 else " - "
             mag = abs(coeff)
-            names = [
-                slot_var(s, self.m, self.n).name() for s in range(len(exps))
-            ]
-            for s, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[s])
-                elif e >= 2:
-                    factors.append(f"{names[s]}^{e}")
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(pieces)
+            if mag != 1:
+                mono = f"{mag}*{mono}" if mono else str(mag)
+            elif not mono:
+                mono = "1"
+            pieces.append(sign + mono)
+        text = "".join(pieces)  # the first piece drops its spaces and a "+"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def alphabet(

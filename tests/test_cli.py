@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
 
+import pytest
+
+from gpd import cli
 from gpd.cli import main, render_flux_lattice
 from gpd import flux as fluxmod
 
@@ -73,11 +78,76 @@ def test_verify_ybe_modes(capsys):
         assert code == 0 and out.startswith("PASS")
 
 
-def test_verify_jobs_do_not_change_bytes(capsys):
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def _record_pools(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", lambda max_workers: _PoolRecorder(seen, max_workers)
+    )
+    return seen
+
+
+def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
     code, serial, _ = run(capsys, "verify", "beta", "--m", "2", "--n", "3")
     code2, parallel, _ = run(capsys, "verify", "beta", "--m", "2", "--n", "3", "--jobs", "2")
     assert code == code2 == 0
     assert serial == parallel
+    seen = _record_pools(monkeypatch)
+    many = str(4 * (os.cpu_count() or 1) + 1)
+    code3, capped, _ = run(capsys, "verify", "beta", "--m", "2", "--n", "3", "--jobs", many)
+    assert code3 == 0 and capped == serial
+    assert all(w <= (os.cpu_count() or 1) for w in seen)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, m, workers",
+    [
+        (64, 3, 2, [3]),  # capped by the CPUs
+        (64, 8, 2, [4]),  # capped by the 4 row types of m = 2
+        (2, 8, 3, [2]),  # as asked
+        (64, None, 3, []),  # unknown CPU count: serial, no pool
+        (64, 8, 1, [2]),  # the 2 row types of m = 1
+    ],
+)
+def test_beta_check_caps_workers(monkeypatch, jobs, cpus, m, workers):
+    seen = _record_pools(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli.check_beta_independence(m, 3, jobs).ok
+    assert seen == workers
+
+
+# stdout SHA-256 as the term-by-term renderer wrote it; any change to the
+# canonical text fails here
+_GOLDEN_SHA256 = {
+    ("poly", "--m", "3", "--n", "4", "--pi", "1,2,4"):
+        "e0e7b6305640e279071debd98f95d0288e44b5e324b85a181f85d7df982eae29",
+    ("poly", "--m", "3", "--n", "4", "--pi", "1,2,4", "--format", "json"):
+        "aea671b3c064e435367d6a91494e1d6aeb7f343ee8c29db3394037f018ea1ca5",
+    ("schubert", "--m", "3", "--n", "4", "--pi", "2,3,1"):
+        "740b22a1e402409de5af32de1a430882ec5cffe5a7a968f04c7cf047ded87d86",
+}
+
+
+@pytest.mark.parametrize("argv", list(_GOLDEN_SHA256))
+def test_polynomial_output_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_SHA256[argv]
 
 
 def test_usage_errors_exit_2(capsys):

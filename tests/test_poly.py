@@ -8,8 +8,10 @@ from gpd.poly import (
     ParseError,
     Polynomial,
     Var,
+    _canonical_sort_key,
     alphabet,
     parse,
+    slot_var,
 )
 
 from conftest import random_point, random_poly
@@ -142,6 +144,65 @@ def test_format_canonical_order():
     # degree descending, then A before B before x before y
     f = parse("y1 + x1 + B + A + x1*y1", 1, 1)
     assert f.format() == "x1*y1 + A + B + x1 + y1"
+
+
+def _reference_format(f: Polynomial) -> str:
+    """Term-by-term renderer over a Python sort: the oracle for format()."""
+    if f.is_zero():
+        return "0"
+    pieces: list[str] = []
+    for exps, coeff in sorted(f.items(), key=lambda kv: _canonical_sort_key(kv[0])):
+        names = [slot_var(s, f.m, f.n).name() for s in range(len(exps))]
+        factors = [names[s] if e == 1 else f"{names[s]}^{e}" for s, e in enumerate(exps) if e]
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+    return "".join(pieces)
+
+
+def _spread_poly(rng: random.Random, m: int, n: int) -> Polynomial:
+    # exponents around 10, so numeric and string order disagree, and
+    # coefficients of every size up to past 2**64
+    width = 2 + m + n
+    terms = {}
+    for _ in range(rng.randint(1, 30)):
+        exps = tuple(rng.choice((0, 0, 0, 1, 2, 9, 10, 11)) for _ in range(width))
+        terms[exps] = rng.choice(
+            (1, -1, rng.randint(-99, 99), rng.randint(-(2**70), 2**70))
+        )
+    return Polynomial(m, n, terms)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 1), (2, 3), (3, 4), (1, 11)])
+def test_sorted_terms_and_format_match_reference(m, n):
+    width = 2 + m + n
+    polys = [
+        Polynomial.zero(m, n),
+        Polynomial.const(-(2**65) - 3, m, n),
+        Polynomial.const(1, m, n),
+        # leading term x^10 (or A^10) ahead of the same-degree x^9 * y
+        Polynomial(m, n, {(10,) + (0,) * (width - 1): -5,
+                          (9,) + (0,) * (width - 2) + (1,): 2**64 + 1,
+                          (0,) * width: -1}),
+        # exponents past int64, and int64 exponents whose degrees are not
+        Polynomial(m, n, {(2**70,) + (0,) * (width - 1): 1, (0,) * width: 2}),
+        Polynomial(m, n, {(2**62,) + (0,) * (width - 2) + (2**62,): -1,
+                          (2**62 - 1,) * 2 + (0,) * (width - 2): 3,
+                          (1,) + (0,) * (width - 1): 1}),
+    ]
+    rng = random.Random(1000 * m + n)
+    polys += [_spread_poly(rng, m, n) for _ in range(60)]
+    for f in polys:
+        assert f.sorted_terms() == sorted(f.items(), key=lambda kv: _canonical_sort_key(kv[0]))
+        text = f.format()
+        assert text == _reference_format(f)
+        assert parse(text, m, n) == f
+    assert polys[3].format().startswith("-5*A^10 + ")
 
 
 def test_parse_is_whitespace_insensitive():
