@@ -43,12 +43,12 @@ def _guard_work(m: int, n: int, max_work: int) -> None:
         )
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, *parts: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _cmd_enumerate(args) -> int:
@@ -89,7 +89,7 @@ def _cmd_poly(args) -> int:
         }
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _emit(args, g.format() + "\n")
+        _emit(args, g.format(), "\n")
     return 0
 
 
@@ -108,7 +108,7 @@ def _cmd_schubert(args) -> int:
         }
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _emit(args, s.format() + "\n")
+        _emit(args, s.format(), "\n")
     return 0
 
 

@@ -101,6 +101,11 @@ def _canonical_sort_key(exps: Exponents):
     return (-sum(exps), tuple(-e for e in exps))
 
 
+# Terms per joined chunk in Polynomial.format: only one chunk's piece strings
+# are alive at a time, not one string per term of a large polynomial.
+_FORMAT_CHUNK = 4096
+
+
 class _Powers(dict):
     """Text of one variable to each power: "" for 0, the name for 1, name^e.
 
@@ -170,14 +175,30 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in canonical order (degree descending, then lex descending)."""
-        items = list(self._terms.items())
-        if len(items) < 2:
-            return items
-        exps = np.array(list(self._terms))  # int64, or Python ints past its range
-        if exps.dtype != object and exps.max() > np.iinfo(np.int64).max // exps.shape[1]:
-            exps = exps.astype(object)  # so the degree sums cannot wrap
+        terms = self._terms
+        return [(exps, terms[exps]) for exps in self._sorted_exponents()]
+
+    def _sorted_exponents(self) -> list[Exponents]:
+        """Exponent vectors in canonical order, without building term pairs.
+
+        The exponent matrix takes the narrowest column type that holds every
+        exponent (uint8 for all the CLI's shapes), so sorting a large
+        polynomial allocates little next to the terms themselves.
+        """
+        keys = list(self._terms)
+        if len(keys) < 2:
+            return keys
+        top = max(map(max, keys))
+        if top < 256:
+            dtype = np.uint8
+        elif top <= np.iinfo(np.int64).max // len(keys[0]):
+            dtype = np.int64
+        else:
+            dtype = object  # Python ints, so the degree sums cannot wrap
+        exps = np.array(keys, dtype=dtype)
         order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
-        return [items[i] for i in order[::-1].tolist()]
+        boxed = np.fromiter(keys, dtype=object, count=len(keys))
+        return boxed[order[::-1]].tolist()
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -558,18 +579,25 @@ class Polynomial:
         powers = [
             _Powers(slot_var(s, self.m, self.n).name()) for s in range(2 + self.m + self.n)
         ]
-        pieces: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(filter(None, map(dict.__getitem__, powers, exps)))
-            sign = " + " if coeff > 0 else " - "
-            mag = abs(coeff)
-            if mag != 1:
-                mono = f"{mag}*{mono}" if mono else str(mag)
-            elif not mono:
-                mono = "1"
-            pieces.append(sign + mono)
-        text = "".join(pieces)  # the first piece drops its spaces and a "+"
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        terms = self._terms
+        keys = self._sorted_exponents()
+        chunks: list[str] = []
+        for start in range(0, len(keys), _FORMAT_CHUNK):
+            pieces: list[str] = []
+            for exps in keys[start:start + _FORMAT_CHUNK]:
+                coeff = terms[exps]
+                mono = "*".join(filter(None, map(dict.__getitem__, powers, exps)))
+                sign = " + " if coeff > 0 else " - "
+                mag = abs(coeff)
+                if mag != 1:
+                    mono = f"{mag}*{mono}" if mono else str(mag)
+                elif not mono:
+                    mono = "1"
+                pieces.append(sign + mono)
+            chunks.append("".join(pieces))
+        head = chunks[0]  # the first piece drops its spaces and a "+"
+        chunks[0] = head[3:] if head[1] == "+" else "-" + head[3:]
+        return "".join(chunks)
 
 
 def alphabet(

@@ -8,6 +8,7 @@ from gpd.poly import (
     ParseError,
     Polynomial,
     Var,
+    _FORMAT_CHUNK,
     _canonical_sort_key,
     alphabet,
     parse,
@@ -194,6 +195,10 @@ def test_sorted_terms_and_format_match_reference(m, n):
         Polynomial(m, n, {(2**62,) + (0,) * (width - 2) + (2**62,): -1,
                           (2**62 - 1,) * 2 + (0,) * (width - 2): 3,
                           (1,) + (0,) * (width - 1): 1}),
+        # one exponent past a byte, tied in degree with exponents within one
+        Polynomial(m, n, {(256,) + (0,) * (width - 1): 1,
+                          (255,) + (0,) * (width - 2) + (1,): -2,
+                          (0,) * width: 7}),
     ]
     rng = random.Random(1000 * m + n)
     polys += [_spread_poly(rng, m, n) for _ in range(60)]
@@ -203,6 +208,21 @@ def test_sorted_terms_and_format_match_reference(m, n):
         assert text == _reference_format(f)
         assert parse(text, m, n) == f
     assert polys[3].format().startswith("-5*A^10 + ")
+
+
+def test_format_matches_reference_across_chunks():
+    rng = random.Random(7)
+    terms = {
+        tuple(rng.randrange(4) for _ in range(14)): rng.choice((1, -1, rng.randint(2, 99)))
+        for _ in range(3 * _FORMAT_CHUNK)
+    }
+    terms[(0,) * 14] = -3
+    f = Polynomial(1, 11, terms)
+    assert len(f) > 2 * _FORMAT_CHUNK
+    text = f.format()
+    # compared term by term: a failing diff of two long strings is very slow
+    assert text.split(" ") == _reference_format(f).split(" ")
+    assert parse(text, 1, 11) == f
 
 
 def test_parse_is_whitespace_insensitive():
