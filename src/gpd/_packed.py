@@ -54,6 +54,10 @@ class Packer:
         keys = exps.reshape(len(items), len(self.shifts)) @ self._place
         return keys, np.array(coeffs, dtype=coeff_dtype(sum(map(abs, coeffs))))
 
+    def field(self, keys: np.ndarray, slot: int) -> np.ndarray:
+        """Exponents of one slot, in the dtype of the keys."""
+        return (keys >> self.shifts[slot]) & self._masks[slot]
+
     def unpack(self, keys: np.ndarray, coeffs: np.ndarray) -> Polynomial:
         cols = [((keys >> s) & mask).tolist() for s, mask in zip(self.shifts, self._masks)]
         terms = dict(zip(zip(*cols), coeffs.tolist()))

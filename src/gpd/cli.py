@@ -162,9 +162,9 @@ def check_leading(m: int, n: int) -> CheckReport:
 
 def check_mirror(m: int, n: int) -> CheckReport:
     report = CheckReport(f"mirror ({m},{n})")
-    for pi in schubert.all_partial_perms(m, n):
-        sub = schubert.mirror_check(m, n, pi)
-        report.failures.extend(sub.failures)
+    sums = schubert.weight_sums_by_pi(m, n, "W" * m)
+    words = schubert.all_partial_perms(m, n)
+    report.failures.extend(schubert.mirror_failures(m, n, words, sums))
     return report
 
 

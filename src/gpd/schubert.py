@@ -11,7 +11,11 @@ the matching lower-upper component.
 Summation over dreams is exact integer arithmetic throughout.  One packed
 numpy engine runs every sweep; its coefficients are int64 while an L1-norm
 bound certifies them and are promoted in place to Python ints when the
-bound runs out.
+bound runs out.  The recurrence runs on the same packed backend: each step
+multiplies, swaps x_i with x_{i+1}, subtracts and divides by x_i - x_{i+1}
+on (keys, coefficients) arrays, checks that the remainder vanishes, and
+keeps int64 coefficients while L1(next) <= 6 (n+1) L1(g) stays below the
+headroom.
 """
 
 from __future__ import annotations
@@ -270,47 +274,134 @@ def base_case(m: int, n: int, pi: Sequence[int]) -> Polynomial:
     if any(word[i] <= word[i + 1] for i in range(m - 1)):
         raise ValueError(f"{word} is not decreasing")
     a, b, xs, ys = alphabet(m, n)
-    result = (a + b) ** m
-    for i in range(1, m + 1):
-        for j in range(1, word[i - 1]):
-            result = result * (a + xs[i - 1] - ys[j - 1])
-        for j in range(word[i - 1] + 1, n + 1):
-            result = result * (b - xs[i - 1] + ys[j - 1])
-    return result
+    factors = [a + b] * m
+    for x, col in zip(xs, word):
+        factors += [a + x - ys[j - 1] for j in range(1, col)]
+        factors += [b - x + ys[j - 1] for j in range(col + 1, n + 1)]
+    return _packed.product(m, n, factors)
+
+
+def _recurrence_packer(m: int, n: int, g: Polynomial | None = None) -> _packed.Packer:
+    """Key layout of the packed recurrence in context (m, n).
+
+    Degrees start at those of every G(pi) (A, B up to mn, x_p up to n, y_j
+    up to m) and rise to g's.  A and B get one more for (A+B) g.  A
+    numerator term has x_i and x_{i+1} degrees summing to at most 2x+1
+    (x_i r_i g), and the remainder x_i -> x_{i+1} puts that sum in one
+    slot, so every x slot holds 2x+1: no key of a step ever aliases
+    another monomial, and the exactness check reads real terms.
+    """
+    ab, x, y = m * n, n, m
+    if g:
+        degs = [max(col) for col in zip(*(e for e, _ in g.items()))]
+        ab = max(ab, degs[0], degs[1])
+        x = max([x, *degs[2 : 2 + m]])
+        y = max([y, *degs[2 + m :]])
+    return _packed.Packer(m, n, [ab + 1] * 2 + [2 * x + 1] * m + [y] * n)
+
+
+def _l1(coeffs: np.ndarray) -> int:
+    return int(np.abs(coeffs).sum())
+
+
+def _certified(coeffs: np.ndarray, bound: int) -> np.ndarray:
+    """coeffs as Python ints once ``bound`` no longer certifies int64."""
+    if _packed.coeff_dtype(bound) is object:
+        return coeffs.astype(object, copy=False)
+    return coeffs
+
+
+def _divide_x_diff(
+    packer: _packed.Packer, keys: np.ndarray, coeffs: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed quotient by x_i - x_{i+1}; ExactDivisionError unless exact.
+
+    A term c x_i^e rest has quotient terms c rest x_i^k x_{i+1}^(e-1-k),
+    k < e, and remainder c rest x_{i+1}^e; the remainder must merge to
+    nothing.  The unmerged quotient has L1 at most max(e) L1(f).
+    """
+    ui, uj = 1 << packer.shifts[1 + i], 1 << packer.shifts[2 + i]
+    e = packer.field(keys, 1 + i)
+    rest = keys - e * ui
+    if len(_packed.merge(rest + e * uj, coeffs)[0]):
+        raise ExactDivisionError(f"not divisible by x{i} - x{i + 1}")
+    reps = e.astype(np.int64)
+    coeffs = _certified(coeffs, int(reps.max(initial=0)) * _l1(coeffs))
+    src = np.repeat(np.arange(len(keys)), reps)
+    k = (np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)).astype(keys.dtype)
+    return _packed.merge(rest[src] + k * ui + (e[src] - 1 - k) * uj, coeffs[src])
+
+
+def _step(
+    packer: _packed.Packer, keys: np.ndarray, coeffs: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`recurrence_step` on packed g.
+
+    The numerator is certified against L1(num) <= (2 + 4) L1(g) and the
+    division against max(e) L1(num), where e <= x+1; together
+    L1(next) <= 6 (x+1) L1(g) bounds every coefficient of the step (x = n
+    in the walk).  Coefficients become Python ints where a bound leaves
+    int64.
+    """
+    ua, ub, ui, uj = (1 << packer.shifts[s] for s in (0, 1, 1 + i, 2 + i))
+    coeffs = _certified(coeffs, 6 * _l1(coeffs))
+    swapped = keys + (packer.field(keys, 2 + i) - packer.field(keys, 1 + i)) * (ui - uj)
+    plus = np.array([ua, ub], dtype=packer.key_dtype), np.array([1, 1])
+    plus_diff = np.array([ua, ub, ui, uj], dtype=packer.key_dtype), np.array([1, 1, 1, -1])
+    k1, c1 = _packed.mul_factor(keys, coeffs, *plus)
+    k2, c2 = _packed.mul_factor(swapped, coeffs, *plus_diff)
+    num = _packed.merge(np.concatenate((k1, k2)), np.concatenate((c1, -c2)))
+    return _divide_x_diff(packer, *num, i)
 
 
 def recurrence_step(g: Polynomial, i: int) -> Polynomial:
     """One inductive step: from G(pi') with pi' = pi.r_i longer, recover G(pi).
 
-    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}); the
-    division must be exact.
+    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}) on the
+    packed backend; the division must be exact.
     """
-    m, n = g.m, g.n
-    a, b, xs, _ = alphabet(m, n)
-    diff = xs[i - 1] - xs[i]
-    num = (a + b) * g - (a + b + diff) * g.swap_x(i)
-    quot, rem = num._divmod_x_diff(i)
-    if rem:
-        raise ExactDivisionError(f"recurrence numerator not divisible by x{i} - x{i + 1}")
-    return quot
+    if not 1 <= i <= g.m - 1:
+        raise ValueError(f"swap index {i} outside [1..{g.m - 1}]")
+    packer = _recurrence_packer(g.m, g.n, g)
+    return packer.unpack(*_step(packer, *packer.pack_poly(g), i))
+
+
+def _recurrence_walk(
+    m: int, n: int, words: list[tuple[int, ...]]
+) -> dict[tuple[int, ...], Polynomial]:
+    """G(pi) for each word, by adjacent-swap steps from the decreasing base cases.
+
+    At each stage the lexicographically first ascent is swapped, so words
+    share their chains.  Every G on the way stays packed in one layout;
+    only the requested words are unpacked, once, at the end.
+    """
+    packer = _recurrence_packer(m, n)
+    packed: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    bases: dict[tuple[int, ...], Polynomial] = {}
+
+    def rec(w: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        if w not in packed:
+            i = next((i for i in range(m - 1) if w[i] < w[i + 1]), None)
+            if i is None:
+                bases[w] = base_case(m, n, w)
+                packed[w] = packer.pack_poly(bases[w])
+            else:
+                longer = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+                packed[w] = _step(packer, *rec(longer), i + 1)
+        return packed[w]
+
+    for w in words:
+        rec(w)
+    return {w: bases[w] if w in bases else packer.unpack(*packed.pop(w)) for w in words}
 
 
 def compute_by_recurrence(m: int, n: int, pi: Sequence[int]) -> Polynomial:
     """G(pi) from the decreasing base case by adjacent-swap steps.
 
-    At each stage the lexicographically first ascent is swapped; path
-    independence is a tested property, not an assumption here.
+    Path independence is a tested property, not an assumption here.
     """
     word = check_partial_perm(pi, m, n)
-
-    def rec(w: tuple[int, ...]) -> Polynomial:
-        for i in range(m - 1):
-            if w[i] < w[i + 1]:
-                longer = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                return recurrence_step(rec(longer), i + 1)
-        return base_case(m, n, w)
-
-    return rec(word)
+    return _recurrence_walk(m, n, [word])[word]
 
 
 def inverse_step(g: Polynomial, i: int) -> Polynomial:
@@ -321,24 +412,7 @@ def inverse_step(g: Polynomial, i: int) -> Polynomial:
 
 def recurrence_table(m: int, n: int) -> dict[tuple[int, ...], Polynomial]:
     """G(pi) for every injective word, memoized along shared swap chains."""
-    memo: dict[tuple[int, ...], Polynomial] = {}
-
-    def rec(w: tuple[int, ...]) -> Polynomial:
-        if w in memo:
-            return memo[w]
-        for i in range(m - 1):
-            if w[i] < w[i + 1]:
-                longer = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                g = recurrence_step(rec(longer), i + 1)
-                break
-        else:
-            g = base_case(m, n, w)
-        memo[w] = g
-        return g
-
-    for w in all_partial_perms(m, n):
-        rec(w)
-    return memo
+    return _recurrence_walk(m, n, all_partial_perms(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +589,31 @@ def mirror_substitution(f: Polynomial) -> Polynomial:
     return f.signed_relabel(mapping)
 
 
+def mirror_failures(
+    m: int,
+    n: int,
+    words: Iterable[tuple[int, ...]],
+    sums: dict[tuple[int, ...], Polynomial],
+) -> list[str]:
+    """The words whose G(pi) is not the mirror image of G(gamma.pi.gamma).
+
+    ``sums`` maps every word and its conjugate to G, as one engine sweep
+    ``weight_sums_by_pi`` returns it.
+    """
+    failures = []
+    for word in words:
+        conj = gamma_conjugate(word, m, n)
+        if sums[word] != mirror_substitution(sums[conj]):
+            failures.append(f"pi={word}: mirror identity fails against {conj}")
+    return failures
+
+
 def mirror_check(m: int, n: int, pi: Sequence[int]) -> CheckReport:
     """G(pi) equals G(gamma.pi.gamma) after the mirror substitution."""
     word = check_partial_perm(pi, m, n)
     report = CheckReport(f"mirror pi={word}")
-    conj = gamma_conjugate(word, m, n)
-    lhs = generic_polynomial(m, n, "W" * m, word)
-    rhs = generic_polynomial(m, n, "W" * m, conj)
-    if lhs != mirror_substitution(rhs):
-        report.fail(f"pi={word}: mirror identity fails against {conj}")
+    sums = weight_sums_by_pi(m, n, "W" * m, [word, gamma_conjugate(word, m, n)])
+    report.failures.extend(mirror_failures(m, n, [word], sums))
     return report
 
 

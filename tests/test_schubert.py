@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from gpd import _packed, grid
-from gpd.poly import Polynomial, Var, alphabet, parse
+from gpd.poly import ExactDivisionError, Polynomial, Var, alphabet, parse
 from gpd.schubert import (
     all_hybridizations,
     all_partial_perms,
@@ -18,6 +20,7 @@ from gpd.schubert import (
     inversions,
     min_extension,
     mirror_check,
+    mirror_failures,
     mirror_substitution,
     recurrence_step,
     recurrence_table,
@@ -25,8 +28,12 @@ from gpd.schubert import (
     schubert_sum,
     shift_x_by_a,
     weight_sums_by_pi,
+    _divide_x_diff,
+    _recurrence_packer,
     _weight_sums_exact,
 )
+
+from conftest import random_poly
 
 
 
@@ -197,6 +204,87 @@ def test_recurrence_step_division_identity():
     assert step * diff == (a + b) * g - (a + b + diff) * g.swap_x(1)
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 4), (2, 30)])
+def test_packed_division_matches_dict_division(m, n):
+    # at (2,3) and (3,3) the x slots need more bits than in Packer.alphabet;
+    # random degrees up to 5 also push the layout past its G(pi) defaults;
+    # (2,30) keys are Python ints
+    rng = random.Random(f"divide {m} {n}")
+    _, _, xs, _ = alphabet(m, n)
+    for _ in range(60):
+        f = random_poly(rng, m, n, max_terms=8, max_deg=5)
+        i = rng.randint(1, m - 1)
+        for num in (f * (xs[i - 1] - xs[i]), f):
+            packer = _recurrence_packer(m, n, num)
+            quot, rem = num._divmod_x_diff(i)
+            if rem:
+                with pytest.raises(ExactDivisionError):
+                    _divide_x_diff(packer, *packer.pack_poly(num), i)
+            else:
+                assert packer.unpack(*_divide_x_diff(packer, *packer.pack_poly(num), i)) == quot
+    # the second remainder, x2^8 minus the variable in the slot after x2, would
+    # be one key if the x slots only held the numerator's x degree (4)
+    for text in ("x1 + 1", f"x1^4*x2^4 - {'y1' if m == 2 else 'x3'}"):
+        non_multiple = parse(text, m, n)
+        packer = _recurrence_packer(m, n, non_multiple)
+        with pytest.raises(ExactDivisionError):
+            _divide_x_diff(packer, *packer.pack_poly(non_multiple), 1)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_recurrence_steps_match_dict_numerator(m, n):
+    # every step of every swap chain, checked against the recurrence formula
+    # in Polynomial arithmetic
+    sums = weight_sums_by_pi(m, n, "W" * m)
+    a, b, xs, _ = alphabet(m, n)
+    steps = 0
+    for w in all_partial_perms(m, n):
+        for i in range(1, m):
+            if w[i - 1] < w[i]:
+                g = sums[w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]]
+                diff = xs[i - 1] - xs[i]
+                step = recurrence_step(g, i)
+                assert step * diff == (a + b) * g - (a + b + diff) * g.swap_x(i), (w, i)
+                assert step == sums[w], (w, i)
+                steps += 1
+    assert steps == len(all_partial_perms(m, n)) * (m - 1) // 2
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (2, 30)])
+def test_recurrence_step_on_any_polynomial(m, n):
+    # the numerator is divisible whatever g is; (2,30) keys are Python ints
+    assert _recurrence_packer(m, n).key_dtype == (object if n == 30 else np.int64)
+    rng = random.Random(f"step {m} {n}")
+    a, b, xs, _ = alphabet(m, n)
+    for _ in range(30):
+        g = random_poly(rng, m, n, max_terms=8, max_deg=5, max_coeff=10**17)
+        i = rng.randint(1, m - 1)
+        diff = xs[i - 1] - xs[i]
+        assert recurrence_step(g, i) * diff == (a + b) * g - (a + b + diff) * g.swap_x(i)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+def test_recurrence_forced_promotion(monkeypatch, m, n):
+    # a headroom just past 6 L1 of the largest base case keeps the base
+    # products and first numerators in int64 and promotes inside a step
+    sums = weight_sums_by_pi(m, n, "W" * m)
+    bases = [w for w in sums if all(w[k] > w[k + 1] for k in range(m - 1))]
+    first_step = 6 * max(base_case(m, n, w).l1_norm() for w in bases) + 1
+    merged_dtypes = set()
+    merge = _packed.merge
+
+    def spy(keys, coeffs):
+        merged_dtypes.add(coeffs.dtype.kind)
+        return merge(keys, coeffs)
+
+    monkeypatch.setattr(_packed, "merge", spy)
+    for headroom, kinds in ((first_step, {"i", "O"}), (2, {"O"})):
+        monkeypatch.setattr(_packed, "INT64_HEADROOM", headroom)
+        merged_dtypes.clear()
+        assert recurrence_table(m, n) == sums
+        assert merged_dtypes == kinds
+
+
 def test_schubert_sum_examples():
     assert schubert_sum(3, 3, (3, 1, 2)) == product(3, 3, ["x1-y1", "x1-y2"])
     assert schubert_sum(1, 1, (1,)) == parse("1", 1, 1)
@@ -267,6 +355,17 @@ def test_mirror_checks():
     assert mirror_check(3, 3, (3, 1, 2)).ok
     for pi in all_partial_perms(2, 3):
         assert mirror_check(2, 3, pi).ok, pi
+
+
+def test_mirror_failures_name_both_words_of_a_broken_pair():
+    sums = weight_sums_by_pi(2, 3, "WW")
+    words = all_partial_perms(2, 3)
+    assert mirror_failures(2, 3, words, sums) == []
+    sums[(1, 2)] = sums[(1, 2)] + parse("A", 2, 3)
+    assert mirror_failures(2, 3, words, sums) == [
+        "pi=(1, 2): mirror identity fails against (2, 3)",
+        "pi=(2, 3): mirror identity fails against (1, 2)",
+    ]
 
 
 def test_mirror_substitution_matches_gamma_conjugate_polynomial():
