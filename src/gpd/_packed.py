@@ -59,7 +59,7 @@ class Packer:
         return (keys >> self.shifts[slot]) & self._masks[slot]
 
     def unpack(self, keys: np.ndarray, coeffs: np.ndarray) -> Polynomial:
-        cols = [((keys >> s) & mask).tolist() for s, mask in zip(self.shifts, self._masks)]
+        cols = [self.field(keys, k).tolist() for k in range(len(self.shifts))]
         terms = dict(zip(zip(*cols), coeffs.tolist()))
         return Polynomial._raw(self.m, self.n, terms)
 

@@ -332,10 +332,14 @@ def _divide_x_diff(
     return _packed.merge(rest[src] + k * ui + (e[src] - 1 - k) * uj, coeffs[src])
 
 
-def _step(
-    packer: _packed.Packer, keys: np.ndarray, coeffs: np.ndarray, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`recurrence_step` on packed g.
+def recurrence_step(g, i: int, packer: _packed.Packer | None = None):
+    """One inductive step: from G(pi') with pi' = pi.r_i longer, recover G(pi).
+
+    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}) on the
+    packed backend; the division must be exact.  g is a Polynomial, or its
+    (keys, coeffs) in ``packer``'s layout, and the result comes back in the
+    same form: the recurrence walk keeps every G packed and takes each of
+    its steps here.
 
     The numerator is certified against L1(num) <= (2 + 4) L1(g) and the
     division against max(e) L1(num), where e <= x+1; together
@@ -343,6 +347,13 @@ def _step(
     in the walk).  Coefficients become Python ints where a bound leaves
     int64.
     """
+    polynomial = isinstance(g, Polynomial)
+    if polynomial:
+        if not 1 <= i <= g.m - 1:
+            raise ValueError(f"swap index {i} outside [1..{g.m - 1}]")
+        packer = _recurrence_packer(g.m, g.n, g)
+        g = packer.pack_poly(g)
+    keys, coeffs = g
     ua, ub, ui, uj = (1 << packer.shifts[s] for s in (0, 1, 1 + i, 2 + i))
     coeffs = _certified(coeffs, 6 * _l1(coeffs))
     swapped = keys + (packer.field(keys, 2 + i) - packer.field(keys, 1 + i)) * (ui - uj)
@@ -351,19 +362,8 @@ def _step(
     k1, c1 = _packed.mul_factor(keys, coeffs, *plus)
     k2, c2 = _packed.mul_factor(swapped, coeffs, *plus_diff)
     num = _packed.merge(np.concatenate((k1, k2)), np.concatenate((c1, -c2)))
-    return _divide_x_diff(packer, *num, i)
-
-
-def recurrence_step(g: Polynomial, i: int) -> Polynomial:
-    """One inductive step: from G(pi') with pi' = pi.r_i longer, recover G(pi).
-
-    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}) on the
-    packed backend; the division must be exact.
-    """
-    if not 1 <= i <= g.m - 1:
-        raise ValueError(f"swap index {i} outside [1..{g.m - 1}]")
-    packer = _recurrence_packer(g.m, g.n, g)
-    return packer.unpack(*_step(packer, *packer.pack_poly(g), i))
+    quotient = _divide_x_diff(packer, *num, i)
+    return packer.unpack(*quotient) if polynomial else quotient
 
 
 def _recurrence_walk(
@@ -377,22 +377,20 @@ def _recurrence_walk(
     """
     packer = _recurrence_packer(m, n)
     packed: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    bases: dict[tuple[int, ...], Polynomial] = {}
 
     def rec(w: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         if w not in packed:
             i = next((i for i in range(m - 1) if w[i] < w[i + 1]), None)
             if i is None:
-                bases[w] = base_case(m, n, w)
-                packed[w] = packer.pack_poly(bases[w])
+                packed[w] = packer.pack_poly(base_case(m, n, w))
             else:
                 longer = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                packed[w] = _step(packer, *rec(longer), i + 1)
+                packed[w] = recurrence_step(rec(longer), i + 1, packer)
         return packed[w]
 
     for w in words:
         rec(w)
-    return {w: bases[w] if w in bases else packer.unpack(*packed.pop(w)) for w in words}
+    return {w: packer.unpack(*packed.pop(w)) for w in words}
 
 
 def compute_by_recurrence(m: int, n: int, pi: Sequence[int]) -> Polynomial:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from gpd import _packed, grid
+from gpd import _packed, grid, schubert
 from gpd.poly import ExactDivisionError, Polynomial, Var, alphabet, parse
 from gpd.schubert import (
     all_hybridizations,
@@ -185,6 +185,21 @@ def test_recurrence_chain_3x3():
     table = recurrence_table(3, 3)
     for pi, g in table.items():
         assert g == sums[pi], pi
+
+
+def test_recurrence_table_steps_through_recurrence_step(monkeypatch):
+    # each word but the one decreasing base case costs one recurrence_step
+    # call, so a wrapper on recurrence_step sees every step the table takes
+    calls = []
+    step = schubert.recurrence_step
+
+    def spy(g, i, packer=None):
+        calls.append(i)
+        return step(g, i, packer)
+
+    monkeypatch.setattr(schubert, "recurrence_step", spy)
+    assert recurrence_table(3, 3) == weight_sums_by_pi(3, 3, "WWW")
+    assert len(calls) == 5
 
 
 def test_recurrence_path_independence():
