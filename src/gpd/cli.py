@@ -76,14 +76,13 @@ def _cmd_count(args) -> int:
 
 def _cmd_poly(args) -> int:
     _guard_work(args.m, args.n, args.max_work)
-    beta = args.beta or "W" * args.m
     pi = _parse_pi(args.pi, args.m, args.n)
-    g = schubert.generic_polynomial(args.m, args.n, beta, pi)
+    g = schubert.generic_polynomial(args.m, args.n, args.beta, pi)
     if args.format == "json":
         payload = {
             "m": args.m,
             "n": args.n,
-            "beta": beta,
+            "beta": args.beta,
             "pi": list(pi),
             "polynomial": g.format(),
         }
@@ -95,14 +94,13 @@ def _cmd_poly(args) -> int:
 
 def _cmd_schubert(args) -> int:
     _guard_work(args.m, args.n, args.max_work)
-    beta = args.beta or "W" * args.m
     pi = _parse_pi(args.pi, args.m, args.n)
-    s = schubert.schubert_sum(args.m, args.n, pi, beta)
+    s = schubert.schubert_sum(args.m, args.n, pi, args.beta)
     if args.format == "json":
         payload = {
             "m": args.m,
             "n": args.n,
-            "beta": beta,
+            "beta": args.beta,
             "pi": list(pi),
             "polynomial": s.format(),
         }

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from . import _packed, grid
-from .grid import PipeDream, Tile, pipe_numbering, tile_weight, trace_pipes, weight
+from .grid import PipeDream, Tile, pipe_numbering, tile_weight, weight
 from .poly import Polynomial
 from .schubert import CheckReport
 
@@ -120,11 +120,8 @@ def dream_flux_labels(d: PipeDream) -> dict[EdgeId, int]:
     North boundary labels realize the connectivity: H(0, j) carries i
     exactly when pipe i exits at column j.
     """
-    labels = {e: 0 for e in all_edges(d.m, d.n)}
-    for pipe, path in trace_pipes(d).items():
-        for edge in path:
-            labels[EdgeId(*edge)] = pipe
-    return labels
+    labels = grid.edge_labels(d)
+    return {e: labels[e] for e in all_edges(d.m, d.n)}
 
 
 @dataclass
@@ -231,12 +228,14 @@ def flux_system_rank(eqs: EquationSet) -> int:
 
 def exit_elbow_columns(d: PipeDream) -> dict[int, int]:
     """Column, per row, of the elbow where that row's entering pipe turns North."""
-    out: dict[int, int] = {}
-    for pipe, path in trace_pipes(d).items():
-        first_h = next(e for e in path if e[0] == "H")
-        row = first_h[1] + 1
-        out[row] = first_h[2]
-    return out
+    labels = grid.edge_labels(d)
+    phi = pipe_numbering(d.beta)
+    return {
+        i: j
+        for i in range(1, d.m + 1)
+        for j in range(1, d.n + 1)
+        if labels[("H", i - 1, j)] == phi[i - 1]
+    }
 
 
 def component_class(d: PipeDream) -> Polynomial:
@@ -264,24 +263,19 @@ def component_class(d: PipeDream) -> Polynomial:
     return product
 
 
-_W_TILE_PAIRS: dict[Tile, tuple[frozenset[str], ...]] = {
-    Tile.BLANK: (),
-    Tile.STRAIGHT_H: (frozenset("WE"),),
-    Tile.STRAIGHT_V: (frozenset("SN"),),
-    Tile.CROSS: (frozenset("WE"), frozenset("SN")),
-    Tile.ELBOW_IN: (frozenset("WN"),),
-    Tile.ELBOW_OUT: (frozenset("SE"),),
-    Tile.DOUBLE_ELBOW: (frozenset("WN"), frozenset("SE")),
-}
-_E_TILE_PAIRS: dict[Tile, tuple[frozenset[str], ...]] = {
-    Tile.BLANK: (),
-    Tile.STRAIGHT_H: (frozenset("WE"),),
-    Tile.STRAIGHT_V: (frozenset("SN"),),
-    Tile.CROSS: (frozenset("WE"), frozenset("SN")),
-    Tile.ELBOW_IN: (frozenset("EN"),),
-    Tile.ELBOW_OUT: (frozenset("SW"),),
-    Tile.DOUBLE_ELBOW: (frozenset("EN"), frozenset("SW")),
-}
+def _tile_pairs(side: str, far: str) -> dict[Tile, tuple[frozenset[str], ...]]:
+    """Tile -> the pairs of square sides its pipes join, read off grid.ROUTES."""
+    source = {grid.SIDE: side, grid.SOUTH: "S"}
+    return {
+        t: tuple(
+            frozenset((source[src], out)) for out, src in zip("N" + far, route) if src
+        )
+        for t, route in grid.ROUTES.items()
+    }
+
+
+_W_TILE_PAIRS = _tile_pairs("W", "E")
+_E_TILE_PAIRS = _tile_pairs("E", "W")
 
 
 def _tiles_from_labels(

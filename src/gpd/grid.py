@@ -1,4 +1,4 @@
-"""Pipe dream grids: tiles, hybrid row types, enumeration, tracing, weights.
+"""Pipe dream grids: tiles, their routing table, the dream walk, weights.
 
 A pipe dream is an m x n grid of tiles (row 1 at the North) together with a
 hybridization: a string over {W, E} declaring, per row, on which side that
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 from . import _packed
 from .poly import Polynomial, alphabet
@@ -53,24 +53,36 @@ STRAIGHTS = frozenset({Tile.STRAIGHT_H, Tile.STRAIGHT_V, Tile.CROSS})
 TILE_CHARS = ".-|+neb"
 _CHAR_TO_TILE = {c: Tile(i) for i, c in enumerate(TILE_CHARS)}
 
-# (side_in, south_in) -> admissible tiles, each listed in Tile order.
-_TILE_CHOICES: dict[tuple[bool, bool], tuple[Tile, ...]] = {
-    (False, False): (Tile.BLANK,),
-    (True, False): (Tile.STRAIGHT_H, Tile.ELBOW_IN),
-    (False, True): (Tile.STRAIGHT_V, Tile.ELBOW_OUT),
-    (True, True): (Tile.CROSS, Tile.DOUBLE_ELBOW),
+# The routing table: Tile -> (source of North, source of the far side),
+# each source EMPTY, SIDE (the pipe entering from the row's side) or SOUTH;
+# the sources index the tuple (0, side label, South label).
+# Every reader of a tile's routing (edge occupancies, the dream walk, label
+# routing, flux pairs, the Yang-Baxter row squares) derives it from here.
+EMPTY, SIDE, SOUTH = 0, 1, 2
+ROUTES: dict[Tile, tuple[int, int]] = {
+    Tile.BLANK: (EMPTY, EMPTY),
+    Tile.STRAIGHT_H: (EMPTY, SIDE),
+    Tile.STRAIGHT_V: (SOUTH, EMPTY),
+    Tile.CROSS: (SOUTH, SIDE),
+    Tile.ELBOW_IN: (SIDE, EMPTY),
+    Tile.ELBOW_OUT: (EMPTY, SOUTH),
+    Tile.DOUBLE_ELBOW: (SIDE, SOUTH),
 }
 
 # Tile -> (side_in, south_in, side_out, north_out) occupancies.
 _TILE_EDGES = {
-    Tile.BLANK: (False, False, False, False),
-    Tile.STRAIGHT_H: (True, False, True, False),
-    Tile.STRAIGHT_V: (False, True, False, True),
-    Tile.CROSS: (True, True, True, True),
-    Tile.ELBOW_IN: (True, False, False, True),
-    Tile.ELBOW_OUT: (False, True, True, False),
-    Tile.DOUBLE_ELBOW: (True, True, True, True),
+    t: (SIDE in r, SOUTH in r, r[1] != EMPTY, r[0] != EMPTY) for t, r in ROUTES.items()
 }
+
+# (side_in, south_in) -> admissible tiles, each listed in Tile order.
+_TILE_CHOICES: dict[tuple[bool, bool], tuple[Tile, ...]] = {
+    (side, south): tuple(t for t in Tile if _TILE_EDGES[t][:2] == (side, south))
+    for side in (False, True)
+    for south in (False, True)
+}
+
+# The tile a nongeneric dream never uses, per row type.
+NONGENERIC_BAN = {"W": Tile.STRAIGHT_V, "E": Tile.DOUBLE_ELBOW}
 
 
 def check_beta(beta: str, m: int) -> None:
@@ -79,6 +91,13 @@ def check_beta(beta: str, m: int) -> None:
     bad = set(beta) - {"W", "E"}
     if bad:
         raise ValueError(f"hybridization letters must be W or E, got {sorted(bad)}")
+
+
+def check_partial_perm(pi: Sequence[int], m: int, n: int) -> tuple[int, ...]:
+    word = tuple(int(v) for v in pi)
+    if len(word) != m or len(set(word)) != m or not all(1 <= v <= n for v in word):
+        raise ValueError(f"{word} is not an injective word of length {m} into [1..{n}]")
+    return word
 
 
 def pipe_numbering(beta: str) -> tuple[int, ...]:
@@ -222,36 +241,62 @@ def trace_pipes(d: PipeDream) -> dict[int, list[tuple[str, int, int]]]:
     return paths
 
 
+def _exit_word(north: Sequence[int], m: int) -> tuple[int, ...]:
+    """pi from the labels on the North boundary, West to East."""
+    pi = [0] * m
+    for col, pipe in enumerate(north, start=1):
+        if pipe:
+            pi[pipe - 1] = col
+    return tuple(pi)
+
+
+def edge_labels(d: PipeDream) -> dict[tuple[str, int, int], int]:
+    """Pipe label of every edge, routed cell by cell through ROUTES.
+
+    Edges are named as in trace_pipes; an empty edge carries 0.  Rows run
+    bottom to top, each in its flow direction.  Raises InvalidDreamError
+    at the first tile whose routing does not fit the pipes reaching it.
+    """
+    m, n = d.m, d.n
+    phi = pipe_numbering(d.beta)
+    labels = {("H", m, j): 0 for j in range(1, n + 1)}
+    for i in range(m, 0, -1):
+        west_going = d.beta[i - 1] == "W"
+        side = phi[i - 1]
+        labels[("V", i, 0 if west_going else n)] = side
+        for j in range(1, n + 1) if west_going else range(n, 0, -1):
+            t = d.tiles[i - 1][j - 1]
+            south = labels[("H", i, j)]
+            if _TILE_EDGES[t][:2] != (side != 0, south != 0):
+                raise InvalidDreamError(f"tile at ({i},{j}) does not fit its pipes")
+            north_src, far_src = ROUTES[t]
+            ins = (0, side, south)
+            labels[("H", i - 1, j)] = ins[north_src]
+            side = ins[far_src]
+            labels[("V", i, j if west_going else j - 1)] = side
+        if side:
+            raise InvalidDreamError(f"pipe {side} exits row {i} on its far side")
+    return labels
+
+
 def connectivity(d: PipeDream) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Connectivity word and crossing record of a valid dream.
 
     Returns (pi, crossings): pi[k-1] is the North exit column of the pipe
     labeled k, and crossings is the sorted multiset of label pairs, one per
-    CROSS tile traversed by two pipes.
+    CROSS tile (its side and South pipes).
     """
-    paths = trace_pipes(d)
-    pi = [0] * d.m
-    for pipe, path in paths.items():
-        pi[pipe - 1] = path[-1][2]
-    # crossing pairs: for each CROSS tile find its horizontal and vertical pipes
-    horizontal: dict[tuple[int, int], int] = {}
-    vertical: dict[tuple[int, int], int] = {}
-    for pipe, path in paths.items():
-        for (k1, i1, j1), (k2, i2, j2) in zip(path, path[1:]):
-            if k1 == "V" and k2 == "V":
-                horizontal[(i1, max(j1, j2))] = pipe
-            elif k1 == "H" and k2 == "H":
-                vertical[(i1, j1)] = pipe  # climbed through the cell in row i1
+    labels = edge_labels(d)
+    pi = _exit_word([labels[("H", 0, j)] for j in range(1, d.n + 1)], d.m)
     crossings = []
     for i in range(1, d.m + 1):
+        west_going = d.beta[i - 1] == "W"
         for j in range(1, d.n + 1):
-            if d.tile(i, j) == Tile.CROSS:
-                a = horizontal.get((i, j))
-                b = vertical.get((i, j))
-                if a is None or b is None:
-                    raise InvalidDreamError(f"cross at ({i},{j}) missing a pipe")
+            if d.tiles[i - 1][j - 1] is Tile.CROSS:
+                a = labels[("V", i, j - 1 if west_going else j)]
+                b = labels[("H", i, j)]
                 crossings.append((min(a, b), max(a, b)))
-    return tuple(pi), tuple(sorted(crossings))
+    return pi, tuple(sorted(crossings))
 
 
 @lru_cache(maxsize=None)
@@ -319,15 +364,11 @@ def crossing_flip(d: PipeDream) -> PipeDream:
             side_in, side_out = flipped_v[j - 1], flipped_v[j]
         else:
             side_in, side_out = flipped_v[j], flipped_v[j - 1]
-        pattern = (side_in, side_out, north[j - 1])
-        if pattern == (False, False, False):
-            tiles.append(Tile.BLANK)
-        elif pattern == (True, True, False):
-            tiles.append(Tile.STRAIGHT_H)
-        elif pattern == (True, False, True):
-            tiles.append(Tile.ELBOW_IN)
-        else:
+        edges = (side_in, False, side_out, north[j - 1])
+        fits = [t for t in Tile if _TILE_EDGES[t] == edges]
+        if not fits:
             raise InvalidDreamError(f"no tile fits flipped edges at (1,{j})")
+        tiles.append(fits[0])
     return PipeDream(1, d.n, new_type, (tuple(tiles),))
 
 
@@ -366,45 +407,81 @@ def parse_dream(text: str) -> PipeDream:
     return d
 
 
-def row_fillings(
-    row_type: str, south: Sequence[bool], mode: str = "generic"
-) -> Iterator[tuple[tuple[Tile, ...], tuple[bool, ...]]]:
-    """All fillings of one row over the given South edges, in stream order.
+def walk(
+    m: int,
+    n: int,
+    beta: str,
+    step: Callable[[Any, int, int, Tile], Any] | None = None,
+    state: Any = None,
+    mode: str = "generic",
+    targets: Collection[tuple[int, ...]] | None = None,
+) -> Iterator[tuple[tuple[int, ...], Any]]:
+    """Depth-first walk over all dreams, in stream order; yields (pi, state).
 
-    Yields (tiles, north) pairs.  W rows scan West to East, E rows East to
-    West, carrying the side edge; the trailing side edge must end empty.
-    Nongeneric mode drops STRAIGHT_V from W rows and DOUBLE_ELBOW from E
-    rows.
+    Rows run bottom to top, cells in flow order, tiles in Tile order.  The
+    frontier carries the pipe label of every North edge (and, nongeneric,
+    the pairs that crossed), so pi is read off the top row, not retraced.
+    ``step(state, i, j, tile)`` folds each placed tile into the state.
+    Nongeneric mode skips NONGENERIC_BAN tiles and a second crossing of a
+    pair.  With ``targets``, top-row tiles whose North label no target puts
+    in their column are pruned, and only dreams of a target pi are yielded.
     """
-    n = len(south)
-    west_going = row_type == "W"
-    banned = (
-        None
-        if mode == "generic"
-        else (Tile.STRAIGHT_V if west_going else Tile.DOUBLE_ELBOW)
-    )
-    order = range(n) if west_going else range(n - 1, -1, -1)
-    cols = list(order)
-    tiles: list[Tile] = [Tile.BLANK] * n
-    north: list[bool] = [False] * n
+    if mode not in ("generic", "nongeneric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got ({m}, {n})")
+    check_beta(beta, m)
+    nongeneric = mode == "nongeneric"
+    phi = pipe_numbering(beta)
+    exits: list[set[int]] | None = None
+    if targets is not None:
+        exits = [set() for _ in range(n + 1)]
+        for word in targets:
+            for j in range(1, n + 1):
+                exits[j].add(word.index(j) + 1 if j in word else 0)
+    # per cell in walk order: i, j, the pipe entering there (or 0), last in
+    # row, allowed top-row North labels, (tile, *route) by (side, South)
+    cells = []
+    for i in range(m, 0, -1):
+        ban = NONGENERIC_BAN[beta[i - 1]] if nongeneric else None
+        choices = {
+            occupancy: tuple((t, *ROUTES[t]) for t in tiles if t is not ban)
+            for occupancy, tiles in _TILE_CHOICES.items()
+        }
+        cols = list(range(1, n + 1) if beta[i - 1] == "W" else range(n, 0, -1))
+        for j in cols:
+            allowed = exits[j] if exits is not None and i == 1 else None
+            enter = phi[i - 1] if j == cols[0] else 0
+            cells.append((i, j, enter, j == cols[-1], allowed, choices))
 
-    def rec(k: int, side: bool) -> Iterator[tuple[tuple[Tile, ...], tuple[bool, ...]]]:
-        if k == n:
-            if not side:
-                yield tuple(tiles), tuple(north)
-            return
-        j = cols[k]
-        for t in _TILE_CHOICES[(side, south[j])]:
-            if t == banned:
+    # pending nodes: (cell index, side label, North labels, state, crossed pairs)
+    stack = [(0, 0, (0,) * n, state, ())]
+    while stack:
+        k, side, front, st, crossed = stack.pop()
+        if k == m * n:
+            word = _exit_word(front, m)
+            if targets is None or word in targets:
+                yield word, st
+            continue
+        i, j, enter, last, allowed, choices = cells[k]
+        side = enter or side
+        south = front[j - 1]
+        ins = (0, side, south)
+        children = []
+        for t, north_src, far_src in choices[side != 0, south != 0]:
+            north, far = ins[north_src], ins[far_src]
+            if (last and far) or (allowed is not None and north not in allowed):
                 continue
-            _, _, side_out, north_out = _TILE_EDGES[t]
-            tiles[j] = t
-            north[j] = north_out
-            yield from rec(k + 1, side_out)
-        tiles[j] = Tile.BLANK
-        north[j] = False
-
-    yield from rec(0, True)
+            pairs = crossed
+            if nongeneric and t is Tile.CROSS:
+                pair = (side, south) if side < south else (south, side)
+                if pair in crossed:
+                    continue
+                pairs = crossed + (pair,)
+            north_labels = front[: j - 1] + (north,) + front[j:]
+            child = st if step is None else step(st, i, j, t)
+            children.append((k + 1, far, north_labels, child, pairs))
+        stack.extend(reversed(children))
 
 
 def enumerate_dreams(
@@ -422,39 +499,19 @@ def enumerate_dreams(
     yielded.  Nongeneric mode applies the restricted tile set and rejects
     dreams in which some pair of pipes crosses twice.
     """
-    if mode not in ("generic", "nongeneric"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got ({m}, {n})")
-    check_beta(beta, m)
-    target = None
-    if pi is not None:
-        target = tuple(pi)
-        if sorted(target) != sorted(set(target)) or not all(
-            1 <= v <= n for v in target
-        ) or len(target) != m:
-            raise ValueError(f"{target} is not an injective word into [1..{n}]")
-
-    rows: list[tuple[Tile, ...]] = [()] * m
-
-    def build(i: int, south: tuple[bool, ...]) -> Iterator[PipeDream]:
-        if i == 0:
-            d = PipeDream(m, n, beta, tuple(rows))
-            got_pi, crossings = connectivity(d)
-            if target is not None and got_pi != target:
-                return
-            if mode == "nongeneric" and len(set(crossings)) != len(crossings):
-                return
-            yield d
-            return
-        for tiles, north in row_fillings(beta[i - 1], south, mode):
-            rows[i - 1] = tiles
-            yield from build(i - 1, north)
-
-    yield from build(m, (False,) * n)
+    targets = None if pi is None else {check_partial_perm(pi, m, n)}
+    for _, placed in walk(
+        m, n, beta, lambda placed, i, j, t: (placed, i, j, t), None, mode, targets
+    ):
+        rows = [[Tile.BLANK] * n for _ in range(m)]
+        while placed:
+            placed, i, j, t = placed
+            rows[i - 1][j - 1] = t
+        yield PipeDream(m, n, beta, tuple(map(tuple, rows)))
 
 
 def count_dreams(
     m: int, n: int, beta: str, pi: Sequence[int] | None = None, mode: str = "generic"
 ) -> int:
-    return sum(1 for _ in enumerate_dreams(m, n, beta, pi, mode))
+    targets = None if pi is None else {check_partial_perm(pi, m, n)}
+    return sum(1 for _ in walk(m, n, beta, mode=mode, targets=targets))

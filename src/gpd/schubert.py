@@ -9,13 +9,14 @@ exactly divisible by (A+B)^m, the quotient being the equivariant class of
 the matching lower-upper component.
 
 Summation over dreams is exact integer arithmetic throughout.  One packed
-numpy engine runs every sweep; its coefficients are int64 while an L1-norm
-bound certifies them and are promoted in place to Python ints when the
-bound runs out.  The recurrence runs on the same packed backend: each step
-multiplies, swaps x_i with x_{i+1}, subtracts and divides by x_i - x_{i+1}
-on (keys, coefficients) arrays, checks that the remainder vanishes, and
-keeps int64 coefficients while L1(next) <= 6 (n+1) L1(g) stays below the
-headroom.
+numpy engine, a step over ``grid.walk``, runs every sweep, generic weight
+sums and nongeneric (Schubert) sums alike; its coefficients are int64
+while an L1-norm bound certifies them and are promoted in place to Python
+ints when the bound runs out.  The recurrence runs on the same packed
+backend: each step multiplies, swaps x_i with x_{i+1}, subtracts and
+divides by x_i - x_{i+1} on (keys, coefficients) arrays, checks that the
+remainder vanishes, and keeps int64 coefficients while
+L1(next) <= 6 (n+1) L1(g) stays below the headroom.
 """
 
 from __future__ import annotations
@@ -26,15 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _packed, grid
-from .grid import PipeDream, Tile, pipe_numbering
+from .grid import PipeDream, Tile, check_partial_perm, pipe_numbering
 from .poly import ExactDivisionError, Polynomial, Var, alphabet
-
-
-def check_partial_perm(pi: Sequence[int], m: int, n: int) -> tuple[int, ...]:
-    word = tuple(int(v) for v in pi)
-    if len(word) != m or len(set(word)) != m or not all(1 <= v <= n for v in word):
-        raise ValueError(f"{word} is not an injective word of length {m} into [1..{n}]")
-    return word
 
 
 def inversions(word: Sequence[int]) -> int:
@@ -64,44 +58,37 @@ def _run_engine(
     n: int,
     beta: str,
     targets: set[tuple[int, ...]] | None,
-    factors: dict[tuple[int, int, bool], tuple[np.ndarray, np.ndarray]],
+    factors: dict[tuple[int, int, bool], tuple[np.ndarray, np.ndarray] | None],
     apply_elbows,
+    mode: str,
 ) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
     """Sum of packed dream weights grouped by connectivity.
 
-    Walks the enumeration tree (rows bottom to top, cells in flow order),
-    sharing partial products along the way and deferring every (A+B)
-    elbow factor to ``apply_elbows`` at the leaf.  Pipe labels ride on the
-    frontier so the connectivity is known without retracing; with targets,
-    the top-row scan prunes exits no target can use.  Every factor has L1
-    norm at most 3, so 3^(mn) bounds one dream's weight and the running sum
-    of those bounds caps every bucket coefficient: coefficients stay int64
-    while that certificate holds and become Python ints, buckets included,
-    from the leaf where it stops holding.
+    A ``step`` over one ``grid.walk`` (in ``mode``, pruned by ``targets``)
+    multiplies by ``factors[(i, j, straight)]`` at a non-elbow tile (None
+    is a unit weight) and counts elbows, which ``apply_elbows`` applies at
+    the leaf; siblings share their parent's product.  The leaf accumulator
+    certifies coefficients: every factor has L1 norm at most 3, so the sum
+    of 3^(mn) over the leaves caps every bucket coefficient.  They stay
+    int64 while that holds and become Python ints, buckets included, from
+    the leaf where it stops holding.
     """
-    phi = pipe_numbering(beta)
     leaf_bound_max = 3 ** (m * n)
     dtype = _packed.coeff_dtype(leaf_bound_max)
-    one = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype))
+    root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype), 0)
     buckets: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
     bound_total = 0
-    exits_by_col: list[set[int]] | None = None
-    if targets is not None:
-        exits_by_col = [set() for _ in range(n + 1)]
-        for word in targets:
-            cols = {c: p for p, c in enumerate(word, start=1)}
-            for j in range(1, n + 1):
-                exits_by_col[j].add(cols.get(j, 0))
 
-    def leaf(ids: tuple[int, ...], keys, coeffs, elbows):
-        nonlocal bound_total, dtype
-        pi = [0] * m
-        for col, pipe in enumerate(ids, start=1):
-            if pipe:
-                pi[pipe - 1] = col
-        word = tuple(pi)
-        if targets is not None and word not in targets:
-            return
+    def step(state, i, j, t):
+        keys, coeffs, elbows = state
+        if t in grid.ELBOWS:
+            return keys, coeffs, elbows + 1
+        factor = factors[(i, j, t in grid.STRAIGHTS)]
+        if factor is None:
+            return state
+        return (*_packed.mul_factor(keys, coeffs, *factor), elbows)
+
+    for word, (keys, coeffs, elbows) in grid.walk(m, n, beta, step, root, mode, targets):
         bound_total += leaf_bound_max
         if dtype is not object and bound_total >= _packed.INT64_HEADROOM:
             dtype = object
@@ -114,48 +101,6 @@ def _run_engine(
             ck = np.concatenate([k for k, _ in chunks])
             cc = np.concatenate([c for _, c in chunks])
             chunks[:] = [_packed.merge(ck, cc)]
-
-    def do_row(i: int, south_ids: tuple[int, ...], keys, coeffs, elbows):
-        west_going = beta[i - 1] == "W"
-        cols = list(range(1, n + 1)) if west_going else list(range(n, 0, -1))
-        north = [0] * n
-
-        def cell(k: int, side_id: int, keys, coeffs, elbows):
-            if k == n:
-                if side_id == 0:
-                    if i == 1:
-                        leaf(tuple(north), keys, coeffs, elbows)
-                    else:
-                        do_row(i - 1, tuple(north), keys, coeffs, elbows)
-                return
-            j = cols[k]
-            south_id = south_ids[j - 1]
-            for t in grid._TILE_CHOICES[(side_id != 0, south_id != 0)]:
-                if t in (Tile.STRAIGHT_V, Tile.CROSS):
-                    north_id, out_side = south_id, side_id
-                elif t is Tile.ELBOW_IN:
-                    north_id, out_side = side_id, 0
-                elif t is Tile.ELBOW_OUT:
-                    north_id, out_side = 0, south_id
-                elif t is Tile.DOUBLE_ELBOW:
-                    north_id, out_side = side_id, south_id
-                else:  # BLANK, STRAIGHT_H
-                    north_id, out_side = 0, side_id
-                if i == 1 and exits_by_col is not None and north_id not in exits_by_col[j]:
-                    continue
-                if t in grid.ELBOWS:
-                    nk, nc, ne = keys, coeffs, elbows + 1
-                else:
-                    fk, fc = factors[(i, j, t in grid.STRAIGHTS)]
-                    nk, nc = _packed.mul_factor(keys, coeffs, fk, fc)
-                    ne = elbows
-                north[j - 1] = north_id
-                cell(k + 1, out_side, nk, nc, ne)
-            north[j - 1] = 0
-
-        cell(0, phi[i - 1], keys, coeffs, elbows)
-
-    do_row(m, (0,) * n, *one, 0)
 
     out = {}
     for word, chunks in buckets.items():
@@ -207,7 +152,7 @@ def reduced_weight_sums(
     def apply_elbows(keys, coeffs, e):
         return keys + e, coeffs  # u0^e is a bare exponent shift in slot 0
 
-    raw = _run_engine(m, n, beta, targets, factors, apply_elbows)
+    raw = _run_engine(m, n, beta, targets, factors, apply_elbows, "generic")
     return {word: dict(zip(k.tolist(), c.tolist())) for word, (k, c) in raw.items()}
 
 
@@ -246,7 +191,7 @@ def weight_sums_by_pi(
     def apply_elbows(keys, coeffs, e):
         return _packed.mul_factor(keys, coeffs, *ab_packed[e])
 
-    raw = _run_engine(m, n, beta, targets, factors, apply_elbows)
+    raw = _run_engine(m, n, beta, targets, factors, apply_elbows, "generic")
     return {word: packer.unpack(k, c) for word, (k, c) in raw.items()}
 
 
@@ -424,31 +369,31 @@ def schubert_sum(
     """Sum over nongeneric dreams of the x,y products.
 
     Straight tiles in W rows and blank tiles in E rows contribute
-    x_{phi(i)} - y_j; every other tile contributes 1.  The all-W
-    hybridization is the default; agreement across hybridizations is a
-    tested identity, not a runtime cost.
+    x_{phi(i)} - y_j; every other tile contributes 1.  One engine walk in
+    nongeneric mode sums the products.  The all-W hybridization is the
+    default; agreement across hybridizations is a tested identity, not a
+    runtime cost.
     """
     word = check_partial_perm(pi, m, n)
     if beta is None:
         beta = "W" * m
     grid.check_beta(beta, m)
+    packer = _packed.Packer.alphabet(m, n)
     phi = pipe_numbering(beta)
     _, _, xs, ys = alphabet(m, n)
-    total = Polynomial.zero(m, n)
-    for d in grid.enumerate_dreams(m, n, beta, word, mode="nongeneric"):
-        term = Polynomial.const(1, m, n)
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                t = d.tile(i, j)
-                counts = (
-                    t in grid.STRAIGHTS
-                    if d.row_type(i) == "W"
-                    else t is Tile.BLANK
-                )
-                if counts:
-                    term = term * (xs[phi[i - 1] - 1] - ys[j - 1])
-        total = total + term
-    return total
+    factors = {}
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            counted = packer.pack_poly(xs[phi[i - 1] - 1] - ys[j - 1])
+            w_row = beta[i - 1] == "W"
+            factors[(i, j, True)] = counted if w_row else None
+            factors[(i, j, False)] = None if w_row else counted
+
+    def no_elbow_weight(keys, coeffs, e):
+        return keys, coeffs
+
+    raw = _run_engine(m, n, beta, {word}, factors, no_elbow_weight, "nongeneric")
+    return packer.unpack(*raw[word]) if word in raw else Polynomial.zero(m, n)
 
 
 def double_schubert_oracle(w: Sequence[int], m: int, n: int) -> Polynomial:
@@ -523,8 +468,7 @@ def _weight_b_degree(d: PipeDream) -> int:
 
 def _is_nongeneric(d: PipeDream) -> bool:
     for i in range(1, d.m + 1):
-        banned = Tile.STRAIGHT_V if d.row_type(i) == "W" else Tile.DOUBLE_ELBOW
-        if banned in d.tiles[i - 1]:
+        if grid.NONGENERIC_BAN[d.row_type(i)] in d.tiles[i - 1]:
             return False
     _, crossings = grid.connectivity(d)
     return len(set(crossings)) == len(crossings)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+from .grid import ROUTES, SIDE, SOUTH, tile_weight
 from .poly import Polynomial, alphabet
 from .schubert import CheckReport
 
@@ -54,34 +55,32 @@ def _entries(spec: list[tuple[str, tuple[tuple[int, int], ...], Polynomial]]):
     return tuple(table)
 
 
-def w_square(x: Polynomial) -> tuple[TableEntry, ...]:
-    """Row square of a W row; in slots (side, South), out slots (side, North)."""
+def _square(row_type: str, x: Polynomial) -> tuple[TableEntry, ...]:
+    """Row square, one entry per tile: routes from grid.ROUTES, weights by
+    grid.tile_weight with pipe variable x (X or XP) and y = y1."""
+    pipe = _XS.index(x) + 1
+    in_slot = {SIDE: 0, SOUTH: 1}
     return _entries(
         [
-            ("blank", (), _B - x + Y),
-            ("straight_h", ((0, 0),), _A + x - Y),
-            ("elbow_in", ((0, 1),), _A + _B),
-            ("straight_v", ((1, 1),), _A + x - Y),
-            ("elbow_out", ((1, 0),), _A + _B),
-            ("cross", ((0, 0), (1, 1)), _A + x - Y),
-            ("double_elbow", ((0, 1), (1, 0)), _A + _B),
+            (
+                t.name.lower(),
+                # route is (North source, far-side source): out slots 1 and 0
+                tuple((in_slot[src], out) for out, src in zip((1, 0), route) if src),
+                tile_weight(row_type, t, pipe, 1, 2, 1),
+            )
+            for t, route in ROUTES.items()
         ]
     )
+
+
+def w_square(x: Polynomial) -> tuple[TableEntry, ...]:
+    """Row square of a W row; in slots (side, South), out slots (side, North)."""
+    return _square("W", x)
 
 
 def e_square(x: Polynomial) -> tuple[TableEntry, ...]:
     """Row square of an E row; same routing shape, blank and straight swapped."""
-    return _entries(
-        [
-            ("blank", (), _A + x - Y),
-            ("straight_h", ((0, 0),), _B - x + Y),
-            ("elbow_in", ((0, 1),), _A + _B),
-            ("straight_v", ((1, 1),), _B - x + Y),
-            ("elbow_out", ((1, 0),), _A + _B),
-            ("cross", ((0, 0), (1, 1)), _B - x + Y),
-            ("double_elbow", ((0, 1), (1, 0)), _A + _B),
-        ]
-    )
+    return _square("E", x)
 
 
 def right_diamond() -> tuple[TableEntry, ...]:

@@ -131,8 +131,9 @@ def test_beta_check_caps_workers(monkeypatch, jobs, cpus, m, workers):
     assert seen == workers
 
 
-# stdout SHA-256 as the term-by-term renderer wrote it; any change to the
-# canonical text fails here
+# stdout SHA-256 as the term-by-term renderer and the row-by-row
+# enumeration wrote it; any change to the canonical text or to the dream
+# stream order fails here
 _GOLDEN_SHA256 = {
     ("poly", "--m", "3", "--n", "4", "--pi", "1,2,4"):
         "e0e7b6305640e279071debd98f95d0288e44b5e324b85a181f85d7df982eae29",
@@ -140,6 +141,32 @@ _GOLDEN_SHA256 = {
         "aea671b3c064e435367d6a91494e1d6aeb7f343ee8c29db3394037f018ea1ca5",
     ("schubert", "--m", "3", "--n", "4", "--pi", "2,3,1"):
         "740b22a1e402409de5af32de1a430882ec5cffe5a7a968f04c7cf047ded87d86",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "WWW"):
+        "e6ee10c2150ef19f45e49ba96414742d3b95991329bf5d784ef9e02405626ff8",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "WWE"):
+        "ca221080461395e77433537ca6c61cbc96aefb94e21e6696f72b43f6936b72e2",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "WEW"):
+        "3fa7d1e8d5736390344f3874705a93274dd9c01cd577a3d46f7c5602f840658b",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "WEE"):
+        "b7853a9154334f63c1d0ab6ef48dec814ec73b8af6faeaf32f0b181da55c329b",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "EWW"):
+        "f5cdc436a55474b12717b161e7fae16f3f26e9cd34b9a691e74de1a635aacad0",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "EWE"):
+        "8cd94683baa18a2835b87bc7085ddf3286df574e649f9e292c2d6c451fb44324",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "EEW"):
+        "ebe728fe7d00887a901629f3a8a78f1ac88989023da831965bd37c66cf607907",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "EEE"):
+        "07ea084598e66427591e7762581ca15bd075851300d79cd20a4e4f55d4692a47",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "EWE", "--format", "json"):
+        "00793412cbfbe5ed24aad363fa1a0ef5c687d02adb4104a811eecf5c8b82f8c5",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "WWW", "--mode", "nongeneric"):
+        "7c451a4927a532f0a774238faa618f63e248660d2fa51c03bdcc2da34cc5afd9",
+    ("enumerate", "--m", "3", "--n", "4", "--beta", "EWE", "--mode", "nongeneric"):
+        "92b1b6e09766dc146ed046457952322a0eb26660ce0eb6fc580bfc31fb0025c3",
+    ("enumerate", "--m", "3", "--n", "4", "--pi", "3,1,4"):
+        "64030646a430d403e543532e4c8f8852d161288f80a9bced446a5395eae09b52",
+    ("count", "--m", "4", "--n", "5", "--beta", "WEEW"):
+        "d34bcccbcfa9c6fba360a029db238556547a9d204d5b41545cdaf08b0d220514",
 }
 
 
