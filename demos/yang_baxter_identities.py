@@ -5,7 +5,8 @@ occupancy and every induced connectivity class the cluster sums on the two
 sides agree as polynomials in A, B, x, x', y.
 """
 
-from gpd.yangbaxter import class_identities, forced_tile, verify_ybe
+from gpd.verify import verify_ybe
+from gpd.yangbaxter import class_identities, forced_tile
 
 for mode, description in (("ww", "two W rows, rightward diamond"),
                           ("we", "W over E, upward diamond")):

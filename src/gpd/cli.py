@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 from . import flux as fluxmod
-from . import grid, schubert, yangbaxter
-
-from .schubert import CheckReport
+from . import grid, schubert, verify
+from .verify import CheckReport
 
 USAGE_ERROR = 2
 
@@ -111,125 +108,25 @@ def _cmd_schubert(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: the checks of gpd.verify by name, and the rendering of their reports
 # ---------------------------------------------------------------------------
 
 
-def _beta_report_for(task: tuple[int, int, str]) -> dict:
-    m, n, beta = task
-    return schubert.reduced_weight_sums(m, n, beta)
-
-
-def check_beta_independence(m: int, n: int, jobs: int = 1) -> CheckReport:
-    """All hybridizations give the same per-connectivity weight sums."""
-    report = CheckReport(f"beta-independence ({m},{n})")
-    betas = schubert.all_hybridizations(m)
-    tasks = [(m, n, beta) for beta in betas]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_beta_report_for, tasks))
-    else:
-        results = [_beta_report_for(t) for t in tasks]
-    reference = results[0]
-    for beta, sums in zip(betas[1:], results[1:]):
-        if sums != reference:
-            report.fail(f"beta={beta} disagrees with beta={betas[0]}")
-    return report
-
-
-def check_recurrence(m: int, n: int) -> CheckReport:
-    report = CheckReport(f"recurrence ({m},{n})")
-    sums = schubert.weight_sums_by_pi(m, n, "W" * m)
-    table = schubert.recurrence_table(m, n)
-    for pi in schubert.all_partial_perms(m, n):
-        if pi not in sums:
-            report.fail(f"pi={pi}: no dream enumerated")
-        elif table[pi] != sums[pi]:
-            report.fail(f"pi={pi}: recurrence disagrees with enumeration")
-    return report
-
-
-def check_leading(m: int, n: int) -> CheckReport:
-    report = CheckReport(f"leading-form ({m},{n})")
-    for pi in schubert.all_partial_perms(m, n):
-        sub = schubert.b_leading_check(m, n, pi)
-        report.failures.extend(sub.failures)
-    return report
-
-
-def check_mirror(m: int, n: int) -> CheckReport:
-    report = CheckReport(f"mirror ({m},{n})")
-    sums = schubert.weight_sums_by_pi(m, n, "W" * m)
-    words = schubert.all_partial_perms(m, n)
-    report.failures.extend(schubert.mirror_failures(m, n, words, sums))
-    return report
-
-
-def check_ybe(mode: str | None = None) -> CheckReport:
-    report = CheckReport("yang-baxter")
-    for md in [mode] if mode else ["ww", "we"]:
-        sub = yangbaxter.verify_ybe(md)
-        report.failures.extend(sub.failures)
-    return report
-
-
-def check_crossing(n_max: int = 5) -> CheckReport:
-    """crossing_flip is a weight-preserving involution on single-pipe rows."""
-    report = CheckReport(f"crossing-flip (n<={n_max})")
-    for n in range(1, n_max + 1):
-        for beta in ("W", "E"):
-            for d in grid.enumerate_dreams(1, n, beta):
-                flipped = grid.crossing_flip(d)
-                if flipped.beta == d.beta:
-                    report.fail(f"{grid.serialize(d)!r}: row type did not flip")
-                if grid.crossing_flip(flipped) != d:
-                    report.fail(f"{grid.serialize(d)!r}: flip is not an involution")
-                if grid.weight(flipped) != grid.weight(d):
-                    report.fail(f"{grid.serialize(d)!r}: flip changed the weight")
-    return report
-
-
-def check_flux(m: int, n: int) -> CheckReport:
-    report = CheckReport(f"flux ({m},{n})")
-    table = schubert.recurrence_table(m, n)
-    for beta in schubert.all_hybridizations(m):
-        sub = fluxmod.conservation_check(m, n, beta)
-        report.failures.extend(sub.failures)
-        sums: dict[tuple[int, ...], object] = {}
-        for d in grid.enumerate_dreams(m, n, beta):
-            eqs = fluxmod.variety_equations(d)
-            if fluxmod.reconstruct_dream(eqs) != d:
-                report.fail(f"beta={beta}: reconstruction failed for a dream")
-                continue
-            contribution = grid._ab_power(m, n, m) * fluxmod.component_class(d)
-            if eqs.pi in sums:
-                sums[eqs.pi] = sums[eqs.pi] + contribution
-            else:
-                sums[eqs.pi] = contribution
-        for pi, total in sums.items():
-            if total != table[pi]:
-                report.fail(f"beta={beta} pi={pi}: component classes do not sum to G")
-    return report
-
-
 _CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
-    "beta": lambda a: check_beta_independence(a.m, a.n, a.jobs),
-    "recurrence": lambda a: check_recurrence(a.m, a.n),
-    "leading": lambda a: check_leading(a.m, a.n),
-    "mirror": lambda a: check_mirror(a.m, a.n),
-    "ybe": lambda a: check_ybe(a.mode),
-    "crossing": lambda a: check_crossing(),
-    "flux": lambda a: check_flux(a.m, a.n),
+    "beta": lambda a: verify.check_beta_independence(a.m, a.n, a.jobs),
+    "recurrence": lambda a: verify.check_recurrence(a.m, a.n),
+    "leading": lambda a: verify.check_leading(a.m, a.n),
+    "mirror": lambda a: verify.check_mirror(a.m, a.n),
+    "ybe": lambda a: verify.verify_ybe(a.mode),
+    "crossing": lambda a: verify.check_crossing(),
+    "flux": lambda a: verify.check_flux(a.m, a.n),
 }
-
-_ALL_CHECKS = ("beta", "recurrence", "leading", "mirror", "ybe", "crossing", "flux")
 _SHOWN_FAILURES = 5  # per failing check, in both output formats
 
 
 def _cmd_verify(args) -> int:
     _guard_work(args.m, args.n, args.max_work)
-    names = _ALL_CHECKS if args.check == "all" else (args.check,)
+    names = _CHECKS if args.check == "all" else (args.check,)
     reports = [_CHECKS[name](args) for name in names]
     if args.format == "json":
         payload = {
@@ -382,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_schubert)
 
     sp = sub.add_parser("verify", help="run identity checks; exit 1 on failure")
-    sp.add_argument("check", choices=("all",) + _ALL_CHECKS)
+    sp.add_argument("check", choices=("all", *_CHECKS))
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--mode", choices=("ww", "we"), default=None)

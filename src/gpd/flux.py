@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, NamedTuple
 from . import _packed, grid
 from .grid import PipeDream, Tile, pipe_numbering, tile_weight, weight
 from .poly import Polynomial
-from .schubert import CheckReport
 
 
 class EdgeId(NamedTuple):
@@ -80,38 +79,6 @@ def format_flux(expr: Iterable[Marker]) -> str:
     """Render a flux as x<r><j>y<j><r>+... with markers sorted; empty is 0."""
     parts = [f"x{r}{j}y{j}{r}" for r, j in sorted(expr)]
     return "+".join(parts) if parts else "0"
-
-
-def conservation_check(m: int, n: int, beta: str) -> CheckReport:
-    """Verify flux conservation at every square, as Z-linear combinations.
-
-    W rows satisfy West + South = East + North and E rows the mirror
-    East + South = West + North; both sides are compared as multisets of
-    markers.
-    """
-    report = CheckReport(f"flux conservation ({m},{n},{beta})")
-    fluxes = flux_grid(m, n, beta)
-
-    def count(*exprs: FluxExpr) -> dict[Marker, int]:
-        acc: dict[Marker, int] = {}
-        for e in exprs:
-            for mk in e:
-                acc[mk] = acc.get(mk, 0) + 1
-        return acc
-
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            west = fluxes[EdgeId("V", i, j - 1)]
-            east = fluxes[EdgeId("V", i, j)]
-            north = fluxes[EdgeId("H", i - 1, j)]
-            south = fluxes[EdgeId("H", i, j)]
-            if beta[i - 1] == "W":
-                lhs, rhs = count(west, south), count(east, north)
-            else:
-                lhs, rhs = count(east, south), count(west, north)
-            if lhs != rhs:
-                report.fail(f"square ({i},{j}) violates conservation")
-    return report
 
 
 def dream_flux_labels(d: PipeDream) -> dict[EdgeId, int]:

@@ -16,18 +16,18 @@ ints when the bound runs out.  The recurrence runs on the same packed
 backend: each step multiplies, swaps x_i with x_{i+1}, subtracts and
 divides by x_i - x_{i+1} on (keys, coefficients) arrays, checks that the
 remainder vanishes, and keeps int64 coefficients while
-L1(next) <= 6 (n+1) L1(g) stays below the headroom.
+L1(next) <= 6 (n+1) L1(g) stays below the headroom.  ``gpd.verify``
+checks these identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _packed, grid
-from .grid import PipeDream, Tile, check_partial_perm, pipe_numbering
+from .grid import Tile, check_partial_perm, pipe_numbering
 from .poly import ExactDivisionError, Polynomial, Var, alphabet
 
 
@@ -433,88 +433,6 @@ def shift_x_by_a(f: Polynomial) -> Polynomial:
     return f.substitute({Var("x", i): a + xs[i - 1] for i in range(1, f.m + 1)})
 
 
-# ---------------------------------------------------------------------------
-# verification reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckReport:
-    name: str
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def fail(self, message: str) -> None:
-        self.failures.append(message)
-
-
-def _weight_b_degree(d: PipeDream) -> int:
-    """B-degree of a dream weight, read off the tile classes."""
-    deg = 0
-    for i in range(1, d.m + 1):
-        for j in range(1, d.n + 1):
-            t = d.tile(i, j)
-            if t in grid.ELBOWS:
-                deg += 1
-            elif d.row_type(i) == "W" and t is Tile.BLANK:
-                deg += 1
-            elif d.row_type(i) == "E" and t in grid.STRAIGHTS:
-                deg += 1
-    return deg
-
-
-def _is_nongeneric(d: PipeDream) -> bool:
-    for i in range(1, d.m + 1):
-        if grid.NONGENERIC_BAN[d.row_type(i)] in d.tiles[i - 1]:
-            return False
-    _, crossings = grid.connectivity(d)
-    return len(set(crossings)) == len(crossings)
-
-
-def b_leading_check(
-    m: int, n: int, pi: Sequence[int], betas: Iterable[str] | None = None
-) -> CheckReport:
-    """Verify the B-leading form of G(pi) against the nongeneric sum.
-
-    Checks, per hybridization: the B-degree equals mn - inv(extension), the
-    leading coefficient equals the nongeneric sum with x_i -> A + x_i, only
-    nongeneric dreams attain the top B-degree, and the nongeneric sum
-    matches the independent double Schubert construction.
-    """
-    word = check_partial_perm(pi, m, n)
-    report = CheckReport(f"b-leading pi={word}")
-    ext = min_extension(word, n)
-    expected_deg = m * n - inversions(ext)
-    oracle = double_schubert_oracle(ext, m, n)
-    if betas is None:
-        betas = all_hybridizations(m)
-    for beta in betas:
-        s = schubert_sum(m, n, word, beta)
-        if s != oracle:
-            report.fail(f"pi={word} beta={beta}: nongeneric sum differs from oracle")
-        g = generic_polynomial(m, n, beta, word)
-        deg, coeff = g.leading_form(Var("B"))
-        if deg != expected_deg:
-            report.fail(f"pi={word} beta={beta}: B-degree {deg} != {expected_deg}")
-        if coeff != shift_x_by_a(s):
-            report.fail(f"pi={word} beta={beta}: leading coefficient mismatch")
-        for d in grid.enumerate_dreams(m, n, beta, word):
-            bdeg = _weight_b_degree(d)
-            if _is_nongeneric(d):
-                if bdeg != expected_deg:
-                    report.fail(
-                        f"pi={word} beta={beta}: nongeneric dream of B-degree {bdeg}"
-                    )
-            elif bdeg >= expected_deg:
-                report.fail(
-                    f"pi={word} beta={beta}: generic-only dream reaches B-degree {bdeg}"
-                )
-    return report
-
-
 def gamma_conjugate(pi: Sequence[int], m: int, n: int) -> tuple[int, ...]:
     """gamma_n . pi . gamma_m for the longest elements gamma."""
     word = check_partial_perm(pi, m, n)
@@ -529,34 +447,6 @@ def mirror_substitution(f: Polynomial) -> Polynomial:
     for j in range(1, f.n + 1):
         mapping[Var("y", j)] = (-1, Var("y", f.n + 1 - j))
     return f.signed_relabel(mapping)
-
-
-def mirror_failures(
-    m: int,
-    n: int,
-    words: Iterable[tuple[int, ...]],
-    sums: dict[tuple[int, ...], Polynomial],
-) -> list[str]:
-    """The words whose G(pi) is not the mirror image of G(gamma.pi.gamma).
-
-    ``sums`` maps every word and its conjugate to G, as one engine sweep
-    ``weight_sums_by_pi`` returns it.
-    """
-    failures = []
-    for word in words:
-        conj = gamma_conjugate(word, m, n)
-        if sums[word] != mirror_substitution(sums[conj]):
-            failures.append(f"pi={word}: mirror identity fails against {conj}")
-    return failures
-
-
-def mirror_check(m: int, n: int, pi: Sequence[int]) -> CheckReport:
-    """G(pi) equals G(gamma.pi.gamma) after the mirror substitution."""
-    word = check_partial_perm(pi, m, n)
-    report = CheckReport(f"mirror pi={word}")
-    sums = weight_sums_by_pi(m, n, "W" * m, [word, gamma_conjugate(word, m, n)])
-    report.failures.extend(mirror_failures(m, n, [word], sums))
-    return report
 
 
 def class_of_e(m: int, n: int, pi: Sequence[int]) -> Polynomial:

@@ -12,8 +12,9 @@ Yang-Baxter identity states that the diamond can be moved from the west
 side of the stack to the east side without changing any class sum: for
 every assignment of pipes to the external in-edges and every induced
 in-to-out matching, the sums of weight products over internal states agree.
-``verify_ybe`` checks this symbolically for both the WW mode (two W rows,
-rightward diamond) and the WE mode (a W row over an E row, upward diamond).
+``class_identities`` lists both sides of every class for the WW mode (two
+W rows, rightward diamond) and the WE mode (a W row over an E row, upward
+diamond); ``gpd.verify.verify_ybe`` checks that they are equal.
 
 Parameter placement is calibrated so the single-admissible-tile scenarios
 come out right: the rightward diamond east of a WW stack with empty row
@@ -29,7 +30,6 @@ from typing import Mapping, NamedTuple
 
 from .grid import ROUTES, SIDE, SOUTH, tile_weight
 from .poly import Polynomial, alphabet
-from .schubert import CheckReport
 
 _A, _B, _XS, _YS = alphabet(2, 1)
 X, XP, Y = _XS[0], _XS[1], _YS[0]
@@ -293,26 +293,6 @@ def boundary_patterns(mode: str) -> list[dict[str, int]]:
                 boundary[ch] = k + 1
         patterns.append(boundary)
     return patterns
-
-
-def verify_ybe(mode: str) -> CheckReport:
-    """Class-by-class symbolic equality of the west and east cluster sums."""
-    if mode not in ("ww", "we"):
-        raise ValueError(f"mode must be 'ww' or 'we', got {mode!r}")
-    report = CheckReport(f"yang-baxter {mode}")
-    left_name, right_name = f"{mode}-left", f"{mode}-right"
-    for boundary in boundary_patterns(mode):
-        left = cluster_sum(left_name, boundary)
-        right = cluster_sum(right_name, boundary)
-        for cls in sorted(set(left) | set(right)):
-            lhs = left.get(cls, Polynomial.zero(2, 1))
-            rhs = right.get(cls, Polynomial.zero(2, 1))
-            if lhs != rhs:
-                report.fail(
-                    f"boundary {sorted(boundary)} class {cls}: "
-                    f"{lhs.format()} != {rhs.format()}"
-                )
-    return report
 
 
 def class_identities(

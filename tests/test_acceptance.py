@@ -8,8 +8,8 @@ import random
 import time
 
 from gpd import flux as fluxmod
-from gpd import grid, yangbaxter
-from gpd.cli import check_crossing
+from gpd import grid, verify, yangbaxter
+from gpd.verify import _is_nongeneric, _weight_b_degree, check_crossing
 from gpd.flux import EdgeId
 from gpd.grid import count_dreams, enumerate_dreams, parse_dream
 from gpd.poly import Polynomial, Var, parse
@@ -26,8 +26,6 @@ from gpd.schubert import (
     schubert_sum,
     shift_x_by_a,
     weight_sums_by_pi,
-    _is_nongeneric,
-    _weight_b_degree,
 )
 
 from conftest import random_point, random_poly
@@ -233,7 +231,7 @@ def test_c08_mirror():
 @budget(10)
 def test_c09_yang_baxter():
     for mode in ("ww", "we"):
-        report = yangbaxter.verify_ybe(mode)
+        report = verify.verify_ybe(mode)
         assert report.ok, report.failures[:3]
     P = lambda s: parse(s, 2, 1)
     identity_one = (
@@ -267,7 +265,7 @@ def test_c11_flux_suite():
     for m in range(1, 5):
         for n in range(m, 5):
             for beta in all_hybridizations(m):
-                assert fluxmod.conservation_check(m, n, beta).ok, (m, n, beta)
+                assert verify.conservation_check(m, n, beta).ok, (m, n, beta)
     for m, n in SMALL_SHAPES:
         table = recurrence_table(m, n)
         ab_m = parse("A+B", m, n) ** m

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from gpd import cli
+from gpd import cli, verify
 from gpd.cli import main, render_flux_lattice
 from gpd import flux as fluxmod
 
@@ -97,7 +97,7 @@ class _PoolRecorder:
 def _record_pools(monkeypatch):
     seen = []
     monkeypatch.setattr(
-        cli, "ProcessPoolExecutor", lambda max_workers: _PoolRecorder(seen, max_workers)
+        verify, "ProcessPoolExecutor", lambda max_workers: _PoolRecorder(seen, max_workers)
     )
     return seen
 
@@ -126,8 +126,8 @@ def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
 )
 def test_beta_check_caps_workers(monkeypatch, jobs, cpus, m, workers):
     seen = _record_pools(monkeypatch)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli.check_beta_independence(m, 3, jobs).ok
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    assert verify.check_beta_independence(m, 3, jobs).ok
     assert seen == workers
 
 

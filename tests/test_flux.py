@@ -6,7 +6,6 @@ from gpd.flux import (
     EquationSet,
     all_edges,
     component_class,
-    conservation_check,
     dream_flux_labels,
     exit_elbow_columns,
     flux_grid,
@@ -19,6 +18,7 @@ from gpd.flux import (
 from gpd.grid import enumerate_dreams, parse_dream
 from gpd.poly import parse
 from gpd.schubert import all_hybridizations, recurrence_table
+from gpd.verify import conservation_check
 
 DREAM1 = "2 2\nWE\nn|\n.n\n"  # components <x21, x12>
 DREAM2 = "2 2\nWE\nbn\nn-\n"  # component <y22, x21 y12 - x12 y21>

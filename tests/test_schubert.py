@@ -8,7 +8,6 @@ from gpd.poly import ExactDivisionError, Polynomial, Var, alphabet, parse
 from gpd.schubert import (
     all_hybridizations,
     all_partial_perms,
-    b_leading_check,
     base_case,
     check_partial_perm,
     class_of_e,
@@ -19,8 +18,6 @@ from gpd.schubert import (
     inverse_step,
     inversions,
     min_extension,
-    mirror_check,
-    mirror_failures,
     mirror_substitution,
     recurrence_step,
     recurrence_table,
@@ -32,6 +29,7 @@ from gpd.schubert import (
     _recurrence_packer,
     _weight_sums_exact,
 )
+from gpd.verify import check_leading, check_mirror
 
 from conftest import random_poly
 
@@ -345,7 +343,7 @@ def test_b_leading_312():
     deg, coeff = g.leading_form(Var("B"))
     assert deg == 7
     assert coeff == product(3, 3, ["A+x1-y1", "A+x1-y2"])
-    report = b_leading_check(3, 3, (3, 1, 2))
+    report = check_leading(3, 3)
     assert report.ok, report.failures
 
 
@@ -355,9 +353,8 @@ def test_b_leading_1x1():
 
 
 def test_b_leading_sweep_2x3():
-    for pi in all_partial_perms(2, 3):
-        report = b_leading_check(2, 3, pi)
-        assert report.ok, report.failures
+    report = check_leading(2, 3)
+    assert report.ok, report.failures
 
 
 def test_shift_x_by_a():
@@ -366,18 +363,17 @@ def test_shift_x_by_a():
 
 
 def test_mirror_checks():
-    assert mirror_check(1, 1, (1,)).ok
-    assert mirror_check(3, 3, (3, 1, 2)).ok
-    for pi in all_partial_perms(2, 3):
-        assert mirror_check(2, 3, pi).ok, pi
+    assert check_mirror(1, 1).ok
+    assert check_mirror(3, 3).ok
+    assert check_mirror(2, 3).ok
 
 
-def test_mirror_failures_name_both_words_of_a_broken_pair():
+def test_mirror_failures_name_both_words_of_a_broken_pair(monkeypatch):
     sums = weight_sums_by_pi(2, 3, "WW")
-    words = all_partial_perms(2, 3)
-    assert mirror_failures(2, 3, words, sums) == []
+    assert check_mirror(2, 3).failures == []
     sums[(1, 2)] = sums[(1, 2)] + parse("A", 2, 3)
-    assert mirror_failures(2, 3, words, sums) == [
+    monkeypatch.setattr(schubert, "weight_sums_by_pi", lambda *args: sums)
+    assert check_mirror(2, 3).failures == [
         "pi=(1, 2): mirror identity fails against (2, 3)",
         "pi=(2, 3): mirror identity fails against (1, 2)",
     ]
@@ -415,7 +411,7 @@ def test_positivity_specialization():
 
 
 def test_b_degree_bound_over_dreams():
-    from gpd.schubert import _weight_b_degree, _is_nongeneric
+    from gpd.verify import _weight_b_degree, _is_nongeneric
 
     for pi in all_partial_perms(2, 3):
         bound = 2 * 3 - inversions(min_extension(pi, 3))

@@ -1,0 +1,300 @@
+"""`gpd verify` end to end: pinned output, failure paths, completeness, errors.
+
+Each failure-path test breaks one input of one check with monkeypatch (a
+G, a Yang-Baxter table weight or a crossing flip) and asserts that the
+check reports FAIL with a message naming the broken word or class.
+Messages are tested by membership, not position.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from gpd import cli, flux, grid, schubert, yangbaxter
+from gpd.poly import parse
+
+
+def verify(capsys, *argv):
+    code = cli.main(["verify", *argv, "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return code, checks
+
+
+def only_check(capsys, *argv):
+    code, checks = verify(capsys, *argv)
+    assert len(checks) == 1
+    return code, checks[0]
+
+
+def assert_fails_with(capsys, argv, message):
+    code, check = only_check(capsys, *argv)
+    assert code == 1
+    assert check["status"] == "FAIL"
+    assert message in check["failures"], check["failures"]
+
+
+_ALL_2_3_TEXT = """\
+PASS beta-independence (2,3)
+PASS recurrence (2,3)
+PASS leading-form (2,3)
+PASS mirror (2,3)
+PASS yang-baxter
+PASS crossing-flip (n<=5)
+PASS flux (2,3)
+"""
+
+_ALL_2_3_JSON = """\
+{
+  "checks": [
+    {
+      "failures": [],
+      "name": "beta-independence (2,3)",
+      "status": "PASS"
+    },
+    {
+      "failures": [],
+      "name": "recurrence (2,3)",
+      "status": "PASS"
+    },
+    {
+      "failures": [],
+      "name": "leading-form (2,3)",
+      "status": "PASS"
+    },
+    {
+      "failures": [],
+      "name": "mirror (2,3)",
+      "status": "PASS"
+    },
+    {
+      "failures": [],
+      "name": "yang-baxter",
+      "status": "PASS"
+    },
+    {
+      "failures": [],
+      "name": "crossing-flip (n<=5)",
+      "status": "PASS"
+    },
+    {
+      "failures": [],
+      "name": "flux (2,3)",
+      "status": "PASS"
+    }
+  ]
+}
+"""
+
+
+def test_verify_all_output_is_pinned(capsys):
+    assert cli.main(["verify", "all", "--m", "2", "--n", "3"]) == 0
+    assert capsys.readouterr().out == _ALL_2_3_TEXT
+    assert cli.main(["verify", "all", "--m", "2", "--n", "3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == _ALL_2_3_JSON
+
+
+# ---------------------------------------------------------------------------
+# failure paths: one broken input per check
+# ---------------------------------------------------------------------------
+
+
+def _break_weight_sums(monkeypatch, beta, pi, extra):
+    """weight_sums_by_pi with ``extra`` added to G(pi) of one row type."""
+    original = schubert.weight_sums_by_pi
+
+    def broken(m, n, b, *rest, **kwargs):
+        sums = original(m, n, b, *rest, **kwargs)
+        if b == beta and pi in sums:
+            sums[pi] = sums[pi] + parse(extra, m, n)
+        return sums
+
+    monkeypatch.setattr(schubert, "weight_sums_by_pi", broken)
+
+
+def _break_recurrence_table(monkeypatch):
+    """recurrence_table with A added to G(2,1)."""
+    original = schubert.recurrence_table
+
+    def broken(m, n):
+        table = original(m, n)
+        table[(2, 1)] = table[(2, 1)] + parse("A", m, n)
+        return table
+
+    monkeypatch.setattr(schubert, "recurrence_table", broken)
+
+
+def test_beta_check_fails_on_a_broken_row_type(capsys, monkeypatch):
+    original = schubert.reduced_weight_sums
+
+    def broken(m, n, beta, *rest):
+        sums = original(m, n, beta, *rest)
+        if beta == "WE":
+            sums[(1, 2)] = {**sums[(1, 2)], 0: 1}
+        return sums
+
+    monkeypatch.setattr(schubert, "reduced_weight_sums", broken)
+    assert_fails_with(
+        capsys, ("beta", "--m", "2", "--n", "2"), "beta=WE disagrees with beta=WW"
+    )
+
+
+def test_recurrence_check_fails_on_a_broken_table_entry(capsys, monkeypatch):
+    _break_recurrence_table(monkeypatch)
+    assert_fails_with(
+        capsys,
+        ("recurrence", "--m", "2", "--n", "3"),
+        "pi=(2, 1): recurrence disagrees with enumeration",
+    )
+
+
+def test_leading_check_fails_on_a_broken_schubert_sum(capsys, monkeypatch):
+    original = schubert.schubert_sum
+
+    def broken(m, n, pi, beta=None):
+        s = original(m, n, pi, beta)
+        return s + parse("1", m, n) if (tuple(pi), beta) == ((2, 1), "EW") else s
+
+    monkeypatch.setattr(schubert, "schubert_sum", broken)
+    assert_fails_with(
+        capsys,
+        ("leading", "--m", "2", "--n", "2"),
+        "pi=(2, 1) beta=EW: nongeneric sum differs from oracle",
+    )
+
+
+def test_leading_check_fails_on_a_broken_degree(capsys, monkeypatch):
+    # G(2,1) at (2,2) has B-degree 3; one more B raises it to 4
+    _break_weight_sums(monkeypatch, "EW", (2, 1), "B^4")
+    assert_fails_with(
+        capsys,
+        ("leading", "--m", "2", "--n", "2"),
+        "pi=(2, 1) beta=EW: B-degree 4 != 3",
+    )
+
+
+def test_leading_check_fails_on_a_broken_leading_coefficient(capsys, monkeypatch):
+    _break_weight_sums(monkeypatch, "WE", (1, 2), "A*B^4")
+    assert_fails_with(
+        capsys,
+        ("leading", "--m", "2", "--n", "2"),
+        "pi=(1, 2) beta=WE: leading coefficient mismatch",
+    )
+
+
+def test_mirror_check_fails_on_a_broken_g(capsys, monkeypatch):
+    _break_weight_sums(monkeypatch, "WW", (1, 2), "A")
+    code, check = only_check(capsys, "mirror", "--m", "2", "--n", "3")
+    assert code == 1 and check["status"] == "FAIL"
+    assert "pi=(1, 2): mirror identity fails against (2, 3)" in check["failures"]
+    assert "pi=(2, 3): mirror identity fails against (1, 2)" in check["failures"]
+
+
+def test_ybe_check_fails_on_a_broken_table_weight(capsys, monkeypatch):
+    layout = yangbaxter.LAYOUTS["ww-left"]
+    diamond = tuple(
+        e._replace(weight=parse("A+B", 2, 1)) if e.label == "blank" else e
+        for e in layout.tables["D"]
+    )
+    broken = dataclasses.replace(layout, tables={**layout.tables, "D": diamond})
+    monkeypatch.setitem(yangbaxter.LAYOUTS, "ww-left", broken)
+    code, check = only_check(capsys, "ybe", "--mode", "ww")
+    assert code == 1 and check["status"] == "FAIL"
+    # the blank diamond serves the boundaries with both west channels empty
+    assert any(f.startswith("boundary [] class ():") for f in check["failures"])
+    assert any(
+        f.startswith("boundary ['in_south'] class (('in_south', 'out_north'),):")
+        for f in check["failures"]
+    ), check["failures"]
+
+
+def test_crossing_check_fails_on_a_broken_flip(capsys, monkeypatch):
+    original = grid.crossing_flip
+    victim = next(grid.enumerate_dreams(1, 2, "W"))
+
+    def broken(d):
+        return d if d == victim else original(d)
+
+    monkeypatch.setattr(grid, "crossing_flip", broken)
+    assert_fails_with(
+        capsys, ("crossing",), f"{grid.serialize(victim)!r}: row type did not flip"
+    )
+
+
+def test_flux_check_fails_on_a_broken_g(capsys, monkeypatch):
+    _break_recurrence_table(monkeypatch)
+    assert_fails_with(
+        capsys,
+        ("flux", "--m", "2", "--n", "2"),
+        "beta=EW pi=(2, 1): component classes do not sum to G",
+    )
+
+
+# ---------------------------------------------------------------------------
+# completeness: every connectivity must be present
+# ---------------------------------------------------------------------------
+
+
+def test_flux_check_fails_when_a_connectivity_has_no_dream(capsys, monkeypatch):
+    original = grid.enumerate_dreams
+
+    def dropping(m, n, beta, *rest, **kwargs):
+        for d in original(m, n, beta, *rest, **kwargs):
+            if grid.connectivity(d)[0] != (2, 1):
+                yield d
+
+    monkeypatch.setattr(grid, "enumerate_dreams", dropping)
+    code, check = only_check(capsys, "flux", "--m", "2", "--n", "2")
+    assert code == 1 and check["status"] == "FAIL"
+    assert "beta=WW pi=(2, 1): no dream enumerated" in check["failures"]
+
+
+def test_beta_check_fails_when_a_connectivity_is_missing(capsys, monkeypatch):
+    original = schubert.reduced_weight_sums
+
+    def dropping(m, n, beta, *rest):
+        sums = original(m, n, beta, *rest)
+        del sums[(2, 1)]
+        return sums
+
+    monkeypatch.setattr(schubert, "reduced_weight_sums", dropping)
+    code, check = only_check(capsys, "beta", "--m", "2", "--n", "2")
+    assert code == 1 and check["status"] == "FAIL"
+    assert "beta=WW pi=(2, 1): no dream enumerated" in check["failures"]
+
+
+# ---------------------------------------------------------------------------
+# a check that raises reports FAIL; the other checks still run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "exc, text",
+    [
+        (ValueError("labels admit 2 tiles"), "ValueError: labels admit 2 tiles"),
+        (RuntimeError("tracing bug"), "RuntimeError: tracing bug"),
+        (KeyError((1, 2)), "KeyError: (1, 2)"),
+    ],
+)
+def test_a_check_that_raises_reports_fail(capsys, monkeypatch, exc, text):
+    def failing(eqs):
+        raise exc
+
+    monkeypatch.setattr(flux, "reconstruct_dream", failing)
+    assert cli.main(["verify", "flux", "--m", "2", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"FAIL flux (2,2): {text}\n"
+    assert captured.err == ""
+    code, checks = verify(capsys, "all", "--m", "2", "--n", "2")
+    assert code == 1
+    assert [c["status"] for c in checks] == ["PASS"] * 6 + ["FAIL"]
+    assert checks[-1] == {"name": "flux (2,2)", "status": "FAIL", "failures": [text]}
+
+
+def test_memory_error_in_a_check_propagates(monkeypatch):
+    def failing(eqs):
+        raise MemoryError
+
+    monkeypatch.setattr(flux, "reconstruct_dream", failing)
+    with pytest.raises(MemoryError):
+        cli.main(["verify", "flux", "--m", "2", "--n", "2"])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gpd.poly import Polynomial, parse
+from gpd.verify import verify_ybe
 from gpd.yangbaxter import (
     LAYOUTS,
     boundary_patterns,
@@ -13,7 +14,6 @@ from gpd.yangbaxter import (
     forced_tile_options,
     right_diamond,
     up_diamond,
-    verify_ybe,
     w_square,
     X,
     XP,
