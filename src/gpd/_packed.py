@@ -1,23 +1,24 @@
-"""Packed numpy backend for exact polynomial products and sums.
+"""Packed exponent keys: the storage and bulk arithmetic under every polynomial.
 
-Exponent vectors are packed into integer keys, each slot given just the
-bits its degree bound needs, so numpy can add exponent vectors and merge
-duplicate monomials in bulk.  Keys are int64 when the layout fits in 63
-bits and Python ints (``dtype=object``) otherwise.  Coefficients are int64
-while an L1-norm bound (an upper bound for every intermediate coefficient)
-stays below ``INT64_HEADROOM``, and Python ints beyond it; numpy promotes
-int64 operands to Python ints when an object array meets them.  Either
-way the arithmetic is exact and the code path is the same.
+An exponent vector (A, B, x1..xm, y1..yn) is packed into one integer key,
+each slot given a bit width.  Slot 0 takes the most significant bits, so
+ascending keys list exponent vectors in ascending lexicographic order,
+whatever the widths: re-keying into another layout with the same slots
+keeps the key order and needs no sort.  Keys are int64 when the layout fits
+in 63 bits and Python ints (``dtype=object``) otherwise.  Coefficients are
+int64 while an L1-norm bound (an upper bound for every intermediate
+coefficient) stays below ``INT64_HEADROOM``, and Python ints beyond it;
+numpy promotes int64 operands to Python ints when an object array meets
+them.  Either way the arithmetic is exact and the code path is the same.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .poly import Polynomial
 
 INT64_HEADROOM = 2**62
 
@@ -27,45 +28,86 @@ def coeff_dtype(bound: int):
     return np.int64 if bound < INT64_HEADROOM else object
 
 
-class Packer:
-    """Bit layout of exponent vectors: slot k holds exponents 0..bounds[k].
+def l1(coeffs: np.ndarray) -> int:
+    """Sum of absolute coefficients, as a Python int."""
+    return int(np.abs(coeffs).sum())
 
-    ``m`` and ``n`` name the context ``unpack`` returns polynomials in; the
-    full-alphabet layout is ``Packer.alphabet(m, n)``.
+
+class Packer:
+    """Bit layout of exponent vectors: slot k holds ``widths[k]`` bits.
+
+    Layouts are shared: build them with ``layout``, ``Packer.fitting`` or
+    ``Packer.alphabet``, so equal widths give the same object.
     """
 
-    def __init__(self, m: int, n: int, bounds: Iterable[int]):
-        widths = [b.bit_length() for b in bounds]
-        self.m, self.n = m, n
-        self.shifts = [0, *accumulate(widths)][:-1]
-        self.key_dtype = np.int64 if sum(widths) <= 63 else object
-        self._masks = [(1 << w) - 1 for w in widths]
-        self._place = np.array([1 << s for s in self.shifts], dtype=self.key_dtype)
+    def __init__(self, widths: tuple[int, ...]):
+        self.widths = widths
+        total = sum(widths)
+        self.shifts = [total - c for c in accumulate(widths)]
+        self.masks = [(1 << w) - 1 for w in widths]
+        self.key_dtype = np.int64 if total <= 63 else object
+
+    @classmethod
+    def fitting(cls, bounds: Iterable[int]) -> "Packer":
+        """The layout in which slot k holds exponents 0..bounds[k]."""
+        return layout(tuple(int(b).bit_length() for b in bounds))
 
     @classmethod
     def alphabet(cls, m: int, n: int) -> "Packer":
         """A, B up to degree mn, each x_p up to n, each y_j up to m."""
-        return cls(m, n, [m * n, m * n] + [n] * m + [m] * n)
+        return cls.fitting([m * n, m * n] + [n] * m + [m] * n)
 
-    def pack_poly(self, p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-        items = list(p.items())
-        exps = np.array([e for e, _ in items], dtype=self.key_dtype)
-        coeffs = [c for _, c in items]
-        keys = exps.reshape(len(items), len(self.shifts)) @ self._place
-        return keys, np.array(coeffs, dtype=coeff_dtype(sum(map(abs, coeffs))))
+    def unit(self, slot: int) -> int:
+        """Key of the exponent vector with a single 1 in ``slot``."""
+        return 1 << self.shifts[slot]
 
     def field(self, keys: np.ndarray, slot: int) -> np.ndarray:
         """Exponents of one slot, in the dtype of the keys."""
-        return (keys >> self.shifts[slot]) & self._masks[slot]
+        return (keys >> self.shifts[slot]) & self.masks[slot]
 
-    def unpack(self, keys: np.ndarray, coeffs: np.ndarray) -> Polynomial:
-        cols = [self.field(keys, k).tolist() for k in range(len(self.shifts))]
-        terms = dict(zip(zip(*cols), coeffs.tolist()))
-        return Polynomial._raw(self.m, self.n, terms)
+    def fields(self, keys: np.ndarray) -> list[list[int]]:
+        """Exponents of every slot, one Python list per slot."""
+        return [self.field(keys, k).tolist() for k in range(len(self.widths))]
+
+    def encode(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """Keys of exponent vectors that fit this layout."""
+        exps = np.array(rows, dtype=self.key_dtype).reshape(len(rows), len(self.widths))
+        return exps @ np.array([1 << s for s in self.shifts], dtype=self.key_dtype)
+
+    def rekey(self, keys: np.ndarray, dst: "Packer") -> np.ndarray:
+        """The same exponent vectors as keys of ``dst``, which must hold them."""
+        if dst is self:
+            return keys
+        if dst.key_dtype is object:
+            keys = keys.astype(object)
+        out = np.zeros(len(keys), dtype=keys.dtype)
+        for k, w in enumerate(self.widths):
+            if w:
+                src, to = self.shifts[k], dst.shifts[k]
+                part = keys & (self.masks[k] << src)
+                out |= part << (to - src) if to >= src else part >> (src - to)
+        return out.astype(dst.key_dtype, copy=False)
+
+    def tight(self, keys: np.ndarray) -> "Packer":
+        """The layout whose widths are the keys' own per-slot maximum widths.
+
+        The widest value of a slot has the bit length of the slot's OR over
+        all keys, so one reduction finds every width.
+        """
+        ored = int(np.bitwise_or.reduce(keys)) if len(keys) else 0
+        return layout(
+            tuple(((ored >> s) & mk).bit_length() for s, mk in zip(self.shifts, self.masks))
+        )
+
+
+@lru_cache(maxsize=4096)
+def layout(widths: tuple[int, ...]) -> Packer:
+    """The shared layout with these slot widths."""
+    return Packer(widths)
 
 
 def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combine duplicate keys and drop zero coefficients."""
+    """Combine duplicate keys, drop zero coefficients; keys come out ascending."""
     if len(keys) == 0:
         return keys, coeffs
     order = np.argsort(keys, kind="stable")
@@ -78,23 +120,7 @@ def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def mul_factor(keys, coeffs, fk, fc):
+    """Product of two packed polynomials in one layout that holds it."""
     nk = (keys[:, None] + fk[None, :]).ravel()
     nc = (coeffs[:, None] * fc[None, :]).ravel()
     return merge(nk, nc)
-
-
-def product(m: int, n: int, factors: Iterable[Polynomial]) -> Polynomial:
-    """Exact product of polynomials in context (m, n)."""
-    fs = list(factors)
-    bounds = [0] * (2 + m + n)
-    l1 = 1
-    for f in fs:
-        for k, col in enumerate(zip(*(e for e, _ in f.items()))):
-            bounds[k] += max(col)
-        l1 *= max(1, f.l1_norm())
-    packer = Packer(m, n, bounds)
-    keys = np.zeros(1, dtype=packer.key_dtype)
-    coeffs = np.ones(1, dtype=coeff_dtype(l1))
-    for f in fs:
-        keys, coeffs = mul_factor(keys, coeffs, *packer.pack_poly(f))
-    return packer.unpack(keys, coeffs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import flux as fluxmod
 from . import grid, schubert, verify
@@ -41,6 +41,11 @@ def _guard_work(m: int, n: int, max_work: int) -> None:
 
 
 def _emit(args, *parts: str) -> None:
+    _write(args, parts)
+
+
+def _write(args, parts: Iterable[str]) -> None:
+    """Write the parts in order, to --out or stdout, as they come."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
@@ -51,13 +56,22 @@ def _emit(args, *parts: str) -> None:
 def _cmd_enumerate(args) -> int:
     _guard_work(args.m, args.n, args.max_work)
     pi = _parse_pi(args.pi, args.m, args.n) if args.pi else None
-    dreams = list(grid.enumerate_dreams(args.m, args.n, args.beta, pi, args.mode))
+    dreams = grid.enumerate_dreams(args.m, args.n, args.beta, pi, args.mode)
     if args.format == "json":
-        payload = {"count": len(dreams), "dreams": [grid.serialize(d) for d in dreams]}
+        texts = [grid.serialize(d) for d in dreams]
+        payload = {"count": len(texts), "dreams": texts}
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _emit(args, "\n".join(grid.serialize(d) for d in dreams))
+        _write(args, _joined(grid.serialize(d) for d in dreams))
     return 0
+
+
+def _joined(texts: Iterable[str]) -> Iterator[str]:
+    """The pieces of "\\n".join(texts), yielded as the texts arrive."""
+    sep = ""
+    for text in texts:
+        yield sep + text
+        sep = "\n"
 
 
 def _cmd_count(args) -> int:
@@ -72,9 +86,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    """Print one polynomial of a connectivity: G(pi) for ``poly``, the
+    nongeneric sum for ``schubert`` (``args.compute``)."""
     _guard_work(args.m, args.n, args.max_work)
     pi = _parse_pi(args.pi, args.m, args.n)
-    g = schubert.generic_polynomial(args.m, args.n, args.beta, pi)
+    g = args.compute(m=args.m, n=args.n, beta=args.beta, pi=pi)
     if args.format == "json":
         payload = {
             "m": args.m,
@@ -86,24 +102,6 @@ def _cmd_poly(args) -> int:
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         _emit(args, g.format(), "\n")
-    return 0
-
-
-def _cmd_schubert(args) -> int:
-    _guard_work(args.m, args.n, args.max_work)
-    pi = _parse_pi(args.pi, args.m, args.n)
-    s = schubert.schubert_sum(args.m, args.n, pi, args.beta)
-    if args.format == "json":
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "beta": args.beta,
-            "pi": list(pi),
-            "polynomial": s.format(),
-        }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        _emit(args, s.format(), "\n")
     return 0
 
 
@@ -272,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("poly", help="generic pipe dream polynomial")
     _add_common(sp, need_pi=True)
-    sp.set_defaults(func=_cmd_poly)
+    sp.set_defaults(func=_cmd_poly, compute=schubert.generic_polynomial)
 
     sp = sub.add_parser("schubert", help="nongeneric (double Schubert) sum")
     _add_common(sp, need_pi=True)
-    sp.set_defaults(func=_cmd_schubert)
+    sp.set_defaults(func=_cmd_poly, compute=schubert.schubert_sum)
 
     sp = sub.add_parser("verify", help="run identity checks; exit 1 on failure")
     sp.add_argument("check", choices=("all", *_CHECKS))

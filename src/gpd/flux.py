@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from . import _packed, grid
+from . import grid
 from .grid import PipeDream, Tile, pipe_numbering, tile_weight, weight
-from .poly import Polynomial
+from .poly import Polynomial, product
 
 
 class EdgeId(NamedTuple):
@@ -224,10 +224,10 @@ def component_class(d: PipeDream) -> Polynomial:
             factors.append(
                 tile_weight(d.row_type(i), d.tile(i, j), phi[i - 1], j, d.m, d.n)
             )
-    product = _packed.product(d.m, d.n, factors)
-    if _packed.product(d.m, d.n, [product, grid._ab_power(d.m, d.n, d.m)]) != full_weight:
+    cls = product(d.m, d.n, factors)
+    if cls * grid._ab_power(d.m, d.n, d.m) != full_weight:
         raise RuntimeError("component class routes disagree; tracing bug")
-    return product
+    return cls
 
 
 def _tile_pairs(side: str, far: str) -> dict[Tile, tuple[frozenset[str], ...]]:

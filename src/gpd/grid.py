@@ -28,8 +28,7 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Any, Callable, Collection, Iterator, Sequence
 
-from . import _packed
-from .poly import Polynomial, alphabet
+from .poly import Polynomial, alphabet, product
 
 
 class InvalidDreamError(ValueError):
@@ -328,7 +327,7 @@ def weight(d: PipeDream) -> Polynomial:
             t = d.tile(i, j)
             if t not in ELBOWS:
                 factors.append(tile_weight(d.row_type(i), t, phi[i - 1], j, d.m, d.n))
-    return _packed.product(d.m, d.n, factors)
+    return product(d.m, d.n, factors)
 
 
 def mirror(d: PipeDream) -> PipeDream:

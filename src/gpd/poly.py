@@ -5,28 +5,36 @@ checks, component classes) lives in the ring Z[A, B, x1..xm, y1..yn] for a
 fixed grid size (m, n).  A :class:`Polynomial` carries that context with it;
 mixing contexts is an error, never an implicit promotion.
 
-Terms are stored as a dict mapping exponent tuples to nonzero integer
-coefficients.  The exponent tuple has one slot per variable in the order
-A, B, x1..xm, y1..yn, so two polynomials are equal exactly when their dicts
-are equal and every value has a single canonical form.  Coefficients are
-Python ints, hence arbitrary precision.
+A polynomial is stored as two arrays of the packed backend
+(:mod:`gpd._packed`): its exponent vectors, one slot per variable in the
+order A, B, x1..xm, y1..yn, packed into integer keys in ascending order,
+and their nonzero coefficients.  The key layout is the value's own: each
+slot is as wide as its largest exponent needs.  So every value has a single
+canonical form, and two polynomials are equal exactly when their layouts
+and arrays are.  Keys and coefficients are int64 within the limits
+``_packed`` certifies and Python ints beyond them, hence arbitrary
+precision.  Ring operations, variable permutations, leading forms and
+division by x_i - x_{i+1} run on the arrays; exponent tuples are decoded
+only by ``items``, ``sorted_terms``, ``format`` and the term-by-term
+methods ``divide_exact``, ``evaluate`` and ``substitute``.
 
 Canonical term order (used by :meth:`Polynomial.sorted_terms` and the text
 format): total degree descending, ties broken by the exponent vector,
-lexicographically descending in the variable order above.  ``sorted_terms``
-computes it with one ``np.lexsort`` over the exponent matrix, total degree
-as the primary key and the slots A, B, x1.., y1.. after it, then reverses
-the ascending result; exponent vectors are unique, so reversing reorders no
-ties.  :func:`_canonical_sort_key` is the same order as a Python key and
-drives the leading term of exact division.
+lexicographically descending in the variable order above.  Ascending keys
+are lexicographically ascending, so one stable sort of the reversed keys by
+descending degree gives it.  :func:`_canonical_sort_key` is the same order
+as a Python key and drives the leading term of exact division.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
+
+from . import _packed
 
 Exponents = tuple[int, ...]
 
@@ -101,8 +109,8 @@ def _canonical_sort_key(exps: Exponents):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-# Terms per joined chunk in Polynomial.format: only one chunk's piece strings
-# are alive at a time, not one string per term of a large polynomial.
+# Terms per joined chunk in Polynomial.format: only one chunk's exponents and
+# piece strings are alive at a time, not one per term of a large polynomial.
 _FORMAT_CHUNK = 4096
 
 
@@ -122,119 +130,110 @@ class _Powers(dict):
 
 
 class Polynomial:
-    """Immutable exact polynomial in Z[A, B, x1..xm, y1..yn]."""
+    """Immutable exact polynomial in Z[A, B, x1..xm, y1..yn].
 
-    __slots__ = ("m", "n", "_terms")
+    ``keys`` are the packed exponent vectors in ascending order, in the
+    layout ``packer`` of the value's own slot widths, and ``coeffs`` their
+    nonzero coefficients.  Neither array is written after construction.
+    """
+
+    __slots__ = ("m", "n", "packer", "keys", "coeffs")
 
     def __init__(self, m: int, n: int, terms: Mapping[Exponents, int] | None = None):
         if m < 0 or n < 0:
             raise ValueError("context sizes must be nonnegative")
-        self.m = m
-        self.n = n
-        width = 2 + m + n
-        clean: dict[Exponents, int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != width:
-                    raise ValueError(
-                        f"exponent tuple of length {len(exps)}, expected {width}"
-                    )
-                if coeff:
-                    clean[exps] = coeff
-        self._terms = clean
+        terms = terms or {}
+        self._set(m, n, *_encode(m, n, list(terms), list(terms.values())))
+
+    def _set(self, m, n, packer, keys, coeffs) -> None:
+        keys.flags.writeable = coeffs.flags.writeable = False
+        self.m, self.n, self.packer, self.keys, self.coeffs = m, n, packer, keys, coeffs
 
     @classmethod
-    def _raw(cls, m: int, n: int, terms: dict[Exponents, int]) -> "Polynomial":
-        """Wrap a pre-cleaned term dict without copying (internal)."""
+    def _wrap(cls, m: int, n: int, packer, keys, coeffs) -> "Polynomial":
+        """Wrap arrays that are already canonical (internal)."""
         p = object.__new__(cls)
-        p.m = m
-        p.n = n
-        p._terms = terms
+        p._set(m, n, packer, keys, coeffs)
         return p
 
     @classmethod
+    def from_packed(cls, m: int, n: int, packer, keys, coeffs) -> "Polynomial":
+        """The polynomial of ascending, distinct keys in ``packer`` and nonzero
+        coefficients, as ``_packed.merge`` returns them, in its own layout."""
+        tight = packer.tight(keys)
+        return cls._wrap(m, n, tight, packer.rekey(keys, tight), coeffs)
+
+    @classmethod
     def zero(cls, m: int, n: int) -> "Polynomial":
-        return cls._raw(m, n, {})
+        return cls.const(0, m, n)
 
     @classmethod
     def const(cls, value: int, m: int, n: int) -> "Polynomial":
-        if value == 0:
-            return cls.zero(m, n)
-        return cls._raw(m, n, {(0,) * (2 + m + n): int(value)})
+        terms = [value] if value else []
+        coeffs = np.array(terms, dtype=_packed.coeff_dtype(abs(value)))
+        keys = np.zeros(len(terms), dtype=np.int64)
+        return cls._wrap(m, n, _packed.layout((0,) * (2 + m + n)), keys, coeffs)
 
     @classmethod
     def var(cls, v: Var, m: int, n: int) -> "Polynomial":
-        exps = [0] * (2 + m + n)
-        exps[var_slot(v, m, n)] = 1
-        return cls._raw(m, n, {tuple(exps): 1})
+        slot = var_slot(v, m, n)
+        widths = [0] * (2 + m + n)
+        widths[slot] = 1
+        packer = _packed.layout(tuple(widths))
+        keys = np.array([packer.unit(slot)], dtype=np.int64)
+        return cls._wrap(m, n, packer, keys, np.ones(1, np.int64))
 
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponents, int]]:
-        return iter(self._terms.items())
+        """Terms decoded to (exponent tuple, coefficient), in key order."""
+        return zip(zip(*self.packer.fields(self.keys)), self.coeffs.tolist())
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in canonical order (degree descending, then lex descending)."""
-        terms = self._terms
-        return [(exps, terms[exps]) for exps in self._sorted_exponents()]
+        order = self._canonical_order()
+        cols = self.packer.fields(self.keys[order])
+        return list(zip(zip(*cols), self.coeffs[order].tolist()))
 
-    def _sorted_exponents(self) -> list[Exponents]:
-        """Exponent vectors in canonical order, without building term pairs.
+    def _degrees(self) -> np.ndarray:
+        """Total degree of each term, exact for any exponent."""
+        packer = self.packer
+        top = sum((1 << w) - 1 for w in packer.widths)
+        degrees = np.zeros(len(self), dtype=np.int64 if top < 2**63 else object)
+        for k, w in enumerate(packer.widths):
+            if w:
+                degrees += packer.field(self.keys, k).astype(degrees.dtype, copy=False)
+        return degrees
 
-        The exponent matrix takes the narrowest column type that holds every
-        exponent (uint8 for all the CLI's shapes), so sorting a large
-        polynomial allocates little next to the terms themselves.
+    def _canonical_order(self) -> np.ndarray:
+        """Term indices in canonical order.
+
+        Read backwards, the keys descend lexicographically in (A, B, x.., y..);
+        a stable sort by descending total degree keeps that order among the
+        terms of one degree.
         """
-        keys = list(self._terms)
-        if len(keys) < 2:
-            return keys
-        top = max(map(max, keys))
-        if top < 256:
-            dtype = np.uint8
-        elif top <= np.iinfo(np.int64).max // len(keys[0]):
-            dtype = np.int64
-        else:
-            dtype = object  # Python ints, so the degree sums cannot wrap
-        exps = np.array(keys, dtype=dtype)
-        order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
-        boxed = np.fromiter(keys, dtype=object, count=len(keys))
-        return boxed[order[::-1]].tolist()
+        backwards = -self._degrees()[::-1]
+        return len(backwards) - 1 - np.argsort(backwards, kind="stable")
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.keys)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return len(self.keys) > 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return int(self._degrees().max()) if self else -1
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {sum(e) for e in self._terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def degree_in(self, v: Var) -> int:
-        """Maximal exponent of ``v``; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        s = var_slot(v, self.m, self.n)
-        return max(e[s] for e in self._terms)
+        degs = set(self._degrees().tolist())
+        return not degs or (len(degs) == 1 and degree in (None, *degs))
 
     def l1_norm(self) -> int:
-        return sum(abs(c) for c in self._terms.values())
-
-    def constant_term(self) -> int:
-        return self._terms.get((0,) * (2 + self.m + self.n), 0)
+        return _packed.l1(self.coeffs)
 
     # -- ring operations ----------------------------------------------------
 
@@ -247,144 +246,146 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.m == other.m and self.n == other.n and self._terms == other._terms
+        return (
+            self.m == other.m
+            and self.n == other.n
+            and self.packer.widths == other.packer.widths
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_context(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            c = out.get(exps, 0) + coeff
-            if c:
-                out[exps] = c
-            elif exps in out:
-                del out[exps]
-        return Polynomial._raw(self.m, self.n, out)
+        return total(self.m, self.n, (self, other))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_context(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            c = out.get(exps, 0) - coeff
-            if c:
-                out[exps] = c
-            elif exps in out:
-                del out[exps]
-        return Polynomial._raw(self.m, self.n, out)
+        return total(self.m, self.n, (self, -other))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.m, self.n, {e: -c for e, c in self._terms.items()})
+        return Polynomial._wrap(self.m, self.n, self.packer, self.keys, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero(self.m, self.n)
-            return Polynomial._raw(
-                self.m, self.n, {e: c * other for e, c in self._terms.items()}
-            )
+            dtype = _packed.coeff_dtype(abs(other) * self.l1_norm())
+            coeffs = self.coeffs.astype(dtype, copy=False) * other
+            return Polynomial._wrap(self.m, self.n, self.packer, self.keys, coeffs)
         self._check_context(other)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Exponents, int] = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(u + v for u, v in zip(e1, e2))
-                c = get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-        return Polynomial._raw(self.m, self.n, out)
+        return product(self.m, self.n, (self, other))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.const(1, self.m, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return product(self.m, self.n, [self] * k)
 
-    # -- symmetric group action and divided differences ----------------------
+    # -- variable permutations ------------------------------------------------
+
+    def _relabel(self, m: int, n: int, dst: list[int], flip=frozenset()) -> "Polynomial":
+        """Move each occurring slot k to slot dst[k] of context (m, n), negating
+        the terms of odd degree in the slots of ``flip``.  ``dst`` must be
+        injective on occurring slots, so no two terms meet."""
+        src = self.packer
+        widths = [0] * (2 + m + n)
+        for k, w in enumerate(src.widths):
+            if w:
+                widths[dst[k]] = w
+        packer = _packed.layout(tuple(widths))
+        keys = np.zeros(len(self), dtype=packer.key_dtype)
+        odd = np.zeros(len(self), dtype=bool)
+        for k, w in enumerate(src.widths):
+            if w:
+                e = src.field(self.keys, k)
+                keys += e.astype(packer.key_dtype, copy=False) << packer.shifts[dst[k]]
+                if k in flip:
+                    odd ^= (e & 1).astype(bool)
+        coeffs = np.where(odd, -self.coeffs, self.coeffs) if odd.any() else self.coeffs
+        order = np.argsort(keys, kind="stable")
+        return Polynomial._wrap(m, n, packer, keys[order], coeffs[order])
 
     def swap_x(self, i: int) -> "Polynomial":
         """Exchange x_i and x_{i+1} in every term (requires 1 <= i <= m-1)."""
         if not 1 <= i <= self.m - 1:
             raise ValueError(f"swap index {i} outside [1..{self.m - 1}]")
         a = var_slot(Var("x", i), self.m, self.n)
-        b = a + 1
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            if exps[a] != exps[b]:
-                le = list(exps)
-                le[a], le[b] = le[b], le[a]
-                exps = tuple(le)
-            out[exps] = out.get(exps, 0) + coeff
-        return Polynomial._raw(self.m, self.n, {e: c for e, c in out.items() if c})
+        dst = list(range(2 + self.m + self.n))
+        dst[a], dst[a + 1] = a + 1, a
+        return self._relabel(self.m, self.n, dst)
 
-    def _divmod_binomial(
-        self, va: Var, vb: Var, cb: int
-    ) -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder of division by (va + cb * vb), cb = +-1.
+    def signed_relabel(self, mapping: Mapping[Var, tuple[int, Var]]) -> "Polynomial":
+        """Apply a signed variable permutation, e.g. x_i -> -x_{m+1-i}.
 
-        Synthetic division viewing the polynomial as univariate in va over
-        the remaining variables; the remainder is the substitution
-        va -> -cb * vb.
+        ``mapping`` sends a Var to (sign, Var); unmapped variables stay put.
+        The mapping must be injective on slots.
         """
-        a = var_slot(va, self.m, self.n)
-        b = var_slot(vb, self.m, self.n)
-        by_deg: dict[int, dict[Exponents, int]] = {}
-        for exps, coeff in self._terms.items():
-            k = exps[a]
-            le = list(exps)
-            le[a] = 0
-            by_deg.setdefault(k, {})[tuple(le)] = coeff
-        if not by_deg:
-            return Polynomial.zero(self.m, self.n), Polynomial.zero(self.m, self.n)
-        d = max(by_deg)
-        # q_{k-1} = c_k + (-cb * vb) q_k, descending from q_{d-1} = c_d
-        quot: dict[Exponents, int] = {}
-        carry: dict[Exponents, int] = {}
-        for k in range(d, 0, -1):
-            level = dict(carry)
-            for exps, coeff in by_deg.get(k, {}).items():
-                c = level.get(exps, 0) + coeff
-                if c:
-                    level[exps] = c
-                elif exps in level:
-                    del level[exps]
-            for exps, coeff in level.items():
-                le = list(exps)
-                le[a] = k - 1
-                quot[tuple(le)] = coeff
-            carry = {}
-            for exps, coeff in level.items():
-                le = list(exps)
-                le[b] += 1
-                carry[tuple(le)] = -cb * coeff
-        rem = dict(carry)
-        for exps, coeff in by_deg.get(0, {}).items():
-            c = rem.get(exps, 0) + coeff
-            if c:
-                rem[exps] = c
-            elif exps in rem:
-                del rem[exps]
-        return (
-            Polynomial._raw(self.m, self.n, quot),
-            Polynomial._raw(self.m, self.n, rem),
-        )
+        width = 2 + self.m + self.n
+        perm = list(range(width))
+        flip = set()
+        for src, (sign, dst) in mapping.items():
+            if sign not in (1, -1):
+                raise ValueError("sign must be +1 or -1")
+            s = var_slot(src, self.m, self.n)
+            perm[s] = var_slot(dst, self.m, self.n)
+            if sign < 0:
+                flip.add(s)
+        if len(set(perm)) != width:
+            raise ValueError("relabeling is not injective")
+        return self._relabel(self.m, self.n, perm, flip)
+
+    def in_context(self, m: int, n: int) -> "Polynomial":
+        """Recast into context (m, n), preserving variable indices.
+
+        Shrinking is allowed only if no dropped variable actually occurs.
+        """
+        dst = []
+        for s, w in enumerate(self.packer.widths):
+            v = slot_var(s, self.m, self.n)
+            try:
+                dst.append(var_slot(v, m, n))
+            except ValueError:
+                if w:
+                    raise ContextMismatchError(
+                        f"{v.name()} does not fit context ({m}, {n})"
+                    ) from None
+                dst.append(-1)
+        return self._relabel(m, n, dst)
+
+    # -- divided differences ----------------------------------------------------
 
     def _divmod_x_diff(self, i: int) -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder of division by (x_i - x_{i+1})."""
-        return self._divmod_binomial(Var("x", i), Var("x", i + 1), -1)
+        """Quotient and remainder of division by (x_i - x_{i+1}).
+
+        A term c x_i^e rest has quotient terms c rest x_i^k x_{i+1}^(e-1-k),
+        k < e, and remainder c rest x_{i+1}^e: the remainder is f with
+        x_i -> x_{i+1}.  The x_{i+1} slot widens to hold both degrees, and
+        the unmerged quotient has L1 at most max(e) L1(f).
+        """
+        if not 1 <= i <= self.m - 1:
+            raise ValueError(f"division index {i} outside [1..{self.m - 1}]")
+        a = var_slot(Var("x", i), self.m, self.n)
+        widths = list(self.packer.widths)
+        wa, wb = widths[a], widths[a + 1]
+        widths[a + 1] = max(wa, wb) + (wa > 0 and wb > 0)
+        packer = _packed.layout(tuple(widths))
+        keys = self.packer.rekey(self.keys, packer)
+        ua, ub = packer.unit(a), packer.unit(a + 1)
+        e = packer.field(keys, a)
+        rest = keys - e * ua
+        rem = _packed.merge(rest + e * ub, self.coeffs)
+        reps = e.astype(np.int64)
+        dtype = _packed.coeff_dtype(int(reps.max(initial=1)) * self.l1_norm())
+        src = np.repeat(np.arange(len(keys)), reps)
+        k = (np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)).astype(keys.dtype)
+        quot = _packed.merge(
+            rest[src] + k * ua + (e[src] - 1 - k) * ub, self.coeffs.astype(dtype, copy=False)[src]
+        )
+        return (
+            Polynomial.from_packed(self.m, self.n, packer, *quot),
+            Polynomial.from_packed(self.m, self.n, packer, *rem),
+        )
 
     def divided_difference(self, i: int) -> "Polynomial":
         """(f - swap_x(f, i)) / (x_i - x_{i+1}), with the division exact.
@@ -416,34 +417,29 @@ class Polynomial:
         Returns (d, c) with c = sum of terms of v-degree d, divided by v^d.
         Errors on the zero polynomial.
         """
-        if not self._terms:
+        if not self:
             raise ValueError("leading form of the zero polynomial")
         s = var_slot(v, self.m, self.n)
-        d = max(e[s] for e in self._terms)
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            if exps[s] == d:
-                le = list(exps)
-                le[s] = 0
-                out[tuple(le)] = coeff
-        return d, Polynomial._raw(self.m, self.n, out)
-
-    def _leading_term(self) -> tuple[Exponents, int]:
-        exps = min(self._terms, key=_canonical_sort_key)
-        return exps, self._terms[exps]
+        e = self.packer.field(self.keys, s)
+        d = int(e.max())
+        top = e == d
+        keys = self.keys[top] - d * self.packer.unit(s)
+        return d, Polynomial.from_packed(self.m, self.n, self.packer, keys, self.coeffs[top])
 
     def divide_exact(self, g: "Polynomial") -> "Polynomial":
         """Return q with self = q * g, or raise ExactDivisionError.
 
         Long division against the single divisor g in the canonical term
-        order (leading terms tracked through a lazy-deletion heap); the
-        result is verified by re-multiplication.
+        order, term by term on decoded exponents (leading terms tracked
+        through a lazy-deletion heap); the result is verified by
+        re-multiplication.
         """
         self._check_context(g)
-        if not g._terms:
+        if not g:
             raise ZeroDivisionError("division by the zero polynomial")
-        g_exps, g_coeff = g._leading_term()
-        rem = dict(self._terms)
+        g_terms = list(g.items())
+        g_exps, g_coeff = min(g_terms, key=lambda t: _canonical_sort_key(t[0]))
+        rem = dict(self.items())
         heap = [(_canonical_sort_key(e), e) for e in rem]
         heapq.heapify(heap)
         quot: dict[Exponents, int] = {}
@@ -459,7 +455,7 @@ class Polynomial:
             if leftover:
                 raise ExactDivisionError("non-exact division (coefficient mismatch)")
             quot[diff] = c
-            for exps, coeff in g._terms.items():
+            for exps, coeff in g_terms:
                 e = tuple(a + b for a, b in zip(diff, exps))
                 old = rem.get(e, 0)
                 v = old - c * coeff
@@ -471,7 +467,7 @@ class Polynomial:
                     del rem[e]
         if rem:
             raise ExactDivisionError("non-exact division (remainder left)")
-        q = Polynomial._raw(self.m, self.n, quot)
+        q = Polynomial(self.m, self.n, quot)
         if q * g != self:
             raise ExactDivisionError("exact division re-multiplication failed")
         return q
@@ -483,89 +479,42 @@ class Polynomial:
         point = (a, b, *xs, *ys)
         if len(point) != 2 + self.m + self.n:
             raise ValueError("evaluation point has wrong length")
-        total = 0
-        for exps, coeff in self._terms.items():
+        value = 0
+        for exps, coeff in self.items():
             v = coeff
             for val, e in zip(point, exps):
                 if e:
                     v *= val**e
-            total += v
-        return total
-
-    def signed_relabel(self, mapping: Mapping[Var, tuple[int, Var]]) -> "Polynomial":
-        """Apply a signed variable permutation, e.g. x_i -> -x_{m+1-i}.
-
-        ``mapping`` sends a Var to (sign, Var); unmapped variables stay put.
-        The mapping must be injective on slots.
-        """
-        width = 2 + self.m + self.n
-        perm = list(range(width))
-        signs = [1] * width
-        for src, (sign, dst) in mapping.items():
-            if sign not in (1, -1):
-                raise ValueError("sign must be +1 or -1")
-            perm[var_slot(src, self.m, self.n)] = var_slot(dst, self.m, self.n)
-            signs[var_slot(src, self.m, self.n)] = sign
-        if len(set(perm)) != width:
-            raise ValueError("relabeling is not injective")
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            le = [0] * width
-            for s, e in enumerate(exps):
-                if e:
-                    le[perm[s]] = e
-                    if signs[s] < 0 and e % 2:
-                        coeff = -coeff
-            e2 = tuple(le)
-            c = out.get(e2, 0) + coeff
-            if c:
-                out[e2] = c
-            elif e2 in out:
-                del out[e2]
-        return Polynomial._raw(self.m, self.n, out)
+            value += v
+        return value
 
     def substitute(self, assignments: Mapping[Var, "Polynomial"]) -> "Polynomial":
-        """Replace variables by polynomials (same context); others stay."""
+        """Replace variables by polynomials (same context); others stay.
+
+        Terms are grouped by their exponents in the replaced variables; each
+        group's remaining part is multiplied by the matching powers.
+        """
         slots = {}
         for v, p in assignments.items():
             self._check_context(p)
             slots[var_slot(v, self.m, self.n)] = p
-        result = Polynomial.zero(self.m, self.n)
-        for exps, coeff in self._terms.items():
-            piece = Polynomial.const(coeff, self.m, self.n)
-            rest = [0] * (2 + self.m + self.n)
-            for s, e in enumerate(exps):
-                if not e:
-                    continue
-                if s in slots:
-                    piece = piece * slots[s] ** e
-                else:
-                    rest[s] = e
-            if any(rest):
-                piece = piece * Polynomial._raw(self.m, self.n, {tuple(rest): 1})
-            result = result + piece
-        return result
-
-    def in_context(self, m: int, n: int) -> "Polynomial":
-        """Recast into context (m, n), preserving variable indices.
-
-        Shrinking is allowed only if no dropped variable actually occurs.
-        """
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            le = [0] * (2 + m + n)
-            for s, e in enumerate(exps):
-                if not e:
-                    continue
-                v = slot_var(s, self.m, self.n)
-                try:
-                    le[var_slot(v, m, n)] = e
-                except ValueError:
-                    raise ContextMismatchError(
-                        f"{v.name()} does not fit context ({m}, {n})"
-                    ) from None
-            out[tuple(le)] = coeff
-        return Polynomial._raw(m, n, out)
+        packer, keys = self.packer, self.keys
+        replaced = np.zeros(len(keys), dtype=keys.dtype)
+        for s in slots:
+            replaced += packer.field(keys, s) << packer.shifts[s]
+        rest = keys - replaced
+        powers: dict[tuple[int, int], Polynomial] = {}
+        pieces = []
+        for u in np.unique(replaced).tolist():
+            group = replaced == u
+            piece = [Polynomial.from_packed(self.m, self.n, packer, rest[group], self.coeffs[group])]
+            for s, p in slots.items():
+                e = (u >> packer.shifts[s]) & packer.masks[s]
+                if (s, e) not in powers:
+                    powers[s, e] = p**e
+                piece.append(powers[s, e])
+            pieces.append(product(self.m, self.n, piece))
+        return total(self.m, self.n, pieces)
 
     # -- text format ------------------------------------------------------------
 
@@ -573,19 +522,22 @@ class Polynomial:
         return f"Polynomial({self.m}, {self.n}, {self.format()!r})"
 
     def format(self) -> str:
-        """Canonical text rendering; parse(format(f)) == f."""
-        if not self._terms:
+        """Canonical text rendering; parse(format(f)) == f.
+
+        Exponents are decoded from the keys one chunk of terms at a time.
+        """
+        if not self:
             return "0"
-        powers = [
-            _Powers(slot_var(s, self.m, self.n).name()) for s in range(2 + self.m + self.n)
-        ]
-        terms = self._terms
-        keys = self._sorted_exponents()
+        live = [k for k, w in enumerate(self.packer.widths) if w]
+        powers = [_Powers(slot_var(k, self.m, self.n).name()) for k in live]
+        order = self._canonical_order()
         chunks: list[str] = []
-        for start in range(0, len(keys), _FORMAT_CHUNK):
+        for start in range(0, len(order), _FORMAT_CHUNK):
+            idx = order[start:start + _FORMAT_CHUNK]
+            keys = self.keys[idx]
+            cols = [self.packer.field(keys, k).tolist() for k in live]
             pieces: list[str] = []
-            for exps in keys[start:start + _FORMAT_CHUNK]:
-                coeff = terms[exps]
+            for exps, coeff in zip(zip(*cols) if live else [()] * len(idx), self.coeffs[idx].tolist()):
                 mono = "*".join(filter(None, map(dict.__getitem__, powers, exps)))
                 sign = " + " if coeff > 0 else " - "
                 mag = abs(coeff)
@@ -598,6 +550,64 @@ class Polynomial:
         head = chunks[0]  # the first piece drops its spaces and a "+"
         chunks[0] = head[3:] if head[1] == "+" else "-" + head[3:]
         return "".join(chunks)
+
+
+def _encode(m: int, n: int, rows: list[Exponents], coeffs: list[int]):
+    """Canonical (layout, keys, coefficients) of terms that may repeat or cancel."""
+    width = 2 + m + n
+    for exps in rows:
+        if len(exps) != width:
+            raise ValueError(f"exponent tuple of length {len(exps)}, expected {width}")
+    packer = _packed.Packer.fitting(map(max, zip(*rows)) if rows else [0] * width)
+    values = np.array(coeffs, dtype=_packed.coeff_dtype(sum(map(abs, coeffs))))
+    keys, values = _packed.merge(packer.encode(rows), values)
+    tight = packer.tight(keys)
+    return tight, packer.rekey(keys, tight), values
+
+
+def _in_context(m: int, n: int, polys: Iterable[Polynomial]) -> list[Polynomial]:
+    ps = list(polys)
+    for p in ps:
+        if (p.m, p.n) != (m, n):
+            raise ContextMismatchError(f"context ({p.m}, {p.n}) vs ({m}, {n})")
+    return ps
+
+
+def total(m: int, n: int, terms: Iterable[Polynomial]) -> Polynomial:
+    """Exact sum of polynomials in context (m, n), merged once in the
+    narrowest layout that holds every summand."""
+    ps = [p for p in _in_context(m, n, terms) if p]
+    if len(ps) < 2:
+        return ps[0] if ps else Polynomial.zero(m, n)
+    packer = _packed.layout(tuple(map(max, *(p.packer.widths for p in ps))))
+    dtype = _packed.coeff_dtype(sum(p.l1_norm() for p in ps))
+    keys = np.concatenate([p.packer.rekey(p.keys, packer) for p in ps])
+    coeffs = np.concatenate([p.coeffs.astype(dtype, copy=False) for p in ps])
+    return Polynomial.from_packed(m, n, packer, *_packed.merge(keys, coeffs))
+
+
+def product(m: int, n: int, factors: Iterable[Polynomial]) -> Polynomial:
+    """Exact product of polynomials in context (m, n).
+
+    Every factor is re-keyed once into one layout that holds the product
+    (slot k as wide as the sum of the factors' largest slot-k values), and
+    the coefficients are int64 when the product of the factors' L1 norms
+    certifies them.
+    """
+    fs = _in_context(m, n, factors) or [Polynomial.const(1, m, n)]
+    if not all(fs):
+        return Polynomial.zero(m, n)
+    widths = [sum((1 << f.packer.widths[k]) - 1 for f in fs).bit_length() for k in range(2 + m + n)]
+    packer = _packed.layout(tuple(widths))
+    dtype = _packed.coeff_dtype(math.prod(f.l1_norm() for f in fs))
+    keys, coeffs = fs[0].packer.rekey(fs[0].keys, packer), fs[0].coeffs.astype(dtype, copy=False)
+    for f in fs[1:]:
+        fk, fc = f.packer.rekey(f.keys, packer), f.coeffs.astype(dtype, copy=False)
+        if len(f) == 1:  # a monomial shifts every key alike: no merge
+            keys, coeffs = keys + fk[0], coeffs * fc[0]
+        else:
+            keys, coeffs = _packed.mul_factor(keys, coeffs, fk, fc)
+    return Polynomial.from_packed(m, n, packer, keys, coeffs)
 
 
 def alphabet(
@@ -653,7 +663,8 @@ def parse(text: str, m: int, n: int) -> Polynomial:
     if not tokens:
         raise ParseError("empty input", 0)
     width = 2 + m + n
-    terms: dict[Exponents, int] = {}
+    rows: list[Exponents] = []
+    coeffs: list[int] = []
     pos = 0
 
     def parse_factor(idx: int) -> tuple[int, list[int], int]:
@@ -696,11 +707,6 @@ def parse(text: str, m: int, n: int) -> Polynomial:
             exps = [a + b for a, b in zip(exps, e2)]
         if pos < len(tokens) and tokens[pos][:2] not in (("op", "+"), ("op", "-")):
             raise ParseError("expected '+', '-' or end of input", tokens[pos][2])
-        key = tuple(exps)
-        coeff = sign * coeff
-        c = terms.get(key, 0) + coeff
-        if c:
-            terms[key] = c
-        elif key in terms:
-            del terms[key]
-    return Polynomial._raw(m, n, terms)
+        rows.append(tuple(exps))
+        coeffs.append(sign * coeff)
+    return Polynomial._wrap(m, n, *_encode(m, n, rows, coeffs))

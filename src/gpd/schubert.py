@@ -12,12 +12,13 @@ Summation over dreams is exact integer arithmetic throughout.  One packed
 numpy engine, a step over ``grid.walk``, runs every sweep, generic weight
 sums and nongeneric (Schubert) sums alike; its coefficients are int64
 while an L1-norm bound certifies them and are promoted in place to Python
-ints when the bound runs out.  The recurrence runs on the same packed
-backend: each step multiplies, swaps x_i with x_{i+1}, subtracts and
-divides by x_i - x_{i+1} on (keys, coefficients) arrays, checks that the
-remainder vanishes, and keeps int64 coefficients while
-L1(next) <= 6 (n+1) L1(g) stays below the headroom.  ``gpd.verify``
-checks these identities.
+ints when the bound runs out.  Its (keys, coefficients) arrays become
+``Polynomial`` values as they are, so G(pi) never leaves the packed
+representation.  The recurrence is plain ``Polynomial`` arithmetic: each
+step multiplies, swaps x_i with x_{i+1}, subtracts and divides by
+x_i - x_{i+1}, checks that the remainder vanishes, and every operation
+certifies its own coefficients (L1(next) <= 6 (n+1) L1(g) over a step).
+``gpd.verify`` checks these identities.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import _packed, grid
 from .grid import Tile, check_partial_perm, pipe_numbering
-from .poly import ExactDivisionError, Polynomial, Var, alphabet
+from .poly import ExactDivisionError, Polynomial, Var, alphabet, product
 
 
 def inversions(word: Sequence[int]) -> int:
@@ -130,7 +131,7 @@ def reduced_weight_sums(
     targets = None
     if pis is not None:
         targets = {check_partial_perm(p, m, n) for p in pis}
-    packer = _packed.Packer(m, n, [m * n] + [n] * m + [m] * (n - 1))
+    packer = _packed.Packer.fitting([m * n] + [n] * m + [m] * (n - 1))
     unit = [1 << s for s in packer.shifts]  # key of each kernel variable
     phi = pipe_numbering(beta)
     factors = {}
@@ -150,7 +151,7 @@ def reduced_weight_sums(
                 factors[(i, j, straight)] = (fk, fc)
 
     def apply_elbows(keys, coeffs, e):
-        return keys + e, coeffs  # u0^e is a bare exponent shift in slot 0
+        return keys + e * unit[0], coeffs  # u0^e shifts slot 0 alone
 
     raw = _run_engine(m, n, beta, targets, factors, apply_elbows, "generic")
     return {word: dict(zip(k.tolist(), c.tolist())) for word, (k, c) in raw.items()}
@@ -170,6 +171,11 @@ def _weight_sums_exact(
     return sums
 
 
+def _factor(p: Polynomial, packer: _packed.Packer) -> tuple[np.ndarray, np.ndarray]:
+    """An engine factor: p's keys in the engine's layout, and its coefficients."""
+    return p.packer.rekey(p.keys, packer), p.coeffs
+
+
 def weight_sums_by_pi(
     m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
 ) -> dict[tuple[int, ...], Polynomial]:
@@ -185,14 +191,14 @@ def weight_sums_by_pi(
         for j in range(1, n + 1):
             for straight, t in ((True, Tile.STRAIGHT_H), (False, Tile.BLANK)):
                 w = grid.tile_weight(beta[i - 1], t, phi[i - 1], j, m, n)
-                factors[(i, j, straight)] = packer.pack_poly(w)
-    ab_packed = [packer.pack_poly(grid._ab_power(m, n, e)) for e in range(m * n + 1)]
+                factors[(i, j, straight)] = _factor(w, packer)
+    ab_packed = [_factor(grid._ab_power(m, n, e), packer) for e in range(m * n + 1)]
 
     def apply_elbows(keys, coeffs, e):
         return _packed.mul_factor(keys, coeffs, *ab_packed[e])
 
     raw = _run_engine(m, n, beta, targets, factors, apply_elbows, "generic")
-    return {word: packer.unpack(k, c) for word, (k, c) in raw.items()}
+    return {word: Polynomial.from_packed(m, n, packer, *kc) for word, kc in raw.items()}
 
 
 def generic_polynomial(m: int, n: int, beta: str, pi: Sequence[int]) -> Polynomial:
@@ -223,92 +229,27 @@ def base_case(m: int, n: int, pi: Sequence[int]) -> Polynomial:
     for x, col in zip(xs, word):
         factors += [a + x - ys[j - 1] for j in range(1, col)]
         factors += [b - x + ys[j - 1] for j in range(col + 1, n + 1)]
-    return _packed.product(m, n, factors)
+    return product(m, n, factors)
 
 
-def _recurrence_packer(m: int, n: int, g: Polynomial | None = None) -> _packed.Packer:
-    """Key layout of the packed recurrence in context (m, n).
-
-    Degrees start at those of every G(pi) (A, B up to mn, x_p up to n, y_j
-    up to m) and rise to g's.  A and B get one more for (A+B) g.  A
-    numerator term has x_i and x_{i+1} degrees summing to at most 2x+1
-    (x_i r_i g), and the remainder x_i -> x_{i+1} puts that sum in one
-    slot, so every x slot holds 2x+1: no key of a step ever aliases
-    another monomial, and the exactness check reads real terms.
-    """
-    ab, x, y = m * n, n, m
-    if g:
-        degs = [max(col) for col in zip(*(e for e, _ in g.items()))]
-        ab = max(ab, degs[0], degs[1])
-        x = max([x, *degs[2 : 2 + m]])
-        y = max([y, *degs[2 + m :]])
-    return _packed.Packer(m, n, [ab + 1] * 2 + [2 * x + 1] * m + [y] * n)
-
-
-def _l1(coeffs: np.ndarray) -> int:
-    return int(np.abs(coeffs).sum())
-
-
-def _certified(coeffs: np.ndarray, bound: int) -> np.ndarray:
-    """coeffs as Python ints once ``bound`` no longer certifies int64."""
-    if _packed.coeff_dtype(bound) is object:
-        return coeffs.astype(object, copy=False)
-    return coeffs
-
-
-def _divide_x_diff(
-    packer: _packed.Packer, keys: np.ndarray, coeffs: np.ndarray, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packed quotient by x_i - x_{i+1}; ExactDivisionError unless exact.
-
-    A term c x_i^e rest has quotient terms c rest x_i^k x_{i+1}^(e-1-k),
-    k < e, and remainder c rest x_{i+1}^e; the remainder must merge to
-    nothing.  The unmerged quotient has L1 at most max(e) L1(f).
-    """
-    ui, uj = 1 << packer.shifts[1 + i], 1 << packer.shifts[2 + i]
-    e = packer.field(keys, 1 + i)
-    rest = keys - e * ui
-    if len(_packed.merge(rest + e * uj, coeffs)[0]):
-        raise ExactDivisionError(f"not divisible by x{i} - x{i + 1}")
-    reps = e.astype(np.int64)
-    coeffs = _certified(coeffs, int(reps.max(initial=0)) * _l1(coeffs))
-    src = np.repeat(np.arange(len(keys)), reps)
-    k = (np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)).astype(keys.dtype)
-    return _packed.merge(rest[src] + k * ui + (e[src] - 1 - k) * uj, coeffs[src])
-
-
-def recurrence_step(g, i: int, packer: _packed.Packer | None = None):
+def recurrence_step(g: Polynomial, i: int) -> Polynomial:
     """One inductive step: from G(pi') with pi' = pi.r_i longer, recover G(pi).
 
-    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}) on the
-    packed backend; the division must be exact.  g is a Polynomial, or its
-    (keys, coeffs) in ``packer``'s layout, and the result comes back in the
-    same form: the recurrence walk keeps every G packed and takes each of
-    its steps here.
-
-    The numerator is certified against L1(num) <= (2 + 4) L1(g) and the
-    division against max(e) L1(num), where e <= x+1; together
-    L1(next) <= 6 (x+1) L1(g) bounds every coefficient of the step (x = n
-    in the walk).  Coefficients become Python ints where a bound leaves
-    int64.
+    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}); the
+    remainder of the division must vanish.  Each operation certifies its
+    coefficients from its operands' L1 norms: L1(num) <= 6 L1(g) and the
+    quotient's at most max(e) L1(num), where e <= x+1 is the numerator's
+    x_i degree, so L1(next) <= 6 (x+1) L1(g) (x = n on the recurrence walk).
     """
-    polynomial = isinstance(g, Polynomial)
-    if polynomial:
-        if not 1 <= i <= g.m - 1:
-            raise ValueError(f"swap index {i} outside [1..{g.m - 1}]")
-        packer = _recurrence_packer(g.m, g.n, g)
-        g = packer.pack_poly(g)
-    keys, coeffs = g
-    ua, ub, ui, uj = (1 << packer.shifts[s] for s in (0, 1, 1 + i, 2 + i))
-    coeffs = _certified(coeffs, 6 * _l1(coeffs))
-    swapped = keys + (packer.field(keys, 2 + i) - packer.field(keys, 1 + i)) * (ui - uj)
-    plus = np.array([ua, ub], dtype=packer.key_dtype), np.array([1, 1])
-    plus_diff = np.array([ua, ub, ui, uj], dtype=packer.key_dtype), np.array([1, 1, 1, -1])
-    k1, c1 = _packed.mul_factor(keys, coeffs, *plus)
-    k2, c2 = _packed.mul_factor(swapped, coeffs, *plus_diff)
-    num = _packed.merge(np.concatenate((k1, k2)), np.concatenate((c1, -c2)))
-    quotient = _divide_x_diff(packer, *num, i)
-    return packer.unpack(*quotient) if polynomial else quotient
+    if not 1 <= i <= g.m - 1:
+        raise ValueError(f"swap index {i} outside [1..{g.m - 1}]")
+    a, b, xs, _ = alphabet(g.m, g.n)
+    ab = a + b
+    num = ab * g - (ab + xs[i - 1] - xs[i]) * g.swap_x(i)
+    quotient, remainder = num._divmod_x_diff(i)
+    if remainder:
+        raise ExactDivisionError(f"not divisible by x{i} - x{i + 1}")
+    return quotient
 
 
 def _recurrence_walk(
@@ -317,25 +258,21 @@ def _recurrence_walk(
     """G(pi) for each word, by adjacent-swap steps from the decreasing base cases.
 
     At each stage the lexicographically first ascent is swapped, so words
-    share their chains.  Every G on the way stays packed in one layout;
-    only the requested words are unpacked, once, at the end.
+    share their chains.
     """
-    packer = _recurrence_packer(m, n)
-    packed: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    known: dict[tuple[int, ...], Polynomial] = {}
 
-    def rec(w: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        if w not in packed:
+    def rec(w: tuple[int, ...]) -> Polynomial:
+        if w not in known:
             i = next((i for i in range(m - 1) if w[i] < w[i + 1]), None)
             if i is None:
-                packed[w] = packer.pack_poly(base_case(m, n, w))
+                known[w] = base_case(m, n, w)
             else:
                 longer = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                packed[w] = recurrence_step(rec(longer), i + 1, packer)
-        return packed[w]
+                known[w] = recurrence_step(rec(longer), i + 1)
+        return known[w]
 
-    for w in words:
-        rec(w)
-    return {w: packer.unpack(*packed.pop(w)) for w in words}
+    return {w: rec(w) for w in words}
 
 
 def compute_by_recurrence(m: int, n: int, pi: Sequence[int]) -> Polynomial:
@@ -363,28 +300,26 @@ def recurrence_table(m: int, n: int) -> dict[tuple[int, ...], Polynomial]:
 # ---------------------------------------------------------------------------
 
 
-def schubert_sum(
-    m: int, n: int, pi: Sequence[int], beta: str | None = None
-) -> Polynomial:
-    """Sum over nongeneric dreams of the x,y products.
+def nongeneric_sums_by_pi(
+    m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
+) -> dict[tuple[int, ...], Polynomial]:
+    """Map connectivity -> sum over nongeneric dreams of the x,y products.
 
     Straight tiles in W rows and blank tiles in E rows contribute
     x_{phi(i)} - y_j; every other tile contributes 1.  One engine walk in
-    nongeneric mode sums the products.  The all-W hybridization is the
-    default; agreement across hybridizations is a tested identity, not a
-    runtime cost.
+    nongeneric mode sums the products for every word, or for ``pis``.
     """
-    word = check_partial_perm(pi, m, n)
-    if beta is None:
-        beta = "W" * m
     grid.check_beta(beta, m)
+    targets = None
+    if pis is not None:
+        targets = {check_partial_perm(p, m, n) for p in pis}
     packer = _packed.Packer.alphabet(m, n)
     phi = pipe_numbering(beta)
     _, _, xs, ys = alphabet(m, n)
     factors = {}
     for i in range(1, m + 1):
         for j in range(1, n + 1):
-            counted = packer.pack_poly(xs[phi[i - 1] - 1] - ys[j - 1])
+            counted = _factor(xs[phi[i - 1] - 1] - ys[j - 1], packer)
             w_row = beta[i - 1] == "W"
             factors[(i, j, True)] = counted if w_row else None
             factors[(i, j, False)] = None if w_row else counted
@@ -392,8 +327,23 @@ def schubert_sum(
     def no_elbow_weight(keys, coeffs, e):
         return keys, coeffs
 
-    raw = _run_engine(m, n, beta, {word}, factors, no_elbow_weight, "nongeneric")
-    return packer.unpack(*raw[word]) if word in raw else Polynomial.zero(m, n)
+    raw = _run_engine(m, n, beta, targets, factors, no_elbow_weight, "nongeneric")
+    return {word: Polynomial.from_packed(m, n, packer, *kc) for word, kc in raw.items()}
+
+
+def schubert_sum(
+    m: int, n: int, pi: Sequence[int], beta: str | None = None
+) -> Polynomial:
+    """Sum over the nongeneric dreams of one connectivity (see
+    ``nongeneric_sums_by_pi``); zero when there is none.  The all-W
+    hybridization is the default; agreement across hybridizations is a
+    tested identity, not a runtime cost.
+    """
+    word = check_partial_perm(pi, m, n)
+    if beta is None:
+        beta = "W" * m
+    sums = nongeneric_sums_by_pi(m, n, beta, [word])
+    return sums.get(word, Polynomial.zero(m, n))
 
 
 def double_schubert_oracle(w: Sequence[int], m: int, n: int) -> Polynomial:

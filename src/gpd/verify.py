@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import flux, grid, schubert, yangbaxter
 from .flux import EdgeId
 from .grid import PipeDream, Tile
-from .poly import Var
+from .poly import Polynomial, Var
 
 
 @dataclass
@@ -133,8 +133,8 @@ def check_leading(m: int, n: int):
     Per (pi, beta): the nongeneric sum matches the independent double
     Schubert construction, G(pi) has B-degree mn - inv(extension) and
     leading coefficient the nongeneric sum with x_i -> A + x_i, and only
-    nongeneric dreams attain that degree.  One weight-sum sweep and one
-    dream enumeration per row type serve every pi.
+    nongeneric dreams attain that degree.  One weight-sum sweep, one
+    nongeneric sweep and one dream enumeration per row type serve every pi.
     """
     words = schubert.all_partial_perms(m, n)
     expected = {}
@@ -144,10 +144,11 @@ def check_leading(m: int, n: int):
         expected[pi] = m * n - schubert.inversions(ext), oracle
     for beta in schubert.all_hybridizations(m):
         sums = schubert.weight_sums_by_pi(m, n, beta)
+        nongeneric = schubert.nongeneric_sums_by_pi(m, n, beta)
         yield from _missing(m, n, beta, sums)
         for pi in words:
             top, oracle = expected[pi]
-            s = schubert.schubert_sum(m, n, pi, beta)
+            s = nongeneric.get(pi, Polynomial.zero(m, n))
             if s != oracle:
                 yield f"pi={pi} beta={beta}: nongeneric sum differs from oracle"
             if pi not in sums:

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from gpd import _packed, grid, schubert
+import refpoly
+from gpd import _packed, grid, poly, schubert
 from gpd.poly import ExactDivisionError, Polynomial, Var, alphabet, parse
 from gpd.schubert import (
     all_hybridizations,
@@ -25,8 +26,6 @@ from gpd.schubert import (
     schubert_sum,
     shift_x_by_a,
     weight_sums_by_pi,
-    _divide_x_diff,
-    _recurrence_packer,
     _weight_sums_exact,
 )
 from gpd.verify import check_leading, check_mirror
@@ -102,7 +101,7 @@ def test_forced_promotion_keeps_results(monkeypatch, m, n):
     full = weight_sums_by_pi(m, n, beta)
     reduced = reduced_weight_sums(m, n, beta)
     factors = [parse(f"{k}*A - B + x1 - {k}*y{n}", m, n) for k in (2, 3, 5)]
-    prod = _packed.product(m, n, factors)
+    prod = poly.product(m, n, factors)
     merged_dtypes = set()
     merge = _packed.merge
 
@@ -116,17 +115,17 @@ def test_forced_promotion_keeps_results(monkeypatch, m, n):
         merged_dtypes.clear()
         assert weight_sums_by_pi(m, n, beta) == full
         assert reduced_weight_sums(m, n, beta) == reduced
-        assert _packed.product(m, n, factors) == prod
+        assert poly.product(m, n, factors) == prod
         assert merged_dtypes == kinds
 
 
 def test_product_beyond_int64_is_exact():
     factors = [parse(f"{10**6 + k}*A - {10**6 - k}*x2 + y3", 2, 3) for k in range(5)]
-    expected = Polynomial.const(1, 2, 3)
+    expected = {(0,) * 7: 1}
     for f in factors:
-        expected = expected * f
-    assert _packed.product(2, 3, factors) == expected
-    assert max(abs(c) for _, c in expected.items()) > 2**63
+        expected = refpoly.mul(expected, refpoly.terms(f))
+    assert refpoly.terms(poly.product(2, 3, factors)) == expected
+    assert max(abs(c) for c in expected.values()) > 2**63
 
 
 @pytest.mark.parametrize("m, n", [(3, 4), (2, 30)])
@@ -137,7 +136,9 @@ def test_packer_round_trip_at_bounds(m, n):
     for k, b in enumerate(bounds):
         exps = tuple(b if s == k else 0 for s in range(len(bounds)))
         p = Polynomial(m, n, {exps: -7, tuple(bounds): 3})
-        assert packer.unpack(*packer.pack_poly(p)) == p
+        assert refpoly.terms(p) == {exps: -7, tuple(bounds): 3}
+        keys = p.packer.rekey(p.keys, packer)
+        assert Polynomial.from_packed(m, n, packer, keys, p.coeffs) == p
 
 
 def test_base_case_examples():
@@ -191,9 +192,9 @@ def test_recurrence_table_steps_through_recurrence_step(monkeypatch):
     calls = []
     step = schubert.recurrence_step
 
-    def spy(g, i, packer=None):
+    def spy(g, i):
         calls.append(i)
-        return step(g, i, packer)
+        return step(g, i)
 
     monkeypatch.setattr(schubert, "recurrence_step", spy)
     assert recurrence_table(3, 3) == weight_sums_by_pi(3, 3, "WWW")
@@ -217,47 +218,59 @@ def test_recurrence_step_division_identity():
     assert step * diff == (a + b) * g - (a + b + diff) * g.swap_x(1)
 
 
+def _dense(rng: random.Random, m: int, n: int) -> Polynomial:
+    """A random polynomial plus one term of degree 2 in every variable, so
+    that at (2,30) its 34 slots take 68 bits and the keys are Python ints."""
+    f = random_poly(rng, m, n, max_terms=8, max_deg=5)
+    return f + Polynomial(m, n, {(2,) * (2 + m + n): 1})
+
+
+def _numerator(g: Polynomial, i: int) -> dict:
+    """(A+B) g - (A+B+x_i-x_{i+1}) r_i g in reference arithmetic."""
+    width = 2 + g.m + g.n
+    unit = [tuple(int(s == k) for s in range(width)) for k in range(width)]
+    ab = {unit[0]: 1, unit[1]: 1}
+    ab_diff = {**ab, unit[1 + i]: 1, unit[2 + i]: -1}
+    f = refpoly.terms(g)
+    return refpoly.sub(refpoly.mul(ab, f), refpoly.mul(ab_diff, refpoly.swap_x(f, i, width)))
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 4), (2, 30)])
 def test_packed_division_matches_dict_division(m, n):
-    # at (2,3) and (3,3) the x slots need more bits than in Packer.alphabet;
-    # random degrees up to 5 also push the layout past its G(pi) defaults;
-    # (2,30) keys are Python ints
+    # random degrees up to 5 push the layouts past the G(pi) degrees; the
+    # (2,30) polynomials have Python-int keys
     rng = random.Random(f"divide {m} {n}")
     _, _, xs, _ = alphabet(m, n)
     for _ in range(60):
-        f = random_poly(rng, m, n, max_terms=8, max_deg=5)
+        f = _dense(rng, m, n) if n == 30 else random_poly(rng, m, n, max_terms=8, max_deg=5)
         i = rng.randint(1, m - 1)
         for num in (f * (xs[i - 1] - xs[i]), f):
-            packer = _recurrence_packer(m, n, num)
             quot, rem = num._divmod_x_diff(i)
-            if rem:
-                with pytest.raises(ExactDivisionError):
-                    _divide_x_diff(packer, *packer.pack_poly(num), i)
-            else:
-                assert packer.unpack(*_divide_x_diff(packer, *packer.pack_poly(num), i)) == quot
-    # the second remainder, x2^8 minus the variable in the slot after x2, would
-    # be one key if the x slots only held the numerator's x degree (4)
+            assert (refpoly.terms(quot), refpoly.terms(rem)) == refpoly.divmod_x_diff(
+                refpoly.terms(num), i
+            )
+    # the second remainder is x2^8 minus the variable in the slot after x2:
+    # its x2 exponent is the sum of the numerator's x1 and x2 exponents
     for text in ("x1 + 1", f"x1^4*x2^4 - {'y1' if m == 2 else 'x3'}"):
         non_multiple = parse(text, m, n)
-        packer = _recurrence_packer(m, n, non_multiple)
-        with pytest.raises(ExactDivisionError):
-            _divide_x_diff(packer, *packer.pack_poly(non_multiple), 1)
+        _, rem = non_multiple._divmod_x_diff(1)
+        assert rem and refpoly.terms(rem) == refpoly.divmod_x_diff(refpoly.terms(non_multiple), 1)[1]
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4), (3, 3)])
 def test_recurrence_steps_match_dict_numerator(m, n):
     # every step of every swap chain, checked against the recurrence formula
-    # in Polynomial arithmetic
+    # in reference arithmetic
     sums = weight_sums_by_pi(m, n, "W" * m)
-    a, b, xs, _ = alphabet(m, n)
+    _, _, xs, _ = alphabet(m, n)
     steps = 0
     for w in all_partial_perms(m, n):
         for i in range(1, m):
             if w[i - 1] < w[i]:
                 g = sums[w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]]
-                diff = xs[i - 1] - xs[i]
                 step = recurrence_step(g, i)
-                assert step * diff == (a + b) * g - (a + b + diff) * g.swap_x(i), (w, i)
+                product = refpoly.mul(refpoly.terms(step), refpoly.terms(xs[i - 1] - xs[i]))
+                assert product == _numerator(g, i), (w, i)
                 assert step == sums[w], (w, i)
                 steps += 1
     assert steps == len(all_partial_perms(m, n)) * (m - 1) // 2
@@ -266,14 +279,16 @@ def test_recurrence_steps_match_dict_numerator(m, n):
 @pytest.mark.parametrize("m, n", [(3, 4), (2, 30)])
 def test_recurrence_step_on_any_polynomial(m, n):
     # the numerator is divisible whatever g is; (2,30) keys are Python ints
-    assert _recurrence_packer(m, n).key_dtype == (object if n == 30 else np.int64)
     rng = random.Random(f"step {m} {n}")
-    a, b, xs, _ = alphabet(m, n)
+    _, _, xs, _ = alphabet(m, n)
     for _ in range(30):
         g = random_poly(rng, m, n, max_terms=8, max_deg=5, max_coeff=10**17)
+        if n == 30:
+            g = g + Polynomial(m, n, {(2,) * (2 + m + n): 1})
+            assert g.keys.dtype == object
         i = rng.randint(1, m - 1)
-        diff = xs[i - 1] - xs[i]
-        assert recurrence_step(g, i) * diff == (a + b) * g - (a + b + diff) * g.swap_x(i)
+        step = recurrence_step(g, i)
+        assert refpoly.mul(refpoly.terms(step), refpoly.terms(xs[i - 1] - xs[i])) == _numerator(g, i)
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])

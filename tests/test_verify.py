@@ -149,13 +149,15 @@ def test_recurrence_check_fails_on_a_broken_table_entry(capsys, monkeypatch):
 
 
 def test_leading_check_fails_on_a_broken_schubert_sum(capsys, monkeypatch):
-    original = schubert.schubert_sum
+    original = schubert.nongeneric_sums_by_pi
 
-    def broken(m, n, pi, beta=None):
-        s = original(m, n, pi, beta)
-        return s + parse("1", m, n) if (tuple(pi), beta) == ((2, 1), "EW") else s
+    def broken(m, n, beta, *rest):
+        sums = original(m, n, beta, *rest)
+        if beta == "EW":
+            sums[(2, 1)] = sums[(2, 1)] + parse("1", m, n)
+        return sums
 
-    monkeypatch.setattr(schubert, "schubert_sum", broken)
+    monkeypatch.setattr(schubert, "nongeneric_sums_by_pi", broken)
     assert_fails_with(
         capsys,
         ("leading", "--m", "2", "--n", "2"),
