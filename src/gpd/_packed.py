@@ -120,7 +120,8 @@ def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def mul_factor(keys, coeffs, fk, fc):
-    """Product of two packed polynomials in one layout that holds it."""
-    nk = (keys[:, None] + fk[None, :]).ravel()
-    nc = (coeffs[:, None] * fc[None, :]).ravel()
+    """Product of two packed polynomials in one layout that holds it.  With
+    ascending ``keys``, each factor term gives an ascending run to merge."""
+    nk = (fk[:, None] + keys[None, :]).ravel()
+    nc = (fc[:, None] * coeffs[None, :]).ravel()
     return merge(nk, nc)

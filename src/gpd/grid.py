@@ -1,4 +1,4 @@
-"""Pipe dream grids: tiles, their routing table, the dream walk, weights.
+"""Pipe dream grids: tiles, routing table, dream walk and transfer, weights.
 
 A pipe dream is an m x n grid of tiles (row 1 at the North) together with a
 hybridization: a string over {W, E} declaring, per row, on which side that
@@ -19,10 +19,16 @@ direction ("side" means West in a W row and East in an E row):
 
 The same seven kinds therefore serve both row types; mirroring a dream
 left-to-right flips every row type and leaves the kinds alone.
+
+Dreams are built cell by cell from one per-cell table: ``walk`` visits
+every prefix depth-first for the enumeration stream, whose order is part
+of its contract; ``transfer`` sums layer by layer over merged frontier
+states instead (the transfer-matrix method), behind counts and weight sums.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -198,48 +204,6 @@ def validate(d: PipeDream) -> None:
     _edge_occupancies(d)
 
 
-def trace_pipes(d: PipeDream) -> dict[int, list[tuple[str, int, int]]]:
-    """Path of each pipe as a list of edges ('V', i, j) / ('H', i, j).
-
-    Vertical edge ('V', i, j): row i, position j in [0..n].  Horizontal edge
-    ('H', i, j): column j between rows i and i+1, with i = 0 the North
-    boundary.  Paths start at the entering side edge and end at the North
-    boundary edge of the exit column.
-    """
-    m, n = d.m, d.n
-    phi = pipe_numbering(d.beta)
-    paths: dict[int, list[tuple[str, int, int]]] = {}
-    for row in range(1, m + 1):
-        pipe = phi[row - 1]
-        west_going = d.row_type(row) == "W"
-        i, j = row, (1 if west_going else n)
-        entry = "W" if west_going else "E"
-        path = [("V", row, 0 if west_going else n)]
-        while True:
-            t = d.tile(i, j)
-            going = d.row_type(i) == "W"
-            side_in = "W" if going else "E"
-            side_out = "E" if going else "W"
-            if entry == side_in:
-                out = "N" if t in (Tile.ELBOW_IN, Tile.DOUBLE_ELBOW) else side_out
-            elif entry == "S":
-                out = "N" if t in (Tile.STRAIGHT_V, Tile.CROSS) else side_out
-            else:
-                raise InvalidDreamError(f"pipe enters tile ({i},{j}) from {entry}")
-            if out == "N":
-                path.append(("H", i - 1, j))
-                if i == 1:
-                    break
-                i -= 1
-                entry = "S"
-            else:
-                path.append(("V", i, j if out == "E" else j - 1))
-                j += 1 if out == "E" else -1
-                entry = "W" if out == "E" else "E"
-        paths[pipe] = path
-    return paths
-
-
 def _exit_word(north: Sequence[int], m: int) -> tuple[int, ...]:
     """pi from the labels on the North boundary, West to East."""
     pi = [0] * m
@@ -252,9 +216,11 @@ def _exit_word(north: Sequence[int], m: int) -> tuple[int, ...]:
 def edge_labels(d: PipeDream) -> dict[tuple[str, int, int], int]:
     """Pipe label of every edge, routed cell by cell through ROUTES.
 
-    Edges are named as in trace_pipes; an empty edge carries 0.  Rows run
-    bottom to top, each in its flow direction.  Raises InvalidDreamError
-    at the first tile whose routing does not fit the pipes reaching it.
+    Vertical edge ('V', i, j): row i, position j in [0..n].  Horizontal
+    edge ('H', i, j): column j between rows i and i+1, with i = 0 the North
+    boundary.  An empty edge carries 0.  Rows run bottom to top, each in
+    its flow direction.  Raises InvalidDreamError at the first tile whose
+    routing does not fit the pipes reaching it.
     """
     m, n = d.m, d.n
     phi = pipe_numbering(d.beta)
@@ -406,6 +372,69 @@ def parse_dream(text: str) -> PipeDream:
     return d
 
 
+def _cells(
+    m: int, n: int, beta: str, mode: str, targets: Collection[tuple[int, ...]] | None
+) -> list[tuple[int, int, int, set[int] | None, dict, bool]]:
+    """The cells in walk order: (i, j, the pipe entering there or 0, the
+    top-row North labels some target puts in column j or None, the (tile,
+    *route) choices by (side, South) occupancy, less the nongeneric ban and,
+    in a row's last cell, the tiles that exit on the far side; nongeneric)."""
+    if mode not in ("generic", "nongeneric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got ({m}, {n})")
+    check_beta(beta, m)
+    nongeneric = mode == "nongeneric"
+    phi = pipe_numbering(beta)
+    exits: list[set[int]] | None = None
+    if targets is not None:
+        exits = [set() for _ in range(n + 1)]
+        for word in targets:
+            for j in range(1, n + 1):
+                exits[j].add(word.index(j) + 1 if j in word else 0)
+    cells = []
+    for i in range(m, 0, -1):
+        ban = NONGENERIC_BAN[beta[i - 1]] if nongeneric else None
+        cols = list(range(1, n + 1) if beta[i - 1] == "W" else range(n, 0, -1))
+        for j in cols:
+            last = j == cols[-1]
+            choices = {
+                occupancy: tuple(
+                    (t, *ROUTES[t])
+                    for t in tiles
+                    if t is not ban and not (last and ROUTES[t][1] != EMPTY)
+                )
+                for occupancy, tiles in _TILE_CHOICES.items()
+            }
+            allowed = exits[j] if exits is not None and i == 1 else None
+            enter = phi[i - 1] if j == cols[0] else 0
+            cells.append((i, j, enter, allowed, choices, nongeneric))
+    return cells
+
+
+def _children(cell, frontier: tuple) -> list:
+    """The tiles admissible at ``cell`` after a frontier (side label, North
+    labels, crossed pairs), in Tile order: (tile, next frontier) each."""
+    _, j, enter, allowed, choices, nongeneric = cell
+    side, front, crossed = frontier
+    side = enter or side
+    south = front[j - 1]
+    ins = (0, side, south)
+    out = []
+    for t, north_src, far_src in choices[side != 0, south != 0]:
+        north = ins[north_src]
+        if allowed is not None and north not in allowed:
+            continue
+        pairs = crossed
+        if nongeneric and t is Tile.CROSS:
+            pair = (side, south) if side < south else (south, side)
+            if pair in crossed:
+                continue
+            pairs = crossed | {pair}
+        out.append((t, (ins[far_src], front[: j - 1] + (north,) + front[j:], pairs)))
+    return out
+
+
 def walk(
     m: int,
     n: int,
@@ -425,62 +454,59 @@ def walk(
     pair.  With ``targets``, top-row tiles whose North label no target puts
     in their column are pruned, and only dreams of a target pi are yielded.
     """
-    if mode not in ("generic", "nongeneric"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got ({m}, {n})")
-    check_beta(beta, m)
-    nongeneric = mode == "nongeneric"
-    phi = pipe_numbering(beta)
-    exits: list[set[int]] | None = None
-    if targets is not None:
-        exits = [set() for _ in range(n + 1)]
-        for word in targets:
-            for j in range(1, n + 1):
-                exits[j].add(word.index(j) + 1 if j in word else 0)
-    # per cell in walk order: i, j, the pipe entering there (or 0), last in
-    # row, allowed top-row North labels, (tile, *route) by (side, South)
-    cells = []
-    for i in range(m, 0, -1):
-        ban = NONGENERIC_BAN[beta[i - 1]] if nongeneric else None
-        choices = {
-            occupancy: tuple((t, *ROUTES[t]) for t in tiles if t is not ban)
-            for occupancy, tiles in _TILE_CHOICES.items()
-        }
-        cols = list(range(1, n + 1) if beta[i - 1] == "W" else range(n, 0, -1))
-        for j in cols:
-            allowed = exits[j] if exits is not None and i == 1 else None
-            enter = phi[i - 1] if j == cols[0] else 0
-            cells.append((i, j, enter, j == cols[-1], allowed, choices))
-
-    # pending nodes: (cell index, side label, North labels, state, crossed pairs)
-    stack = [(0, 0, (0,) * n, state, ())]
+    cells = _cells(m, n, beta, mode, targets)
+    # pending nodes: (cell index, frontier, state)
+    stack = [(0, (0, (0,) * n, frozenset()), state)]
     while stack:
-        k, side, front, st, crossed = stack.pop()
+        k, frontier, st = stack.pop()
         if k == m * n:
-            word = _exit_word(front, m)
+            word = _exit_word(frontier[1], m)
             if targets is None or word in targets:
                 yield word, st
             continue
-        i, j, enter, last, allowed, choices = cells[k]
-        side = enter or side
-        south = front[j - 1]
-        ins = (0, side, south)
-        children = []
-        for t, north_src, far_src in choices[side != 0, south != 0]:
-            north, far = ins[north_src], ins[far_src]
-            if (last and far) or (allowed is not None and north not in allowed):
-                continue
-            pairs = crossed
-            if nongeneric and t is Tile.CROSS:
-                pair = (side, south) if side < south else (south, side)
-                if pair in crossed:
-                    continue
-                pairs = crossed + (pair,)
-            north_labels = front[: j - 1] + (north,) + front[j:]
-            child = st if step is None else step(st, i, j, t)
-            children.append((k + 1, far, north_labels, child, pairs))
+        cell = cells[k]
+        i, j = cell[0], cell[1]
+        children = [
+            (k + 1, child, st if step is None else step(st, i, j, t))
+            for t, child in _children(cell, frontier)
+        ]
         stack.extend(reversed(children))
+
+
+def transfer(
+    m: int,
+    n: int,
+    beta: str,
+    step: Callable[[Any, int, int, Tile], Any] | None,
+    root: Any,
+    combine: Callable[[Any, Any], Any],
+    mode: str = "generic",
+    targets: Collection[tuple[int, ...]] | None = None,
+) -> dict[tuple[int, ...], Any]:
+    """Per-connectivity sums over all dreams (of ``targets``), layer by layer.
+
+    The cells, tiles and pruning of ``walk``, but a layer holds one value per
+    frontier state, keyed by (side label, North labels) and, nongeneric, the
+    frozenset of crossed pairs, so prefixes ending in one state share it.
+    ``step(value, i, j, tile)`` (None: identity) carries a value across a
+    tile; ``combine(a, b)`` adds the values reaching a state as they arrive.
+    """
+    cells = _cells(m, n, beta, mode, targets)
+    layer: dict[tuple, Any] = {(0, (0,) * n, frozenset()): root}
+    for cell in cells:
+        i, j = cell[0], cell[1]
+        nxt: dict[tuple, Any] = {}
+        for frontier, value in layer.items():
+            for t, key in _children(cell, frontier):
+                child = value if step is None else step(value, i, j, t)
+                nxt[key] = combine(nxt[key], child) if key in nxt else child
+        layer = nxt
+    sums: dict[tuple[int, ...], Any] = {}
+    for (_, front, _), value in layer.items():
+        word = _exit_word(front, m)
+        if targets is None or word in targets:
+            sums[word] = combine(sums[word], value) if word in sums else value
+    return sums
 
 
 def enumerate_dreams(
@@ -512,5 +538,6 @@ def enumerate_dreams(
 def count_dreams(
     m: int, n: int, beta: str, pi: Sequence[int] | None = None, mode: str = "generic"
 ) -> int:
+    """Number of dreams of the given shape and type (of connectivity ``pi``)."""
     targets = None if pi is None else {check_partial_perm(pi, m, n)}
-    return sum(1 for _ in walk(m, n, beta, mode=mode, targets=targets))
+    return sum(transfer(m, n, beta, None, 1, operator.add, mode, targets).values())

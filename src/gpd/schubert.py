@@ -9,10 +9,12 @@ exactly divisible by (A+B)^m, the quotient being the equivariant class of
 the matching lower-upper component.
 
 Summation over dreams is exact integer arithmetic throughout.  One packed
-numpy engine, a step over ``grid.walk``, runs every sweep, generic weight
-sums and nongeneric (Schubert) sums alike; its coefficients are int64
-while an L1-norm bound certifies them and are promoted in place to Python
-ints when the bound runs out.  Its (keys, coefficients) arrays become
+numpy sweep over the merged frontier states of ``grid.transfer`` runs
+every sum, generic weight sums, their kernel-basis form and nongeneric
+(Schubert) sums alike: each tile multiplies its state's value by the tile
+weight, and values reaching one state are merged.  Its coefficients are
+int64 while an L1-norm bound certifies them and become Python ints from
+the tile where the bound runs out.  Its (keys, coefficients) arrays become
 ``Polynomial`` values as they are, so G(pi) never leaves the packed
 representation.  The recurrence is plain ``Polynomial`` arithmetic: each
 step multiplies, swaps x_i with x_{i+1}, subtracts and divides by
@@ -23,7 +25,8 @@ certifies its own coefficients (L1(next) <= 6 (n+1) L1(g) over a step).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import itertools
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,65 +53,59 @@ def min_extension(pi: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# fast packed summation engine
+# packed weight sums over merged frontier states
 # ---------------------------------------------------------------------------
 
 
-def _run_engine(
+def _sweep(
     m: int,
     n: int,
     beta: str,
-    targets: set[tuple[int, ...]] | None,
-    factors: dict[tuple[int, int, bool], tuple[np.ndarray, np.ndarray] | None],
-    apply_elbows,
-    mode: str,
+    pis: Iterable[Sequence[int]] | None,
+    factor: Callable[[int, int, Tile], tuple[np.ndarray, np.ndarray] | None],
+    mode: str = "generic",
 ) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """Sum of packed dream weights grouped by connectivity.
+    """Packed dream weight sums by connectivity, on ``grid.transfer``.
 
-    A ``step`` over one ``grid.walk`` (in ``mode``, pruned by ``targets``)
-    multiplies by ``factors[(i, j, straight)]`` at a non-elbow tile (None
-    is a unit weight) and counts elbows, which ``apply_elbows`` applies at
-    the leaf; siblings share their parent's product.  The leaf accumulator
-    certifies coefficients: every factor has L1 norm at most 3, so the sum
-    of 3^(mn) over the leaves caps every bucket coefficient.  They stay
-    int64 while that holds and become Python ints, buckets included, from
-    the leaf where it stops holding.
+    A tile multiplies its state's value by ``factor(i, j, tile)`` (None is
+    1; a one-term factor is a key shift).  Each value carries an L1 bound:
+    the parent's bound times the factor's L1, summed when values merge, so
+    the running total of the tiles' bounds caps every coefficient the sweep
+    holds.  Coefficients are int64 while that total stays below
+    ``_packed.INT64_HEADROOM`` and Python ints from the tile that reaches it.
     """
-    leaf_bound_max = 3 ** (m * n)
-    dtype = _packed.coeff_dtype(leaf_bound_max)
-    root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype), 0)
-    buckets: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
-    bound_total = 0
+    grid.check_beta(beta, m)
+    targets = None if pis is None else {check_partial_perm(p, m, n) for p in pis}
+    headroom = _packed.INT64_HEADROOM
+    table = {}
+    for cell in itertools.product(range(1, m + 1), range(1, n + 1), Tile):
+        f = factor(*cell)
+        table[cell] = (None, None, 1) if f is None else (*f, _packed.l1(f[1]))
+    total = 0
 
-    def step(state, i, j, t):
-        keys, coeffs, elbows = state
-        if t in grid.ELBOWS:
-            return keys, coeffs, elbows + 1
-        factor = factors[(i, j, t in grid.STRAIGHTS)]
-        if factor is None:
-            return state
-        return (*_packed.mul_factor(keys, coeffs, *factor), elbows)
+    def step(value, i, j, t):
+        nonlocal total
+        keys, coeffs, bound = value
+        fk, fc, fl1 = table[i, j, t]
+        bound *= fl1
+        total += bound
+        if fk is None:
+            return keys, coeffs, bound
+        if total >= headroom:
+            coeffs = coeffs.astype(object, copy=False)
+        if len(fk) == 1:
+            return keys + fk[0], coeffs * int(fc[0]), bound
+        return (*_packed.mul_factor(keys, coeffs, fk, fc), bound)
 
-    for word, (keys, coeffs, elbows) in grid.walk(m, n, beta, step, root, mode, targets):
-        bound_total += leaf_bound_max
-        if dtype is not object and bound_total >= _packed.INT64_HEADROOM:
-            dtype = object
-            for chunks in buckets.values():
-                chunks[:] = [(k, c.astype(object)) for k, c in chunks]
-        k, c = apply_elbows(keys, coeffs, elbows)
-        chunks = buckets.setdefault(word, [])
-        chunks.append((k, c.astype(dtype, copy=False)))
-        if len(chunks) >= 64:
-            ck = np.concatenate([k for k, _ in chunks])
-            cc = np.concatenate([c for _, c in chunks])
-            chunks[:] = [_packed.merge(ck, cc)]
+    def combine(a, b):
+        dtype = object if total >= headroom else np.int64
+        keys = np.concatenate((a[0], b[0]))
+        coeffs = np.concatenate((a[1].astype(dtype, copy=False), b[1].astype(dtype, copy=False)))
+        return (*_packed.merge(keys, coeffs), a[2] + b[2])
 
-    out = {}
-    for word, chunks in buckets.items():
-        keys = np.concatenate([k for k, _ in chunks])
-        coeffs = np.concatenate([c for _, c in chunks])
-        out[word] = _packed.merge(keys, coeffs)
-    return out
+    root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
+    sums = grid.transfer(m, n, beta, step, root, combine, mode, targets)
+    return {word: (keys, coeffs) for word, (keys, coeffs, _) in sums.items()}
 
 
 def reduced_weight_sums(
@@ -127,33 +124,26 @@ def reduced_weight_sums(
     coefficient.  The key layout is the ``Packer`` of slots u0, u1..um,
     v2..vn with degree bounds mn, n and m; it depends only on (m, n).
     """
-    grid.check_beta(beta, m)
-    targets = None
-    if pis is not None:
-        targets = {check_partial_perm(p, m, n) for p in pis}
     packer = _packed.Packer.fitting([m * n] + [n] * m + [m] * (n - 1))
     unit = [1 << s for s in packer.shifts]  # key of each kernel variable
+
     phi = pipe_numbering(beta)
-    factors = {}
-    for i in range(1, m + 1):
-        p = phi[i - 1]
-        for j in range(1, n + 1):
+
+    def factor(i, j, t):
+        if t in grid.ELBOWS:
+            rep = {unit[0]: 1}  # u0 = A+B: a shift of slot 0 alone
+        else:
+            p = phi[i - 1]
             plus = {unit[p]: 1}  # up ( + vj )
             minus = {unit[0]: 1, unit[p]: -1}  # u0 - up ( - vj )
             if j > 1:
                 plus[unit[m + j - 1]] = 1
                 minus[unit[m + j - 1]] = -1
-            sign_plus = beta[i - 1] == "W"
-            for straight in (True, False):
-                rep = plus if (straight == sign_plus) else minus
-                fk = np.array(list(rep), dtype=packer.key_dtype)
-                fc = np.array(list(rep.values()), dtype=np.int64)
-                factors[(i, j, straight)] = (fk, fc)
+            rep = plus if (t in grid.STRAIGHTS) == (beta[i - 1] == "W") else minus
+        keys = np.array(list(rep), dtype=packer.key_dtype)
+        return keys, np.array(list(rep.values()), dtype=np.int64)
 
-    def apply_elbows(keys, coeffs, e):
-        return keys + e * unit[0], coeffs  # u0^e shifts slot 0 alone
-
-    raw = _run_engine(m, n, beta, targets, factors, apply_elbows, "generic")
+    raw = _sweep(m, n, beta, pis, factor)
     return {word: dict(zip(k.tolist(), c.tolist())) for word, (k, c) in raw.items()}
 
 
@@ -180,24 +170,13 @@ def weight_sums_by_pi(
     m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
 ) -> dict[tuple[int, ...], Polynomial]:
     """Map connectivity -> sum of dream weights for one hybridization."""
-    grid.check_beta(beta, m)
-    targets = None
-    if pis is not None:
-        targets = {check_partial_perm(p, m, n) for p in pis}
     packer = _packed.Packer.alphabet(m, n)
     phi = pipe_numbering(beta)
-    factors = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            for straight, t in ((True, Tile.STRAIGHT_H), (False, Tile.BLANK)):
-                w = grid.tile_weight(beta[i - 1], t, phi[i - 1], j, m, n)
-                factors[(i, j, straight)] = _factor(w, packer)
-    ab_packed = [_factor(grid._ab_power(m, n, e), packer) for e in range(m * n + 1)]
 
-    def apply_elbows(keys, coeffs, e):
-        return _packed.mul_factor(keys, coeffs, *ab_packed[e])
+    def factor(i, j, t):
+        return _factor(grid.tile_weight(beta[i - 1], t, phi[i - 1], j, m, n), packer)
 
-    raw = _run_engine(m, n, beta, targets, factors, apply_elbows, "generic")
+    raw = _sweep(m, n, beta, pis, factor)
     return {word: Polynomial.from_packed(m, n, packer, *kc) for word, kc in raw.items()}
 
 
@@ -284,12 +263,6 @@ def compute_by_recurrence(m: int, n: int, pi: Sequence[int]) -> Polynomial:
     return _recurrence_walk(m, n, [word])[word]
 
 
-def inverse_step(g: Polynomial, i: int) -> Polynomial:
-    """((A+B) d_i - r_i) applied to g; sends G(pi) to G(pi.r_i) one step longer."""
-    a, b, _, _ = alphabet(g.m, g.n)
-    return (a + b) * g.divided_difference(i) - g.swap_x(i)
-
-
 def recurrence_table(m: int, n: int) -> dict[tuple[int, ...], Polynomial]:
     """G(pi) for every injective word, memoized along shared swap chains."""
     return _recurrence_walk(m, n, all_partial_perms(m, n))
@@ -306,28 +279,20 @@ def nongeneric_sums_by_pi(
     """Map connectivity -> sum over nongeneric dreams of the x,y products.
 
     Straight tiles in W rows and blank tiles in E rows contribute
-    x_{phi(i)} - y_j; every other tile contributes 1.  One engine walk in
+    x_{phi(i)} - y_j; every other tile contributes 1.  One transfer in
     nongeneric mode sums the products for every word, or for ``pis``.
     """
-    grid.check_beta(beta, m)
-    targets = None
-    if pis is not None:
-        targets = {check_partial_perm(p, m, n) for p in pis}
     packer = _packed.Packer.alphabet(m, n)
     phi = pipe_numbering(beta)
     _, _, xs, ys = alphabet(m, n)
-    factors = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            counted = _factor(xs[phi[i - 1] - 1] - ys[j - 1], packer)
-            w_row = beta[i - 1] == "W"
-            factors[(i, j, True)] = counted if w_row else None
-            factors[(i, j, False)] = None if w_row else counted
+    counted = {"W": grid.STRAIGHTS, "E": {Tile.BLANK}}
 
-    def no_elbow_weight(keys, coeffs, e):
-        return keys, coeffs
+    def factor(i, j, t):
+        if t in counted[beta[i - 1]]:
+            return _factor(xs[phi[i - 1] - 1] - ys[j - 1], packer)
+        return None
 
-    raw = _run_engine(m, n, beta, targets, factors, no_elbow_weight, "nongeneric")
+    raw = _sweep(m, n, beta, pis, factor, "nongeneric")
     return {word: Polynomial.from_packed(m, n, packer, *kc) for word, kc in raw.items()}
 
 

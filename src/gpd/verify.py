@@ -133,21 +133,24 @@ def check_leading(m: int, n: int):
     Per (pi, beta): the nongeneric sum matches the independent double
     Schubert construction, G(pi) has B-degree mn - inv(extension) and
     leading coefficient the nongeneric sum with x_i -> A + x_i, and only
-    nongeneric dreams attain that degree.  One weight-sum sweep, one
-    nongeneric sweep and one dream enumeration per row type serve every pi.
+    nongeneric dreams attain that degree.  Having matched the sum, the
+    construction stands for it in the leading coefficient, shifted once per
+    pi.  One weight-sum sweep, one nongeneric sweep and one dream
+    enumeration per row type serve every pi.
     """
     words = schubert.all_partial_perms(m, n)
     expected = {}
     for pi in words:
         ext = schubert.min_extension(pi, n)
         oracle = schubert.double_schubert_oracle(ext, m, n)
-        expected[pi] = m * n - schubert.inversions(ext), oracle
+        top = m * n - schubert.inversions(ext)
+        expected[pi] = top, oracle, schubert.shift_x_by_a(oracle)
     for beta in schubert.all_hybridizations(m):
         sums = schubert.weight_sums_by_pi(m, n, beta)
         nongeneric = schubert.nongeneric_sums_by_pi(m, n, beta)
         yield from _missing(m, n, beta, sums)
         for pi in words:
-            top, oracle = expected[pi]
+            top, oracle, shifted = expected[pi]
             s = nongeneric.get(pi, Polynomial.zero(m, n))
             if s != oracle:
                 yield f"pi={pi} beta={beta}: nongeneric sum differs from oracle"
@@ -156,7 +159,7 @@ def check_leading(m: int, n: int):
             deg, coeff = sums.pop(pi).leading_form(Var("B"))
             if deg != top:
                 yield f"pi={pi} beta={beta}: B-degree {deg} != {top}"
-            if coeff != schubert.shift_x_by_a(s):
+            if coeff != shifted:
                 yield f"pi={pi} beta={beta}: leading coefficient mismatch"
         for d in grid.enumerate_dreams(m, n, beta):
             pi = grid.connectivity(d)[0]

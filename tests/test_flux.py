@@ -20,6 +20,8 @@ from gpd.poly import parse
 from gpd.schubert import all_hybridizations, recurrence_table
 from gpd.verify import conservation_check
 
+from refpipes import trace_pipes
+
 DREAM1 = "2 2\nWE\nn|\n.n\n"  # components <x21, x12>
 DREAM2 = "2 2\nWE\nbn\nn-\n"  # component <y22, x21 y12 - x12 y21>
 
@@ -92,7 +94,7 @@ def test_labels_path_lengths():
     for beta in all_hybridizations(2):
         for d in enumerate_dreams(2, 3, beta):
             labels = dream_flux_labels(d)
-            paths = grid.trace_pipes(d)
+            paths = trace_pipes(d)
             for pipe, path in paths.items():
                 assert sum(1 for v in labels.values() if v == pipe) == len(path)
 

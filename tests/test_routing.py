@@ -1,7 +1,7 @@
 """The routing table and the dream walk against an independent reference.
 
 The reference enumerates row by row over hand-written transition tables
-and reads connectivity, flux labels and exit elbows off ``grid.trace_pipes``,
+and reads connectivity, flux labels and exit elbows off ``trace_pipes``,
 which routes pipes by its own rules.  The literal flux pair tables and
 Yang-Baxter row squares below are the hand-written ones the table-derived
 versions replace.
@@ -15,6 +15,8 @@ from gpd.grid import PipeDream, Tile, connectivity, count_dreams, enumerate_drea
 from gpd.poly import parse
 from gpd.schubert import all_hybridizations, all_partial_perms
 from gpd.yangbaxter import XP, X, e_square, w_square
+
+from refpipes import trace_pipes
 
 SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
@@ -65,7 +67,7 @@ def ref_row_fillings(row_type, south, mode):
 
 def ref_connectivity(d):
     """(pi, crossings) from the traced paths."""
-    paths = grid.trace_pipes(d)
+    paths = trace_pipes(d)
     pi = [0] * d.m
     for pipe, path in paths.items():
         pi[pipe - 1] = path[-1][2]
@@ -136,7 +138,7 @@ def test_label_routing_matches_traced_paths(m, n):
     for beta in all_hybridizations(m):
         for d, pi, crossings in ref_stream(m, n, beta, "generic"):
             assert connectivity(d) == (pi, crossings)
-            paths = grid.trace_pipes(d)
+            paths = trace_pipes(d)
             labels = {e: 0 for e in flux.all_edges(m, n)}
             for pipe, path in paths.items():
                 for edge in path:

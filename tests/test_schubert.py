@@ -16,7 +16,6 @@ from gpd.schubert import (
     double_schubert_oracle,
     gamma_conjugate,
     generic_polynomial,
-    inverse_step,
     inversions,
     min_extension,
     mirror_substitution,
@@ -32,6 +31,11 @@ from gpd.verify import check_leading, check_mirror
 
 from conftest import random_poly
 
+
+def inverse_step(g: Polynomial, i: int) -> Polynomial:
+    """((A+B) d_i - r_i) applied to g; sends G(pi) to G(pi.r_i) one step longer."""
+    a, b, _, _ = alphabet(g.m, g.n)
+    return (a + b) * g.divided_difference(i) - g.swap_x(i)
 
 
 def product(m, n, texts):

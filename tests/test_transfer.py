@@ -1,0 +1,170 @@
+"""The layer-by-layer transfer against the dream walk it replaced for sums.
+
+Counts, weight sums and nongeneric sums from ``grid.transfer`` are compared
+with the depth-first ``grid.walk`` and with dream-by-dream sums over the
+enumeration stream, over every small shape, row type, mode and target set.
+The merged-state counts pin that equal frontiers really share one value.
+"""
+
+import pytest
+
+from gpd import _packed, grid
+from gpd.grid import Tile, count_dreams, enumerate_dreams, pipe_numbering
+from gpd.poly import alphabet, product
+from gpd.schubert import (
+    all_hybridizations,
+    all_partial_perms,
+    nongeneric_sums_by_pi,
+    reduced_weight_sums,
+    weight_sums_by_pi,
+    _weight_sums_exact,
+)
+
+SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+
+
+def target_sets(m, n):
+    """None, one word, and every third word."""
+    words = all_partial_perms(m, n)
+    return [None, {words[len(words) // 2]}, set(words[::3])]
+
+
+def nongeneric_weight(d):
+    """x_{phi(i)} - y_j over W-row straights and E-row blanks of one dream."""
+    _, _, xs, ys = alphabet(d.m, d.n)
+    phi = pipe_numbering(d.beta)
+    counted = {"W": grid.STRAIGHTS, "E": {Tile.BLANK}}
+    factors = [
+        xs[phi[i - 1] - 1] - ys[j - 1]
+        for i in range(1, d.m + 1)
+        for j in range(1, d.n + 1)
+        if d.tile(i, j) in counted[d.row_type(i)]
+    ]
+    return product(d.m, d.n, factors)
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+@pytest.mark.parametrize("mode", ["generic", "nongeneric"])
+def test_counts_match_walk(m, n, mode):
+    for beta in all_hybridizations(m):
+        for targets in target_sets(m, n):
+            leaves = {}
+            for word, _ in grid.walk(m, n, beta, mode=mode, targets=targets):
+                leaves[word] = leaves.get(word, 0) + 1
+            counts = grid.transfer(m, n, beta, None, 1, int.__add__, mode, targets)
+            assert counts == leaves, (beta, targets)
+            if targets is not None and len(targets) == 1:
+                (pi,) = targets
+                assert count_dreams(m, n, beta, pi, mode) == leaves.get(pi, 0)
+        walked = sum(1 for _ in grid.walk(m, n, beta, mode=mode))
+        assert count_dreams(m, n, beta, mode=mode) == walked
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_weight_sums_match_dream_by_dream(m, n):
+    for beta in all_hybridizations(m):
+        for targets in target_sets(m, n):
+            exact = _weight_sums_exact(m, n, beta, targets)
+            assert weight_sums_by_pi(m, n, beta, targets) == exact, (beta, targets)
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_nongeneric_sums_match_dream_by_dream(m, n):
+    for beta in all_hybridizations(m):
+        expected = {}
+        for d in enumerate_dreams(m, n, beta, mode="nongeneric"):
+            pi = grid.connectivity(d)[0]
+            w = nongeneric_weight(d)
+            expected[pi] = expected[pi] + w if pi in expected else w
+        for targets in target_sets(m, n):
+            want = {pi: s for pi, s in expected.items() if targets is None or pi in targets}
+            assert nongeneric_sums_by_pi(m, n, beta, targets) == want, (beta, targets)
+
+
+@pytest.mark.parametrize("m,n,beta", [(5, 5, "WEEWE"), (5, 6, "EWWEW")])
+def test_large_counts_match_walk(m, n, beta):
+    count = count_dreams(m, n, beta)
+    assert type(count) is int
+    assert count == sum(1 for _ in grid.walk(m, n, beta))
+
+
+def layer_sizes(m, n, beta, mode="generic"):
+    """Number of merged frontier states after each cell of a transfer.
+
+    A layer's states are its transitions less the merges into them.  Each
+    merge inside a layer follows the step that made its value; a merge
+    that follows no step groups the last layer's states by word.
+    """
+    sizes = []
+    stepped = False
+
+    def step(value, i, j, t):
+        nonlocal stepped
+        if not sizes or sizes[-1][0] != (i, j):
+            sizes.append([(i, j), 0])
+        sizes[-1][1] += 1
+        stepped = True
+        return value
+
+    def combine(a, b):
+        nonlocal stepped
+        if stepped:
+            sizes[-1][1] -= 1
+        stepped = False
+        return a + b
+
+    grid.transfer(m, n, beta, step, 1, combine, mode)
+    return [size for _, size in sizes]
+
+
+@pytest.mark.parametrize(
+    "m,n,mode,states,widest",
+    [
+        (4, 5, "generic", 1409, 300),
+        (5, 5, "generic", 3209, 600),
+        (5, 6, "generic", 11576, 2160),
+        (4, 5, "nongeneric", 1409, 300),
+    ],
+)
+def test_transfer_merges_equal_frontiers(m, n, mode, states, widest):
+    # W...W: the walk visits 15,876 / 143,401 / 1,281,215 nodes.  In
+    # nongeneric mode the crossed pairs are a set in the state key; kept in
+    # arrival order they would split (4,5) into 1,473 states, widest 330.
+    sizes = layer_sizes(m, n, "W" * m, mode)
+    assert len(sizes) == m * n
+    assert (sum(sizes), max(sizes)) == (states, widest)
+
+
+@pytest.mark.parametrize(
+    "sweep,m,n,beta,headroom",
+    [
+        (weight_sums_by_pi, 3, 3, "WEW", 3**9),
+        (reduced_weight_sums, 3, 4, "EWW", 3**6),
+        (nongeneric_sums_by_pi, 3, 4, "WWE", 3**4),
+    ],
+)
+def test_promotion_partway_through_a_transfer(monkeypatch, sweep, m, n, beta, headroom):
+    # a lowered headroom is reached partway: values merged before it stay
+    # int64, values merged after it hold Python ints, and the sums agree
+    expected = sweep(m, n, beta)
+    merged_dtypes = []
+    merge = _packed.merge
+
+    def spy(keys, coeffs):
+        merged_dtypes.append(coeffs.dtype.kind)
+        return merge(keys, coeffs)
+
+    monkeypatch.setattr(_packed, "merge", spy)
+    monkeypatch.setattr(_packed, "INT64_HEADROOM", headroom)
+    assert sweep(m, n, beta) == expected
+    first_object = merged_dtypes.index("O")
+    assert 0 < first_object
+    assert set(merged_dtypes[:first_object]) == {"i"}
+    assert set(merged_dtypes[first_object:]) == {"O"}
+
+
+def test_promoted_sums_are_python_ints(monkeypatch):
+    monkeypatch.setattr(_packed, "INT64_HEADROOM", 2)
+    sums = weight_sums_by_pi(2, 3, "EW")
+    assert all(g.coeffs.dtype == object for g in sums.values())
+    assert all(isinstance(c, int) for g in sums.values() for c in g.coeffs)
