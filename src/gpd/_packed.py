@@ -47,6 +47,10 @@ class Packer:
         self.masks = [(1 << w) - 1 for w in widths]
         self.key_dtype = np.int64 if total <= 63 else object
 
+    def __reduce__(self):
+        """Unpickled layouts are the shared ones."""
+        return layout, (self.widths,)
+
     @classmethod
     def fitting(cls, bounds: Iterable[int]) -> "Packer":
         """The layout in which slot k holds exponents 0..bounds[k]."""

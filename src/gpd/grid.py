@@ -439,38 +439,35 @@ def walk(
     m: int,
     n: int,
     beta: str,
-    step: Callable[[Any, int, int, Tile], Any] | None = None,
-    state: Any = None,
     mode: str = "generic",
     targets: Collection[tuple[int, ...]] | None = None,
-) -> Iterator[tuple[tuple[int, ...], Any]]:
-    """Depth-first walk over all dreams, in stream order; yields (pi, state).
+) -> Iterator[tuple[tuple[int, ...], PipeDream]]:
+    """Depth-first walk over all dreams, in stream order; yields (pi, dream).
 
     Rows run bottom to top, cells in flow order, tiles in Tile order.  The
     frontier carries the pipe label of every North edge (and, nongeneric,
     the pairs that crossed), so pi is read off the top row, not retraced.
-    ``step(state, i, j, tile)`` folds each placed tile into the state.
     Nongeneric mode skips NONGENERIC_BAN tiles and a second crossing of a
     pair.  With ``targets``, top-row tiles whose North label no target puts
     in their column are pruned, and only dreams of a target pi are yielded.
     """
     cells = _cells(m, n, beta, mode, targets)
-    # pending nodes: (cell index, frontier, state)
-    stack = [(0, (0, (0,) * n, frozenset()), state)]
+    # One grid serves the whole walk: a node sets its cell's tile when it
+    # is popped, and every node below it is popped before its next sibling.
+    rows = [[Tile.BLANK] * n for _ in range(m)]
+    # pending nodes: (cell index k, frontier, the tile placed in cell k - 1)
+    stack = [(0, (0, (0,) * n, frozenset()), None)]
     while stack:
-        k, frontier, st = stack.pop()
+        k, frontier, tile = stack.pop()
+        if k:
+            i, j = cells[k - 1][:2]
+            rows[i - 1][j - 1] = tile
         if k == m * n:
             word = _exit_word(frontier[1], m)
             if targets is None or word in targets:
-                yield word, st
+                yield word, PipeDream(m, n, beta, tuple(map(tuple, rows)))
             continue
-        cell = cells[k]
-        i, j = cell[0], cell[1]
-        children = [
-            (k + 1, child, st if step is None else step(st, i, j, t))
-            for t, child in _children(cell, frontier)
-        ]
-        stack.extend(reversed(children))
+        stack.extend((k + 1, child, t) for t, child in reversed(_children(cells[k], frontier)))
 
 
 def transfer(
@@ -525,14 +522,8 @@ def enumerate_dreams(
     dreams in which some pair of pipes crosses twice.
     """
     targets = None if pi is None else {check_partial_perm(pi, m, n)}
-    for _, placed in walk(
-        m, n, beta, lambda placed, i, j, t: (placed, i, j, t), None, mode, targets
-    ):
-        rows = [[Tile.BLANK] * n for _ in range(m)]
-        while placed:
-            placed, i, j, t = placed
-            rows[i - 1][j - 1] = t
-        yield PipeDream(m, n, beta, tuple(map(tuple, rows)))
+    for _, d in walk(m, n, beta, mode, targets):
+        yield d
 
 
 def count_dreams(

@@ -156,6 +156,11 @@ class Polynomial:
         p._set(m, n, packer, keys, coeffs)
         return p
 
+    def __reduce__(self):
+        """Pickled as its arrays: the copy is rebuilt by ``_wrap``, so its
+        arrays are read-only again and its layout is the shared one."""
+        return Polynomial._wrap, (self.m, self.n, self.packer, self.keys, self.coeffs)
+
     @classmethod
     def from_packed(cls, m: int, n: int, packer, keys, coeffs) -> "Polynomial":
         """The polynomial of ascending, distinct keys in ``packer`` and nonzero

@@ -10,29 +10,33 @@ the matching lower-upper component.
 
 Summation over dreams is exact integer arithmetic throughout.  One packed
 numpy sweep over the merged frontier states of ``grid.transfer`` runs
-every sum, generic weight sums, their kernel-basis form and nongeneric
+every sum, generic weight sums, their values at A = y1 = 0 and nongeneric
 (Schubert) sums alike: each tile multiplies its state's value by the tile
 weight, and values reaching one state are merged.  Its coefficients are
 int64 while an L1-norm bound certifies them and become Python ints from
 the tile where the bound runs out.  Its (keys, coefficients) arrays become
 ``Polynomial`` values as they are, so G(pi) never leaves the packed
-representation.  The recurrence is plain ``Polynomial`` arithmetic: each
-step multiplies, swaps x_i with x_{i+1}, subtracts and divides by
-x_i - x_{i+1}, checks that the remainder vanishes, and every operation
-certifies its own coefficients (L1(next) <= 6 (n+1) L1(g) over a step).
+representation.  Hybridization independence is decided on G(pi) at
+A = y1 = 0, which has far fewer terms and, being injective on the sums
+(see ``reduced_weight_sums``), loses nothing.  The recurrence is plain
+``Polynomial`` arithmetic: each step multiplies, swaps x_i with x_{i+1},
+subtracts and divides by x_i - x_{i+1}, checks that the remainder
+vanishes, and every operation certifies its own coefficients
+(L1(next) <= 6 (n+1) L1(g) over a step).
 ``gpd.verify`` checks these identities.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import _packed, grid
 from .grid import Tile, check_partial_perm, pipe_numbering
-from .poly import ExactDivisionError, Polynomial, Var, alphabet, product
+from .poly import ExactDivisionError, Polynomial, Var, alphabet, product, var_slot
 
 
 def inversions(word: Sequence[int]) -> int:
@@ -62,25 +66,30 @@ def _sweep(
     n: int,
     beta: str,
     pis: Iterable[Sequence[int]] | None,
-    factor: Callable[[int, int, Tile], tuple[np.ndarray, np.ndarray] | None],
+    weight: Callable[[int, int, Tile], Polynomial | None],
     mode: str = "generic",
-) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """Packed dream weight sums by connectivity, on ``grid.transfer``.
+) -> dict[tuple[int, ...], Polynomial]:
+    """Dream weight sums by connectivity, on ``grid.transfer``.
 
-    A tile multiplies its state's value by ``factor(i, j, tile)`` (None is
-    1; a one-term factor is a key shift).  Each value carries an L1 bound:
-    the parent's bound times the factor's L1, summed when values merge, so
-    the running total of the tiles' bounds caps every coefficient the sweep
-    holds.  Coefficients are int64 while that total stays below
-    ``_packed.INT64_HEADROOM`` and Python ints from the tile that reaches it.
+    A tile multiplies its state's value by ``weight(i, j, tile)`` (None is
+    1; a one-term weight is a key shift), all in the ``Packer.alphabet``
+    layout.  Each value carries an L1 bound: the parent's bound times the
+    weight's L1, summed when values merge, so the running total of the
+    tiles' bounds caps every coefficient the sweep holds.  Coefficients are
+    int64 while that total stays below ``_packed.INT64_HEADROOM`` and Python
+    ints from the tile that reaches it.
     """
     grid.check_beta(beta, m)
     targets = None if pis is None else {check_partial_perm(p, m, n) for p in pis}
+    packer = _packed.Packer.alphabet(m, n)
     headroom = _packed.INT64_HEADROOM
     table = {}
     for cell in itertools.product(range(1, m + 1), range(1, n + 1), Tile):
-        f = factor(*cell)
-        table[cell] = (None, None, 1) if f is None else (*f, _packed.l1(f[1]))
+        w = weight(*cell)
+        if w is None:
+            table[cell] = None, None, 1
+        else:
+            table[cell] = w.packer.rekey(w.keys, packer), w.coeffs, w.l1_norm()
     total = 0
 
     def step(value, i, j, t):
@@ -105,46 +114,54 @@ def _sweep(
 
     root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
     sums = grid.transfer(m, n, beta, step, root, combine, mode, targets)
-    return {word: (keys, coeffs) for word, (keys, coeffs, _) in sums.items()}
+    return {
+        word: Polynomial.from_packed(m, n, packer, keys, coeffs)
+        for word, (keys, coeffs, _) in sums.items()
+    }
+
+
+def weight_sums_by_pi(
+    m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
+) -> dict[tuple[int, ...], Polynomial]:
+    """Map connectivity -> sum of dream weights for one hybridization."""
+    phi = pipe_numbering(beta)
+
+    def weight(i, j, t):
+        return grid.tile_weight(beta[i - 1], t, phi[i - 1], j, m, n)
+
+    return _sweep(m, n, beta, pis, weight)
+
+
+@lru_cache(maxsize=None)
+def _tile_weight_at_origin(
+    row_type: str, t: Tile, x_index: int, j: int, m: int, n: int
+) -> Polynomial:
+    """``grid.tile_weight`` at A = y1 = 0: its terms free of A and y1."""
+    w = grid.tile_weight(row_type, t, x_index, j, m, n)
+    y1 = var_slot(Var("y", 1), m, n)
+    free = (w.packer.field(w.keys, 0) == 0) & (w.packer.field(w.keys, y1) == 0)
+    return Polynomial.from_packed(m, n, w.packer, w.keys[free], w.coeffs[free])
 
 
 def reduced_weight_sums(
-    m: int, n: int, beta: str, pis=None
-) -> dict[tuple[int, ...], dict[int, int]]:
-    """Weight sums rewritten in the kernel basis u0, u1..um, v2..vn.
+    m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
+) -> dict[tuple[int, ...], Polynomial]:
+    """Map connectivity -> G(pi) at A = 0, y1 = 0, for one hybridization.
 
     Every tile weight is a Z-combination of u0 = A+B, up = A + x_p - y1 and
-    vj = y1 - yj, so a sum of weights determines and is determined by its
-    expansion in these coordinates: two hybridizations have equal pipe
-    dream polynomials exactly when the reduced expansions agree.  Elbow
-    weights become the single variable u0, which keeps these expansions
-    small enough for exhaustive hybridization sweeps.
-
-    Returns, per connectivity, a dict from packed exponent key to integer
-    coefficient.  The key layout is the ``Packer`` of slots u0, u1..um,
-    v2..vn with degree bounds mn, n and m; it depends only on (m, n).
+    vj = y1 - yj, which are algebraically independent, so G(pi) is a
+    polynomial in them.  Setting A = y1 = 0 sends them to the independent
+    B, x_p and -yj, so it loses nothing: two hybridizations have equal
+    G(pi) exactly when these evaluated sums agree.  The sweep is the one
+    of ``weight_sums_by_pi``, each tile weight cut to its terms free of A
+    and y1, so the sums carry far fewer terms.
     """
-    packer = _packed.Packer.fitting([m * n] + [n] * m + [m] * (n - 1))
-    unit = [1 << s for s in packer.shifts]  # key of each kernel variable
-
     phi = pipe_numbering(beta)
 
-    def factor(i, j, t):
-        if t in grid.ELBOWS:
-            rep = {unit[0]: 1}  # u0 = A+B: a shift of slot 0 alone
-        else:
-            p = phi[i - 1]
-            plus = {unit[p]: 1}  # up ( + vj )
-            minus = {unit[0]: 1, unit[p]: -1}  # u0 - up ( - vj )
-            if j > 1:
-                plus[unit[m + j - 1]] = 1
-                minus[unit[m + j - 1]] = -1
-            rep = plus if (t in grid.STRAIGHTS) == (beta[i - 1] == "W") else minus
-        keys = np.array(list(rep), dtype=packer.key_dtype)
-        return keys, np.array(list(rep.values()), dtype=np.int64)
+    def weight(i, j, t):
+        return _tile_weight_at_origin(beta[i - 1], t, phi[i - 1], j, m, n)
 
-    raw = _sweep(m, n, beta, pis, factor)
-    return {word: dict(zip(k.tolist(), c.tolist())) for word, (k, c) in raw.items()}
+    return _sweep(m, n, beta, pis, weight)
 
 
 def _weight_sums_exact(
@@ -159,25 +176,6 @@ def _weight_sums_exact(
         w = grid.weight(d)
         sums[pi] = sums[pi] + w if pi in sums else w
     return sums
-
-
-def _factor(p: Polynomial, packer: _packed.Packer) -> tuple[np.ndarray, np.ndarray]:
-    """An engine factor: p's keys in the engine's layout, and its coefficients."""
-    return p.packer.rekey(p.keys, packer), p.coeffs
-
-
-def weight_sums_by_pi(
-    m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
-) -> dict[tuple[int, ...], Polynomial]:
-    """Map connectivity -> sum of dream weights for one hybridization."""
-    packer = _packed.Packer.alphabet(m, n)
-    phi = pipe_numbering(beta)
-
-    def factor(i, j, t):
-        return _factor(grid.tile_weight(beta[i - 1], t, phi[i - 1], j, m, n), packer)
-
-    raw = _sweep(m, n, beta, pis, factor)
-    return {word: Polynomial.from_packed(m, n, packer, *kc) for word, kc in raw.items()}
 
 
 def generic_polynomial(m: int, n: int, beta: str, pi: Sequence[int]) -> Polynomial:
@@ -282,18 +280,16 @@ def nongeneric_sums_by_pi(
     x_{phi(i)} - y_j; every other tile contributes 1.  One transfer in
     nongeneric mode sums the products for every word, or for ``pis``.
     """
-    packer = _packed.Packer.alphabet(m, n)
     phi = pipe_numbering(beta)
     _, _, xs, ys = alphabet(m, n)
     counted = {"W": grid.STRAIGHTS, "E": {Tile.BLANK}}
 
-    def factor(i, j, t):
+    def weight(i, j, t):
         if t in counted[beta[i - 1]]:
-            return _factor(xs[phi[i - 1] - 1] - ys[j - 1], packer)
+            return xs[phi[i - 1] - 1] - ys[j - 1]
         return None
 
-    raw = _sweep(m, n, beta, pis, factor, "nongeneric")
-    return {word: Polynomial.from_packed(m, n, packer, *kc) for word, kc in raw.items()}
+    return _sweep(m, n, beta, pis, weight, "nongeneric")
 
 
 def schubert_sum(

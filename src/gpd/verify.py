@@ -236,21 +236,21 @@ def conservation_check(m: int, n: int, beta: str):
 @_check("flux ({m},{n})")
 def check_flux(m: int, n: int):
     """Flux conservation, and per hybridization: every dream is rebuilt from
-    its flux labels, and the component classes times (A+B)^m sum to G(pi)
-    for every connectivity."""
+    its flux labels, and (A+B)^m times the sum of the component classes is
+    G(pi) for every connectivity."""
     table = schubert.recurrence_table(m, n)
     ab_m = grid._ab_power(m, n, m)
     for beta in schubert.all_hybridizations(m):
         yield from conservation_check(m, n, beta).failures
-        sums = {}
+        classes = {}
         for d in grid.enumerate_dreams(m, n, beta):
             eqs = flux.variety_equations(d)
             if flux.reconstruct_dream(eqs) != d:
                 yield f"beta={beta}: reconstruction failed for a dream"
                 continue
-            contribution = ab_m * flux.component_class(d)
-            sums[eqs.pi] = sums[eqs.pi] + contribution if eqs.pi in sums else contribution
-        yield from _missing(m, n, beta, sums)
-        for pi, total in sums.items():
-            if total != table[pi]:
+            cls = flux.component_class(d)
+            classes[eqs.pi] = classes[eqs.pi] + cls if eqs.pi in classes else cls
+        yield from _missing(m, n, beta, classes)
+        for pi, total in classes.items():
+            if ab_m * total != table[pi]:
                 yield f"beta={beta} pi={pi}: component classes do not sum to G"

@@ -4,7 +4,11 @@ Each test prints one PASS line (with its runtime) on success; budgets are
 asserted as hard limits.
 """
 
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 
 from gpd import flux as fluxmod
@@ -141,8 +145,8 @@ def test_c03_golden_dreams():
 
 @budget(120)
 def test_c04_beta_independence():
-    # exhaustive sweep: the reduced expansions in the kernel coordinates
-    # coincide across hybridizations if and only if the G polynomials do
+    # exhaustive sweep: G at A = y1 = 0 coincides across hybridizations
+    # if and only if G does
     for m, n in SMALL_SHAPES:
         betas = all_hybridizations(m)
         reference = reduced_weight_sums(m, n, betas[0])
@@ -160,6 +164,25 @@ def test_c04_beta_independence():
         if beta == "WWWW":
             continue
         assert reduced_weight_sums(4, 5, beta, SAMPLED_45) == reference, beta
+
+
+@budget(120)
+def test_c04_verify_beta_4x5_within_1gib():
+    # every connectivity of (4,5) across all sixteen hybridizations, run as
+    # the command line runs it, in a child whose address space is capped
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "gpd.cli", "verify", "beta", "--m", "4", "--n", "5"],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS beta-independence (4,5)" in done.stdout.splitlines()
 
 
 @budget(60)

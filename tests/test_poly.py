@@ -1,7 +1,9 @@
+import pickle
 import random
 
 import pytest
 
+from gpd import _packed
 from gpd.poly import (
     ContextMismatchError,
     ExactDivisionError,
@@ -297,3 +299,14 @@ def test_arbitrary_precision_coefficients():
     assert deg == 64 and coeff == parse("1", 1, 1)
     mid = dict(big.items())[tuple([32, 32, 0, 0])]
     assert mid == 1832624140942590534  # C(64, 32), larger than 2^60
+
+
+def test_pickle_round_trip_shares_the_layout():
+    # polynomials cross the --jobs process pool by pickle; the last value
+    # holds Python-int coefficients
+    values = [parse(t, 2, 3) for t in ("0", "7", "3*A^2*x1 - B + 7*y3")]
+    for f in [*values, parse("A + B", 2, 3) ** 64]:
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g.coeffs.dtype == f.coeffs.dtype
+        assert not g.keys.flags.writeable and not g.coeffs.flags.writeable
+        assert g.packer is _packed.layout(f.packer.widths)

@@ -442,7 +442,7 @@ def test_b_degree_bound_over_dreams():
 
 
 def test_reduced_sums_agree_with_full_polynomials():
-    # the reduced coordinates re-express the same sums, so equality of the
+    # evaluation at A = y1 = 0 is injective on the sums, so equality of the
     # reduced tables across hybridizations must mirror full equality
     for beta in all_hybridizations(2):
         red = reduced_weight_sums(2, 3, beta)

@@ -10,7 +10,7 @@ import pytest
 
 from gpd import _packed, grid
 from gpd.grid import Tile, count_dreams, enumerate_dreams, pipe_numbering
-from gpd.poly import alphabet, product
+from gpd.poly import Polynomial, Var, alphabet, product
 from gpd.schubert import (
     all_hybridizations,
     all_partial_perms,
@@ -66,6 +66,18 @@ def test_weight_sums_match_dream_by_dream(m, n):
         for targets in target_sets(m, n):
             exact = _weight_sums_exact(m, n, beta, targets)
             assert weight_sums_by_pi(m, n, beta, targets) == exact, (beta, targets)
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_reduced_sums_are_weight_sums_at_a_y1_zero(m, n):
+    zero = Polynomial.zero(m, n)
+    origin = {Var("A"): zero, Var("y", 1): zero}
+    for beta in all_hybridizations(m):
+        full = weight_sums_by_pi(m, n, beta)
+        reduced = reduced_weight_sums(m, n, beta)
+        assert set(reduced) == set(full), beta
+        for pi, g in full.items():
+            assert reduced[pi] == g.substitute(origin), (beta, pi)
 
 
 @pytest.mark.parametrize("m,n", SMALL_SHAPES)

@@ -130,7 +130,7 @@ def test_beta_check_fails_on_a_broken_row_type(capsys, monkeypatch):
     def broken(m, n, beta, *rest):
         sums = original(m, n, beta, *rest)
         if beta == "WE":
-            sums[(1, 2)] = {**sums[(1, 2)], 0: 1}
+            sums[(1, 2)] = sums[(1, 2)] + parse("1", m, n)
         return sums
 
     monkeypatch.setattr(schubert, "reduced_weight_sums", broken)
