@@ -9,6 +9,7 @@ collected back in a fixed order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
@@ -101,7 +102,7 @@ def _cmd_poly(args) -> int:
         }
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _emit(args, g.format(), "\n")
+        _write(args, itertools.chain(g.format_chunks(), ("\n",)))
     return 0
 
 

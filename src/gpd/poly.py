@@ -14,9 +14,9 @@ canonical form, and two polynomials are equal exactly when their layouts
 and arrays are.  Keys and coefficients are int64 within the limits
 ``_packed`` certifies and Python ints beyond them, hence arbitrary
 precision.  Ring operations, variable permutations, leading forms and
-division by x_i - x_{i+1} run on the arrays; exponent tuples are decoded
-only by ``items``, ``sorted_terms``, ``format`` and the term-by-term
-methods ``divide_exact``, ``evaluate`` and ``substitute``.
+division by x_i - x_{i+1} run on the arrays, and so does the text format;
+exponent tuples are decoded only by ``items``, ``sorted_terms`` and the
+term-by-term methods ``divide_exact``, ``evaluate`` and ``substitute``.
 
 Canonical term order (used by :meth:`Polynomial.sorted_terms` and the text
 format): total degree descending, ties broken by the exponent vector,
@@ -28,6 +28,7 @@ as a Python key and drives the leading term of exact division.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -109,24 +110,81 @@ def _canonical_sort_key(exps: Exponents):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-# Terms per joined chunk in Polynomial.format: only one chunk's exponents and
-# piece strings are alive at a time, not one per term of a large polynomial.
-_FORMAT_CHUNK = 4096
+# Terms per rendered chunk of Polynomial.format_chunks: only one chunk's byte
+# matrices and text are alive at a time, not one per term of a large polynomial.
+_FORMAT_CHUNK = 8192
+
+# Adjacent exponent slots whose fields together span at most this many bits
+# are rendered together, as one block of the text.
+_GROUP_BITS = 8
+
+# The sign column of a term: row 0 for a positive coefficient, row 1 negative.
+_SIGNS = np.frombuffer(b" +  - ", dtype=np.uint8).reshape(2, 3)
 
 
-class _Powers(dict):
-    """Text of one variable to each power: "" for 0, the name for 1, name^e.
+def _byte_table(texts: list[str]) -> np.ndarray:
+    """ASCII texts as the rows of a NUL-padded uint8 matrix."""
+    return np.array(texts, dtype=np.bytes_).view(np.uint8).reshape(len(texts), -1)
 
-    Entries past 1 are made on first use, so any exponent renders.
-    """
 
-    def __init__(self, name: str):
-        super().__init__({0: "", 1: name})
-        self.name = name
+def _digit_bytes(mags: np.ndarray) -> np.ndarray:
+    """The decimal digits of positive integers, one NUL-padded row each."""
+    if mags.dtype == object:
+        return mags.astype(np.bytes_).view(np.uint8).reshape(len(mags), -1)
+    powers = 10 ** np.arange(len(str(mags.max())) - 1, -1, -1, dtype=np.int64)
+    col = mags[:, None]
+    return np.where(col >= powers, col // powers % 10 + ord("0"), 0).astype(np.uint8)
 
-    def __missing__(self, e: int) -> str:
-        text = self[e] = f"{self.name}^{e}"
-        return text
+
+def _gather(values: np.ndarray, table_of) -> np.ndarray:
+    """One row of ``table_of(distinct values)`` per value, so the table
+    renders each distinct value once."""
+    distinct, rows = np.unique(values, return_inverse=True)
+    return np.take(table_of(distinct), rows, axis=0)
+
+
+def _take_rows(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row ``v`` of the table for each value ``v``."""
+    return np.take(table, values.astype(np.intp, copy=False), axis=0)
+
+
+def _power_rows(name: str, exps: np.ndarray) -> np.ndarray:
+    """"*name^e" rows of exponents: "" for e = 0, "*name" for e = 1."""
+    return _byte_table(
+        ["" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}" for e in exps.tolist()]
+    )
+
+
+def _group_rows(slots: list[tuple[int, int, str]], values: np.ndarray) -> np.ndarray:
+    """The "*name^e" blocks of a group's slots for each joint value, slot
+    (shift, mask, name) holding the exponent ``values >> shift & mask``."""
+    return np.hstack([_gather((values >> shift) & mask, functools.partial(_power_rows, name))
+                      for shift, mask, name in slots])
+
+
+def _monomial_blocks(packer: _packed.Packer, m: int, n: int, terms: int):
+    """(shift, mask, render) of each group of adjacent live slots, which
+    spans at most ``_GROUP_BITS`` bits unless it is one wider slot: the
+    group's joint value is ``keys >> shift & mask`` and ``render`` turns
+    joint values into byte rows.  With no more joint values than ``terms``,
+    it looks them up in a table of every joint value, made here; otherwise
+    it renders the distinct values of each chunk, so any exponent renders."""
+    groups: list[list[int]] = []
+    for k, w in enumerate(packer.widths):
+        if w and groups and sum(packer.widths[j] for j in groups[-1]) + w <= _GROUP_BITS:
+            groups[-1].append(k)
+        elif w:
+            groups.append([k])
+    blocks = []
+    for group in groups:
+        low, span = packer.shifts[group[-1]], sum(packer.widths[k] for k in group)
+        slots = [(packer.shifts[k] - low, packer.masks[k], slot_var(k, m, n).name()) for k in group]
+        if 1 << span <= terms:
+            render = functools.partial(_take_rows, _group_rows(slots, np.arange(1 << span)))
+        else:
+            render = functools.partial(_gather, table_of=functools.partial(_group_rows, slots))
+        blocks.append((low, (1 << span) - 1, render))
+    return blocks
 
 
 class Polynomial:
@@ -527,34 +585,39 @@ class Polynomial:
         return f"Polynomial({self.m}, {self.n}, {self.format()!r})"
 
     def format(self) -> str:
-        """Canonical text rendering; parse(format(f)) == f.
+        """Canonical text rendering; parse(format(f)) == f."""
+        return "".join(self.format_chunks())
 
-        Exponents are decoded from the keys one chunk of terms at a time.
+    def format_chunks(self) -> Iterator[str]:
+        """The canonical text in pieces, ``_FORMAT_CHUNK`` terms at a time.
+
+        A chunk is one uint8 matrix with a row per term, NUL-padded: the
+        sign and |c|, then the "*name^e" blocks of the monomial.  Where |c|
+        is 1 the monomial's first "*" goes, and the "1" too unless the
+        monomial is empty.  The non-NUL bytes, row by row, are the text.
         """
         if not self:
-            return "0"
-        live = [k for k, w in enumerate(self.packer.widths) if w]
-        powers = [_Powers(slot_var(k, self.m, self.n).name()) for k in live]
+            yield "0"
+            return
+        blocks = _monomial_blocks(self.packer, self.m, self.n, len(self))
         order = self._canonical_order()
-        chunks: list[str] = []
         for start in range(0, len(order), _FORMAT_CHUNK):
             idx = order[start:start + _FORMAT_CHUNK]
-            keys = self.keys[idx]
-            cols = [self.packer.field(keys, k).tolist() for k in live]
-            pieces: list[str] = []
-            for exps, coeff in zip(zip(*cols) if live else [()] * len(idx), self.coeffs[idx].tolist()):
-                mono = "*".join(filter(None, map(dict.__getitem__, powers, exps)))
-                sign = " + " if coeff > 0 else " - "
-                mag = abs(coeff)
-                if mag != 1:
-                    mono = f"{mag}*{mono}" if mono else str(mag)
-                elif not mono:
-                    mono = "1"
-                pieces.append(sign + mono)
-            chunks.append("".join(pieces))
-        head = chunks[0]  # the first piece drops its spaces and a "+"
-        chunks[0] = head[3:] if head[1] == "+" else "-" + head[3:]
-        return "".join(chunks)
+            keys, coeffs = self.keys[idx], self.coeffs[idx]
+            mags = np.abs(coeffs)
+            digits = _digit_bytes(mags)
+            # a leading NUL column, so argmax finds an empty monomial's start
+            mono = np.hstack([np.zeros((len(idx), 1), np.uint8)]
+                             + [render((keys >> low) & mask) for low, mask, render in blocks])
+            first = (mono != 0).argmax(axis=1)
+            unit = np.flatnonzero(mags == 1)
+            mono[unit, first[unit]] = 0
+            digits[unit[first[unit] > 0]] = 0
+            mat = np.hstack([_SIGNS[(coeffs < 0).astype(np.intp)], digits, mono])
+            if start == 0:  # the first term drops its spaces and a "+"
+                sign = mat[0, :3]
+                sign[sign != ord("-")] = 0
+            yield mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _encode(m: int, n: int, rows: list[Exponents], coeffs: list[int]):

@@ -17,7 +17,6 @@ import functools
 import inspect
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import flux, grid, schubert, yangbaxter
@@ -73,6 +72,14 @@ def _missing(m: int, n: int, beta: str, sums: dict):
     for pi in schubert.all_partial_perms(m, n):
         if pi not in sums:
             yield f"beta={beta} pi={pi}: no dream enumerated"
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool; ``concurrent.futures.process`` is imported only when
+    a check makes one."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 @_check("beta-independence ({m},{n})")

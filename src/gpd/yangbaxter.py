@@ -25,6 +25,7 @@ straight, of the same weight.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -131,7 +132,9 @@ class Layout:
     out_channels: tuple[str, ...]
 
 
+@functools.cache
 def _layouts() -> dict[str, Layout]:
+    """The four cluster layouts by name, built on first use."""
     ww_left = Layout(
         name="ww-left",
         tables={"D": right_diamond(), "T": w_square(X), "B": w_square(XP)},
@@ -215,7 +218,11 @@ def _layouts() -> dict[str, Layout]:
     return {layout.name: layout for layout in (ww_left, ww_right, we_left, we_right)}
 
 
-LAYOUTS = _layouts()
+def __getattr__(name: str):
+    """``LAYOUTS`` is the cached ``_layouts()``: importing the module builds no table."""
+    if name == "LAYOUTS":
+        return _layouts()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 ConnectivityClass = tuple[tuple[str, str], ...]
 
@@ -232,7 +239,7 @@ def cluster_sum(
     """
     if isinstance(layout, str):
         try:
-            layout = LAYOUTS[layout]
+            layout = _layouts()[layout]
         except KeyError:
             raise ValueError(f"unknown layout {layout!r}") from None
     unknown = set(boundary) - set(layout.in_channels)

@@ -83,6 +83,43 @@ def test_traced_run_smoke(tmp_path):
     assert json.loads(metrics.read_text())["yangbaxter.cluster_sums"] == 32
 
 
+def test_import_builds_no_pool_and_no_layouts():
+    # the process pool and the Yang-Baxter layouts cost every command at
+    # import; only --jobs > 1 and the ybe check need them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    probe = (
+        "import sys, gpd.cli\n"
+        "from gpd import yangbaxter\n"
+        "print('concurrent.futures.process' in sys.modules, yangbaxter._layouts.cache_info().misses)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "0"]
+
+
+def test_ybe_and_pool_are_made_on_use(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "ybe")
+    assert code == 0 and out == "PASS yang-baxter\n"
+    from concurrent.futures import ProcessPoolExecutor
+
+    made = []
+    make = verify.ProcessPoolExecutor
+
+    def spy(max_workers):
+        made.append(make(max_workers))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "verify", "beta", "--m", "2", "--n", "3", "--jobs", "2")
+    assert code == 0 and out == "PASS beta-independence (2,3)\n"
+    assert len(made) == 1 and isinstance(made[0], ProcessPoolExecutor)
+
+
 def test_enumerate_nongeneric_filter(capsys):
     from gpd.grid import Tile, parse_dream
 
@@ -172,6 +209,8 @@ _GOLDEN_SHA256 = {
         "e0e7b6305640e279071debd98f95d0288e44b5e324b85a181f85d7df982eae29",
     ("poly", "--m", "3", "--n", "4", "--pi", "1,2,4", "--format", "json"):
         "aea671b3c064e435367d6a91494e1d6aeb7f343ee8c29db3394037f018ea1ca5",
+    ("poly", "--m", "4", "--n", "4", "--pi", "1,3,4,2"):
+        "ba090822f59312ecf9a7b2a5cd2b2f8facb7f1c535713168d9ff371b76eebc87",
     ("schubert", "--m", "3", "--n", "4", "--pi", "2,3,1"):
         "740b22a1e402409de5af32de1a430882ec5cffe5a7a968f04c7cf047ded87d86",
     ("enumerate", "--m", "3", "--n", "4", "--beta", "WWW"):

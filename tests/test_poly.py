@@ -1,6 +1,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from gpd import _packed
@@ -225,6 +226,76 @@ def test_format_matches_reference_across_chunks():
     # compared term by term: a failing diff of two long strings is very slow
     assert text.split(" ") == _reference_format(f).split(" ")
     assert parse(text, 1, 11) == f
+
+
+def _check_format(f: Polynomial) -> str:
+    text = f.format()
+    assert text.split(" ") == _reference_format(f).split(" ")
+    assert parse(text, f.m, f.n) == f
+    return text
+
+
+def test_format_extreme_coefficients():
+    top = 2**62 - 1
+    x1 = (0, 0, 1, 0, 0, 0, 0)
+    for c in (top, -top):  # the widest int64 coefficients
+        f = Polynomial(2, 3, {x1: c})
+        assert f.coeffs.dtype == np.int64
+        assert _check_format(f) == f"{c}*x1"
+    f = Polynomial(2, 3, {x1: top, (0,) * 7: -top, (1, 0, 0, 0, 0, 0, 2): 2**80,
+                          (0, 1, 0, 0, 0, 0, 0): -(2**80) - 1, (0, 0, 0, 1, 0, 0, 0): -1})
+    assert f.coeffs.dtype == object
+    assert _check_format(f) == (f"{2**80}*A*y3^2 - {2**80 + 1}*B + {top}*x1 - x2 - {top}")
+
+
+def test_format_exponent_wider_than_eight_bytes():
+    # "*y11^4096" takes 9 bytes, "*A^1000000" 10
+    y11 = (0,) * 13 + (4096,)
+    f = Polynomial(1, 11, {y11: 1, (1,) + (0,) * 12 + (4096,): -1, (0,) * 13 + (1,): -7,
+                           (10**6,) + (0,) * 13: 3, (0,) * 14: 1})
+    assert _check_format(f) == "3*A^1000000 - A*y11^4096 + y11^4096 - 7*y11 + 1"
+    # keys past int64, with narrow slots beside the wide one
+    f = Polynomial(1, 2, {(2**70, 0, 1, 0, 0): -1, (0, 3, 1, 2, 0): 5, (0, 0, 0, 0, 1): 1})
+    assert f.keys.dtype == object
+    assert _check_format(f) == "-A^1180591620717411303424*x1 + 5*B^3*x1*y1^2 + y2"
+
+
+def test_format_joint_value_table_with_keys_past_int64():
+    # B, x1, y1 span 6 bits: with 65 terms they render from a table of all
+    # 64 joint values, read from keys past int64
+    terms = {(0, b, i, j): (-1) ** (b + i + j) * (b + 2 * i + 3 * j + 1)
+             for b in range(4) for i in range(4) for j in range(4)}
+    terms[(2**70, 0, 0, 0)] = 2**70
+    f = Polynomial(1, 1, terms)
+    assert f.keys.dtype == object and f.coeffs.dtype == object
+    assert _check_format(f).startswith(f"{2**70}*A^{2**70} - 19*B^3*x1^3*y1^3 + ")
+
+
+@pytest.mark.parametrize("text", ["1", "-1", "-3", "x1 + 1", "-x1 - 1", "-A*B + x1 - 2", "-y2 + 1"])
+def test_format_unit_coefficients_and_constants(text):
+    assert _check_format(parse(text, 1, 2)) == text
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("size", [1, _FORMAT_CHUNK, _FORMAT_CHUNK + 1])
+def test_format_chunk_boundaries(size, big):
+    # the first term and the first term of the second chunk are negative,
+    # and the constant term is -1
+    rng = random.Random(size)
+    choices = (1, -1, 2, -37) + ((2**70,) if big else ())
+    terms = {(d, 0, d % 3, 0): rng.choice(choices) for d in range(1, size)}
+    terms[(0, 0, 0, 0)] = -1
+    first = Polynomial(1, 1, terms).sorted_terms()
+    for i in (0, _FORMAT_CHUNK):
+        if i < size:
+            terms[first[i][0]] = -abs(first[i][1])
+    f = Polynomial(1, 1, terms)
+    assert len(f) == size and (f.coeffs.dtype == object) == (big and size > 1)
+    chunks = list(f.format_chunks())
+    assert len(chunks) == -(-size // _FORMAT_CHUNK)
+    assert chunks[0].startswith("-")
+    assert all(chunk.startswith(" - ") for chunk in chunks[1:])
+    assert "".join(chunks) == _check_format(f)
 
 
 def test_parse_is_whitespace_insensitive():
