@@ -43,7 +43,7 @@ print(serialize(d2))
 total = parse("0", M, N)
 for d in (d1, d2):
     eqs = variety_equations(d)
-    cls = component_class(d)
+    cls = component_class(eqs)
     print("zero entries:",
           sorted(f"x{r}{j}" for r, j in eqs.zero_x) + sorted(f"y{j}{r}" for j, r in eqs.zero_y),
           "| independent equations:", eqs.independent_count())

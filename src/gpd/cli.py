@@ -302,23 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    if getattr(args, "command", None) in ("enumerate", "count", "poly", "schubert"):
-        if args.m < 1 or args.m > args.n:
-            raise UsageError(f"need 1 <= m <= n, got ({args.m}, {args.n})")
-        if args.beta is None:
-            args.beta = "W" * args.m
-        grid.check_beta(args.beta, args.m)
+    if getattr(args, "dream", None):
+        return
+    if args.command == "flux" and None in (args.m, args.n, args.beta):
+        raise UsageError("flux needs either --dream or all of --m, --n, --beta")
+    if not 1 <= args.m <= args.n:
+        raise UsageError(f"need 1 <= m <= n, got ({args.m}, {args.n})")
     if args.command == "verify":
-        if args.m < 1 or args.m > args.n:
-            raise UsageError(f"need 1 <= m <= n, got ({args.m}, {args.n})")
         if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
-    if args.command == "flux" and not args.dream:
-        if args.m is None or args.n is None or args.beta is None:
-            raise UsageError("flux needs either --dream or all of --m, --n, --beta")
-        if args.m < 1 or args.m > args.n:
-            raise UsageError(f"need 1 <= m <= n, got ({args.m}, {args.n})")
-        grid.check_beta(args.beta, args.m)
+        return
+    if args.beta is None:
+        args.beta = "W" * args.m
+    grid.check_beta(args.beta, args.m)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

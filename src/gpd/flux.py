@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from . import grid
-from .grid import PipeDream, Tile, pipe_numbering, tile_weight, weight
+from .grid import PipeDream, Tile, pipe_numbering, tile_weight
 from .poly import Polynomial, product
 
 
@@ -98,7 +98,9 @@ class EquationSet:
     zero_x holds pairs (r, j) with X_rj = 0, zero_y pairs (j, r) with
     Y_jr = 0, and flux maps every edge to its label (0 or the pipe number).
     Exactly n - 1 of the implied equations per row are independent: one per
-    column except where the row's own pipe exits North.
+    column except where the row's own pipe exits North.  The killed entries
+    are the linear ones and the rest, one per elbow other than a row's exit
+    elbow, are quadratics; ``component_class`` multiplies their weights.
     """
 
     m: int
@@ -205,29 +207,22 @@ def exit_elbow_columns(d: PipeDream) -> dict[int, int]:
     }
 
 
-def component_class(d: PipeDream) -> Polynomial:
-    """Equivariant class of the dream's component.
+def component_class(eqs: EquationSet) -> Polynomial:
+    """Equivariant class of a dream's component, read off its equation set.
 
-    Computed two ways, which must agree: the dream weight divided exactly
-    by (A+B)^m, and the product of tile weights skipping, in each row, the
-    elbow where the row's own pipe exits North.  Agreement is checked
-    multiplicatively, which also certifies the division is exact.
+    The component is a complete intersection, so its class is the product
+    of its generators' weights: A + x_r - y_j per killed X_rj, B - x_r + y_j
+    per killed Y_jr, and A + B per quadratic, of which there are
+    independent_count() - |zero_x| - |zero_y|.  (A+B)^m times the class is
+    the dream's weight.
     """
-    full_weight = weight(d)
-    phi = pipe_numbering(d.beta)
-    skip = exit_elbow_columns(d)
-    factors = []
-    for i in range(1, d.m + 1):
-        for j in range(1, d.n + 1):
-            if skip.get(i) == j:
-                continue
-            factors.append(
-                tile_weight(d.row_type(i), d.tile(i, j), phi[i - 1], j, d.m, d.n)
-            )
-    cls = product(d.m, d.n, factors)
-    if cls * grid._ab_power(d.m, d.n, d.m) != full_weight:
-        raise RuntimeError("component class routes disagree; tracing bug")
-    return cls
+    m, n = eqs.m, eqs.n
+    quadratics = eqs.independent_count() - len(eqs.zero_x) - len(eqs.zero_y)
+    factors = [grid._ab_power(m, n, quadratics)]
+    # tile_weight of a W-row straight is A + x - y, of a W-row blank B - x + y
+    factors += [tile_weight("W", Tile.STRAIGHT_H, r, j, m, n) for r, j in eqs.zero_x]
+    factors += [tile_weight("W", Tile.BLANK, r, j, m, n) for j, r in eqs.zero_y]
+    return product(m, n, factors)
 
 
 def _tile_pairs(side: str, far: str) -> dict[Tile, tuple[frozenset[str], ...]]:

@@ -61,8 +61,8 @@ _CHAR_TO_TILE = {c: Tile(i) for i, c in enumerate(TILE_CHARS)}
 # The routing table: Tile -> (source of North, source of the far side),
 # each source EMPTY, SIDE (the pipe entering from the row's side) or SOUTH;
 # the sources index the tuple (0, side label, South label).
-# Every reader of a tile's routing (edge occupancies, the dream walk, label
-# routing, flux pairs, the Yang-Baxter row squares) derives it from here.
+# Every reader of a tile's routing (label routing and so validation, the
+# dream walk, flux pairs, the Yang-Baxter row squares) derives it from here.
 EMPTY, SIDE, SOUTH = 0, 1, 2
 ROUTES: dict[Tile, tuple[int, int]] = {
     Tile.BLANK: (EMPTY, EMPTY),
@@ -147,51 +147,6 @@ class PipeDream:
         return serialize(self)
 
 
-def _edge_occupancies(d: PipeDream) -> tuple[list[list[bool]], list[list[bool]]]:
-    """Vertical and horizontal edge occupancy implied by the tiles.
-
-    vert[i-1][j] is the vertical edge of row i at position j (0 = West
-    boundary, n = East boundary); horiz[i][j-1] is the horizontal edge in
-    column j between rows i and i+1 (0 = North boundary).
-
-    Raises InvalidDreamError, naming the first bad edge, if the tiles
-    disagree on a shared edge or break a boundary rule.
-    """
-    m, n = d.m, d.n
-    vert = [[False] * (n + 1) for _ in range(m)]
-    south = [[False] * n for _ in range(m)]
-    north = [[False] * n for _ in range(m)]
-    for i in range(1, m + 1):
-        west_going = d.row_type(i) == "W"
-        cols = range(1, n + 1) if west_going else range(n, 0, -1)
-        side = True  # entering side edge carries the row's pipe
-        entry_edge = 0 if west_going else n
-        vert[i - 1][entry_edge] = True
-        for j in cols:
-            side_in, south_in, side_out, north_out = _TILE_EDGES[d.tile(i, j)]
-            if side_in != side:
-                edge = (j - 1) if west_going else j
-                raise InvalidDreamError(
-                    f"edge V({i},{edge}) disagrees with tile at ({i},{j})"
-                )
-            side = side_out
-            vert[i - 1][j if west_going else j - 1] = side_out
-            if i == m and south_in:
-                raise InvalidDreamError(f"edge H({m},{j}) enters from the South")
-            south[i - 1][j - 1] = south_in
-            north[i - 1][j - 1] = north_out
-        if side:
-            exit_edge = n if west_going else 0
-            raise InvalidDreamError(f"edge V({i},{exit_edge}) exits the row")
-    # the shared edge between rows i and i+1 must agree from both sides
-    for i in range(1, m):
-        for j in range(1, n + 1):
-            if south[i - 1][j - 1] != north[i][j - 1]:
-                raise InvalidDreamError(f"edge H({i},{j}) mismatch between rows")
-    horiz = north + [[False] * n]
-    return vert, horiz
-
-
 def validate(d: PipeDream) -> None:
     """Raise InvalidDreamError unless d satisfies every grid invariant."""
     if d.m < 1 or d.n < 1:
@@ -201,7 +156,7 @@ def validate(d: PipeDream) -> None:
     check_beta(d.beta, d.m)
     if len(d.tiles) != d.m or any(len(row) != d.n for row in d.tiles):
         raise InvalidDreamError("tile grid has wrong shape")
-    _edge_occupancies(d)
+    edge_labels(d)
 
 
 def _exit_word(north: Sequence[int], m: int) -> tuple[int, ...]:
@@ -219,8 +174,13 @@ def edge_labels(d: PipeDream) -> dict[tuple[str, int, int], int]:
     Vertical edge ('V', i, j): row i, position j in [0..n].  Horizontal
     edge ('H', i, j): column j between rows i and i+1, with i = 0 the North
     boundary.  An empty edge carries 0.  Rows run bottom to top, each in
-    its flow direction.  Raises InvalidDreamError at the first tile whose
-    routing does not fit the pipes reaching it.
+    its flow direction.
+
+    Raises InvalidDreamError, naming the edge, at the first tile whose
+    routing does not fit the pipes reaching it: V(i,j) is the side edge it
+    disagrees with, H(i,j) its South edge (H(m,j) is the South boundary,
+    which carries no pipe); a pipe leaving row i on its far side names the
+    far-end edge, V(i,n) in a W row and V(i,0) in an E row.
     """
     m, n = d.m, d.n
     phi = pipe_numbering(d.beta)
@@ -232,15 +192,19 @@ def edge_labels(d: PipeDream) -> dict[tuple[str, int, int], int]:
         for j in range(1, n + 1) if west_going else range(n, 0, -1):
             t = d.tiles[i - 1][j - 1]
             south = labels[("H", i, j)]
-            if _TILE_EDGES[t][:2] != (side != 0, south != 0):
-                raise InvalidDreamError(f"tile at ({i},{j}) does not fit its pipes")
+            side_in, south_in = _TILE_EDGES[t][:2]
+            if side_in != (side != 0):
+                edge = j - 1 if west_going else j
+                raise InvalidDreamError(f"edge V({i},{edge}) disagrees with tile at ({i},{j})")
+            if south_in != (south != 0):
+                raise InvalidDreamError(f"edge H({i},{j}) disagrees with tile at ({i},{j})")
             north_src, far_src = ROUTES[t]
             ins = (0, side, south)
             labels[("H", i - 1, j)] = ins[north_src]
             side = ins[far_src]
             labels[("V", i, j if west_going else j - 1)] = side
         if side:
-            raise InvalidDreamError(f"pipe {side} exits row {i} on its far side")
+            raise InvalidDreamError(f"edge V({i},{n if west_going else 0}) exits the row")
     return labels
 
 
@@ -317,11 +281,8 @@ def crossing_flip(d: PipeDream) -> PipeDream:
     if d.m != 1:
         raise ValueError("crossing_flip applies to single-row dreams")
     validate(d)
-    vert, horiz = _edge_occupancies(d)
-    if sum(vert[0]) + sum(horiz[0]) < 1:
-        raise InvalidDreamError("row carries no pipe")
-    flipped_v = [not v for v in vert[0]]
-    north = horiz[0]
+    labels = edge_labels(d)
+    flipped_v = [not labels[("V", 1, j)] for j in range(d.n + 1)]
     new_type = "E" if d.beta == "W" else "W"
     tiles = []
     for j in range(1, d.n + 1):
@@ -329,7 +290,7 @@ def crossing_flip(d: PipeDream) -> PipeDream:
             side_in, side_out = flipped_v[j - 1], flipped_v[j]
         else:
             side_in, side_out = flipped_v[j], flipped_v[j - 1]
-        edges = (side_in, False, side_out, north[j - 1])
+        edges = (side_in, False, side_out, labels[("H", 0, j)] != 0)
         fits = [t for t in Tile if _TILE_EDGES[t] == edges]
         if not fits:
             raise InvalidDreamError(f"no tile fits flipped edges at (1,{j})")

@@ -370,18 +370,7 @@ def class_of_e(m: int, n: int, pi: Sequence[int]) -> Polynomial:
 
 def all_partial_perms(m: int, n: int) -> list[tuple[int, ...]]:
     """Every injective word [m] -> [n], in lexicographic order."""
-    words: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == m:
-            words.append(prefix)
-            return
-        for v in range(1, n + 1):
-            if v not in prefix:
-                rec(prefix + (v,))
-
-    rec(())
-    return words
+    return list(itertools.permutations(range(1, n + 1), m))
 
 
 def all_hybridizations(m: int) -> list[str]:

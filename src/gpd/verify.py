@@ -255,7 +255,7 @@ def check_flux(m: int, n: int):
             if flux.reconstruct_dream(eqs) != d:
                 yield f"beta={beta}: reconstruction failed for a dream"
                 continue
-            cls = flux.component_class(d)
+            cls = flux.component_class(eqs)
             classes[eqs.pi] = classes[eqs.pi] + cls if eqs.pi in classes else cls
         yield from _missing(m, n, beta, classes)
         for pi, total in classes.items():

@@ -297,7 +297,7 @@ def test_c11_flux_suite():
             for d in enumerate_dreams(m, n, beta):
                 eqs = fluxmod.variety_equations(d)
                 assert fluxmod.reconstruct_dream(eqs) == d
-                cls = fluxmod.component_class(d)  # internally checks both routes
+                cls = fluxmod.component_class(eqs)
                 piece = ab_m * cls
                 sums[eqs.pi] = sums[eqs.pi] + piece if eqs.pi in sums else piece
             assert sums == table, (m, n, beta)

@@ -294,6 +294,14 @@ def test_flux_dream_equations(tmp_path, capsys):
     assert payload["independent_equations"] == 2
 
 
+def test_flux_bad_dream_names_the_edge(tmp_path, capsys):
+    dream = tmp_path / "bad.txt"
+    dream.write_text("1 2\nW\nnn\n")  # second cell claims a West pipe that is not there
+    code, out, err = run(capsys, "flux", "--dream", str(dream))
+    assert code == 2 and out == ""
+    assert "V(1,1)" in err
+
+
 def test_flux_requires_dream_or_shape(capsys):
     assert run(capsys, "flux")[0] == 2
 

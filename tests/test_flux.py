@@ -15,12 +15,14 @@ from gpd.flux import (
     reduced_flux_table,
     variety_equations,
 )
-from gpd.grid import enumerate_dreams, parse_dream
-from gpd.poly import parse
+from gpd.grid import enumerate_dreams, parse_dream, pipe_numbering, tile_weight
+from gpd.poly import parse, product
 from gpd.schubert import all_hybridizations, recurrence_table
 from gpd.verify import conservation_check
 
 from refpipes import trace_pipes
+
+SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
 DREAM1 = "2 2\nWE\nn|\n.n\n"  # components <x21, x12>
 DREAM2 = "2 2\nWE\nbn\nn-\n"  # component <y22, x21 y12 - x12 y21>
@@ -173,12 +175,12 @@ def test_exit_elbow_columns_intro_dream():
 
 def test_component_class_1x1():
     d = parse_dream("1 1\nW\nn\n")
-    assert component_class(d) == parse("1", 1, 1)
+    assert component_class(variety_equations(d)) == parse("1", 1, 1)
 
 
 def test_component_class_worked_example():
     d = parse_dream(DREAM1)
-    cls = component_class(d)
+    cls = component_class(variety_equations(d))
     ab = parse("A+B", 2, 2)
     assert cls * ab**2 == grid.weight(d)
     # row 1 skips its exit elbow at (1,1); row 2 at (2,2)
@@ -193,9 +195,29 @@ def test_component_classes_sum_to_g():
             for d in enumerate_dreams(m, n, beta):
                 pi, _ = grid.connectivity(d)
                 ab = grid._ab_power(m, n, m)
-                piece = ab * component_class(d)
+                piece = ab * component_class(variety_equations(d))
                 sums[pi] = sums[pi] + piece if pi in sums else piece
             assert sums == table, (m, n, beta)
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_component_class_matches_both_weight_routes(m, n):
+    """(A+B)^m times the class is the dream weight, and the class is the
+    product of tile weights skipping each row's exit elbow."""
+    ab_m = grid._ab_power(m, n, m)
+    for beta in all_hybridizations(m):
+        phi = pipe_numbering(beta)
+        for d in enumerate_dreams(m, n, beta):
+            cls = component_class(variety_equations(d))
+            assert ab_m * cls == grid.weight(d)
+            skip = exit_elbow_columns(d)
+            factors = [
+                tile_weight(beta[i - 1], d.tile(i, j), phi[i - 1], j, m, n)
+                for i in range(1, m + 1)
+                for j in range(1, n + 1)
+                if skip[i] != j
+            ]
+            assert cls == product(m, n, factors)
 
 
 def test_reconstruct_roundtrip():

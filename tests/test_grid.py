@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gpd.grid import (
@@ -103,6 +105,22 @@ def test_every_enumerated_dream_validates():
                 pi, _ = connectivity(d)
                 assert sorted(pi) == sorted(set(pi))
                 assert all(1 <= c <= n for c in pi)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)])
+def test_validate_accepts_exactly_the_dreams(m, n):
+    """Every tiling of every row type: validate accepts it iff it is a dream."""
+    for beta in all_hybridizations(m):
+        dreams = {d.tiles for d in enumerate_dreams(m, n, beta)}
+        accepted = set()
+        for cells in itertools.product(Tile, repeat=m * n):
+            tiles = tuple(cells[i * n : (i + 1) * n] for i in range(m))
+            try:
+                validate(PipeDream(m, n, beta, tiles))
+            except InvalidDreamError:
+                continue
+            accepted.add(tiles)
+        assert accepted == dreams, (m, n, beta)
 
 
 def test_stream_is_deterministic():

@@ -7,6 +7,8 @@ Yang-Baxter row squares below are the hand-written ones the table-derived
 versions replace.
 """
 
+import math
+
 import pytest
 
 from gpd import flux, grid
@@ -118,6 +120,8 @@ def test_derived_transition_tables_match_literals():
 @pytest.mark.parametrize("mode", ["generic", "nongeneric"])
 def test_walk_stream_matches_reference(m, n, mode):
     words = all_partial_perms(m, n)
+    assert words == sorted(words)
+    assert len(words) == math.factorial(n) // math.factorial(n - m)
     for beta in all_hybridizations(m):
         ref = ref_stream(m, n, beta, mode)
         assert list(enumerate_dreams(m, n, beta, mode=mode)) == [d for d, _, _ in ref]
