@@ -13,10 +13,11 @@ slot is as wide as its largest exponent needs.  So every value has a single
 canonical form, and two polynomials are equal exactly when their layouts
 and arrays are.  Keys and coefficients are int64 within the limits
 ``_packed`` certifies and Python ints beyond them, hence arbitrary
-precision.  Ring operations, variable permutations, leading forms and
-division by x_i - x_{i+1} run on the arrays, and so does the text format;
-exponent tuples are decoded only by ``items``, ``sorted_terms`` and the
-term-by-term methods ``divide_exact``, ``evaluate`` and ``substitute``.
+precision.  Ring operations, variable permutations, leading forms, setting
+variables to 0 and division by x_i - x_{i+1} run on the arrays, and so does
+the text format; exponent tuples are decoded only by ``items``,
+``sorted_terms`` and the term-by-term methods ``divide_exact``,
+``evaluate`` and ``substitute``.
 
 Canonical term order (used by :meth:`Polynomial.sorted_terms` and the text
 format): total degree descending, ties broken by the exponent vector,
@@ -550,6 +551,15 @@ class Polynomial:
                     v *= val**e
             value += v
         return value
+
+    def at_zero(self, *vs: Var) -> "Polynomial":
+        """The polynomial with the variables ``vs`` set to 0: its terms free
+        of them, kept by one mask over the keys."""
+        m, n, packer, keys = self.m, self.n, self.packer, self.keys
+        free = np.ones(len(keys), dtype=bool)
+        for v in vs:
+            free &= packer.field(keys, var_slot(v, m, n)) == 0
+        return Polynomial.from_packed(m, n, packer, keys[free], self.coeffs[free])
 
     def substitute(self, assignments: Mapping[Var, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials (same context); others stay.

@@ -16,12 +16,16 @@ weight, and values reaching one state are merged.  Its coefficients are
 int64 while an L1-norm bound certifies them and become Python ints from
 the tile where the bound runs out.  Its (keys, coefficients) arrays become
 ``Polynomial`` values as they are, so G(pi) never leaves the packed
-representation.  Hybridization independence is decided on G(pi) at
+representation.  Hybridization independence, the recurrence, the
+B-leading form and the mirror identity (``gpd verify beta``,
+``recurrence``, ``leading``, ``mirror``) are decided on G(pi) at
 A = y1 = 0, which has far fewer terms and, being injective on the sums
-(see ``reduced_weight_sums``), loses nothing.  The recurrence is plain
-``Polynomial`` arithmetic: each step multiplies, swaps x_i with x_{i+1},
-subtracts and divides by x_i - x_{i+1}, checks that the remainder
-vanishes, and every operation certifies its own coefficients
+(see ``reduced_weight_sums``), loses nothing; the flux check, ``gpd poly``
+and ``gpd schubert`` keep the full alphabet.  The recurrence is plain
+``Polynomial`` arithmetic, at that point (its linear factors set to 0
+alike) or in the full alphabet: each step multiplies, swaps x_i with
+x_{i+1}, subtracts and divides by x_i - x_{i+1}, checks that the
+remainder vanishes, and every operation certifies its own coefficients
 (L1(next) <= 6 (n+1) L1(g) over a step).
 ``gpd.verify`` checks these identities.
 """
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import _packed, grid
 from .grid import Tile, check_partial_perm, pipe_numbering
-from .poly import ExactDivisionError, Polynomial, Var, alphabet, product, var_slot
+from .poly import ExactDivisionError, Polynomial, Var, alphabet, product
 
 
 def inversions(word: Sequence[int]) -> int:
@@ -132,34 +136,36 @@ def weight_sums_by_pi(
     return _sweep(m, n, beta, pis, weight)
 
 
+ORIGIN = (Var("A"), Var("y", 1))  # A = y1 = 0, where the global checks compare G(pi)
+
+
 @lru_cache(maxsize=None)
-def _tile_weight_at_origin(
-    row_type: str, t: Tile, x_index: int, j: int, m: int, n: int
-) -> Polynomial:
-    """``grid.tile_weight`` at A = y1 = 0: its terms free of A and y1."""
-    w = grid.tile_weight(row_type, t, x_index, j, m, n)
-    y1 = var_slot(Var("y", 1), m, n)
-    free = (w.packer.field(w.keys, 0) == 0) & (w.packer.field(w.keys, y1) == 0)
-    return Polynomial.from_packed(m, n, w.packer, w.keys[free], w.coeffs[free])
+def _tile_weight_at_zero(row_type: str, t: Tile, x_index: int, j: int, m: int, n: int,
+                         zero: tuple[Var, ...]) -> Polynomial:
+    """``grid.tile_weight`` with the variables ``zero`` set to 0."""
+    return grid.tile_weight(row_type, t, x_index, j, m, n).at_zero(*zero)
 
 
 def reduced_weight_sums(
-    m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
+    m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None,
+    zero: tuple[Var, ...] = ORIGIN,
 ) -> dict[tuple[int, ...], Polynomial]:
-    """Map connectivity -> G(pi) at A = 0, y1 = 0, for one hybridization.
+    """Map connectivity -> G(pi) with the variables ``zero`` set to 0, for
+    one hybridization; by default G(pi) at A = y1 = 0.
 
     Every tile weight is a Z-combination of u0 = A+B, up = A + x_p - y1 and
     vj = y1 - yj, which are algebraically independent, so G(pi) is a
     polynomial in them.  Setting A = y1 = 0 sends them to the independent
     B, x_p and -yj, so it loses nothing: two hybridizations have equal
-    G(pi) exactly when these evaluated sums agree.  The sweep is the one
-    of ``weight_sums_by_pi``, each tile weight cut to its terms free of A
-    and y1, so the sums carry far fewer terms.
+    G(pi) exactly when these evaluated sums agree.  So does B = yn = 0,
+    the mirror image of that point (see ``mirror_substitution``).  The
+    sweep is the one of ``weight_sums_by_pi``, each tile weight cut to its
+    terms free of ``zero``, so the sums carry far fewer terms.
     """
     phi = pipe_numbering(beta)
 
     def weight(i, j, t):
-        return _tile_weight_at_origin(beta[i - 1], t, phi[i - 1], j, m, n)
+        return _tile_weight_at_zero(beta[i - 1], t, phi[i - 1], j, m, n, zero)
 
     return _sweep(m, n, beta, pis, weight)
 
@@ -196,8 +202,9 @@ def generic_polynomial(m: int, n: int, beta: str, pi: Sequence[int]) -> Polynomi
 # ---------------------------------------------------------------------------
 
 
-def base_case(m: int, n: int, pi: Sequence[int]) -> Polynomial:
-    """Closed product for a strictly decreasing connectivity word."""
+def base_case(m: int, n: int, pi: Sequence[int], *zero: Var) -> Polynomial:
+    """Closed product for a strictly decreasing connectivity word, its
+    factors taken with the variables ``zero`` set to 0."""
     word = check_partial_perm(pi, m, n)
     if any(word[i] <= word[i + 1] for i in range(m - 1)):
         raise ValueError(f"{word} is not decreasing")
@@ -206,22 +213,24 @@ def base_case(m: int, n: int, pi: Sequence[int]) -> Polynomial:
     for x, col in zip(xs, word):
         factors += [a + x - ys[j - 1] for j in range(1, col)]
         factors += [b - x + ys[j - 1] for j in range(col + 1, n + 1)]
-    return product(m, n, factors)
+    return product(m, n, [f.at_zero(*zero) for f in factors])
 
 
-def recurrence_step(g: Polynomial, i: int) -> Polynomial:
+def recurrence_step(g: Polynomial, i: int, *zero: Var) -> Polynomial:
     """One inductive step: from G(pi') with pi' = pi.r_i longer, recover G(pi).
 
-    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}); the
-    remainder of the division must vanish.  Each operation certifies its
-    coefficients from its operands' L1 norms: L1(num) <= 6 L1(g) and the
-    quotient's at most max(e) L1(num), where e <= x+1 is the numerator's
-    x_i degree, so L1(next) <= 6 (x+1) L1(g) (x = n on the recurrence walk).
+    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}) with the
+    variables ``zero`` (among A, B and the y) set to 0 in both linear
+    factors, which commutes with r_i and the division; the remainder must
+    vanish.  Each operation certifies its coefficients from its operands'
+    L1 norms: L1(num) <= 6 L1(g) and the quotient's at most max(e) L1(num),
+    where e <= x+1 is the numerator's x_i degree, so L1(next) <= 6 (x+1)
+    L1(g) (x = n on the recurrence walk).
     """
     if not 1 <= i <= g.m - 1:
         raise ValueError(f"swap index {i} outside [1..{g.m - 1}]")
     a, b, xs, _ = alphabet(g.m, g.n)
-    ab = a + b
+    ab = (a + b).at_zero(*zero)
     num = ab * g - (ab + xs[i - 1] - xs[i]) * g.swap_x(i)
     quotient, remainder = num._divmod_x_diff(i)
     if remainder:
@@ -230,9 +239,10 @@ def recurrence_step(g: Polynomial, i: int) -> Polynomial:
 
 
 def _recurrence_walk(
-    m: int, n: int, words: list[tuple[int, ...]]
+    m: int, n: int, words: list[tuple[int, ...]], zero: tuple[Var, ...] = ()
 ) -> dict[tuple[int, ...], Polynomial]:
-    """G(pi) for each word, by adjacent-swap steps from the decreasing base cases.
+    """G(pi) for each word, with the variables ``zero`` set to 0, by
+    adjacent-swap steps from the decreasing base cases.
 
     At each stage the lexicographically first ascent is swapped, so words
     share their chains.
@@ -243,10 +253,10 @@ def _recurrence_walk(
         if w not in known:
             i = next((i for i in range(m - 1) if w[i] < w[i + 1]), None)
             if i is None:
-                known[w] = base_case(m, n, w)
+                known[w] = base_case(m, n, w, *zero)
             else:
                 longer = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                known[w] = recurrence_step(rec(longer), i + 1)
+                known[w] = recurrence_step(rec(longer), i + 1, *zero)
         return known[w]
 
     return {w: rec(w) for w in words}
@@ -261,9 +271,12 @@ def compute_by_recurrence(m: int, n: int, pi: Sequence[int]) -> Polynomial:
     return _recurrence_walk(m, n, [word])[word]
 
 
-def recurrence_table(m: int, n: int) -> dict[tuple[int, ...], Polynomial]:
-    """G(pi) for every injective word, memoized along shared swap chains."""
-    return _recurrence_walk(m, n, all_partial_perms(m, n))
+def recurrence_table(
+    m: int, n: int, zero: tuple[Var, ...] = ()
+) -> dict[tuple[int, ...], Polynomial]:
+    """G(pi) for every injective word, memoized along shared swap chains;
+    with ``zero`` = ``ORIGIN``, G(pi) at A = y1 = 0."""
+    return _recurrence_walk(m, n, all_partial_perms(m, n), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +364,11 @@ def gamma_conjugate(pi: Sequence[int], m: int, n: int) -> tuple[int, ...]:
 
 
 def mirror_substitution(f: Polynomial) -> Polynomial:
-    """A <-> B, x_i -> -x_{m+1-i}, y_j -> -y_{n+1-j}."""
+    """A <-> B, x_i -> -x_{m+1-i}, y_j -> -y_{n+1-j}.
+
+    It takes the point A = y1 = 0 to B = yn = 0: the mirror of f, at
+    A = y1 = 0, is the mirror of f at B = yn = 0.
+    """
     mapping: dict[Var, tuple[int, Var]] = {Var("A"): (1, Var("B")), Var("B"): (1, Var("A"))}
     for i in range(1, f.m + 1):
         mapping[Var("x", i)] = (-1, Var("x", f.m + 1 - i))

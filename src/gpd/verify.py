@@ -107,9 +107,10 @@ def check_beta_independence(m: int, n: int, jobs: int = 1):
 
 @_check("recurrence ({m},{n})")
 def check_recurrence(m: int, n: int):
-    """The recurrence from the decreasing base cases gives every G(pi)."""
-    sums = schubert.weight_sums_by_pi(m, n, "W" * m)
-    table = schubert.recurrence_table(m, n)
+    """The recurrence from the decreasing base cases gives every G(pi),
+    both compared at A = y1 = 0 (see ``schubert.reduced_weight_sums``)."""
+    sums = schubert.reduced_weight_sums(m, n, "W" * m)
+    table = schubert.recurrence_table(m, n, zero=schubert.ORIGIN)
     for pi in schubert.all_partial_perms(m, n):
         if pi not in sums:
             yield f"pi={pi}: no dream enumerated"
@@ -138,12 +139,15 @@ def check_leading(m: int, n: int):
     """The B-leading form of every G(pi), for every hybridization.
 
     Per (pi, beta): the nongeneric sum matches the independent double
-    Schubert construction, G(pi) has B-degree mn - inv(extension) and
-    leading coefficient the nongeneric sum with x_i -> A + x_i, and only
-    nongeneric dreams attain that degree.  Having matched the sum, the
-    construction stands for it in the leading coefficient, shifted once per
-    pi.  One weight-sum sweep, one nongeneric sweep and one dream
-    enumeration per row type serve every pi.
+    Schubert construction S_w, G(pi) has B-degree mn - inv(w) and leading
+    coefficient S_w with x_i -> A + x_i, and only nongeneric dreams attain
+    that degree.  Degree and coefficient are read off G(pi) at A = y1 = 0.
+    B enters G(pi) only through u0 = A+B, so the evaluation keeps its
+    B-degree; and S_w(A + x; y) = S_w(A + x - y1; y - y1), double Schubert
+    polynomials being translation invariant, lies in the ring on which the
+    evaluation is injective, so the expected coefficient is S_w at y1 = 0.
+    One reduced sweep, one nongeneric sweep and one dream enumeration per
+    row type serve every pi.
     """
     words = schubert.all_partial_perms(m, n)
     expected = {}
@@ -151,13 +155,13 @@ def check_leading(m: int, n: int):
         ext = schubert.min_extension(pi, n)
         oracle = schubert.double_schubert_oracle(ext, m, n)
         top = m * n - schubert.inversions(ext)
-        expected[pi] = top, oracle, schubert.shift_x_by_a(oracle)
+        expected[pi] = top, oracle, oracle.at_zero(Var("y", 1))
     for beta in schubert.all_hybridizations(m):
-        sums = schubert.weight_sums_by_pi(m, n, beta)
+        sums = schubert.reduced_weight_sums(m, n, beta)
         nongeneric = schubert.nongeneric_sums_by_pi(m, n, beta)
         yield from _missing(m, n, beta, sums)
         for pi in words:
-            top, oracle, shifted = expected[pi]
+            top, oracle, at_origin = expected[pi]
             s = nongeneric.get(pi, Polynomial.zero(m, n))
             if s != oracle:
                 yield f"pi={pi} beta={beta}: nongeneric sum differs from oracle"
@@ -166,7 +170,7 @@ def check_leading(m: int, n: int):
             deg, coeff = sums.pop(pi).leading_form(Var("B"))
             if deg != top:
                 yield f"pi={pi} beta={beta}: B-degree {deg} != {top}"
-            if coeff != shifted:
+            if coeff != at_origin:
                 yield f"pi={pi} beta={beta}: leading coefficient mismatch"
         for d in grid.enumerate_dreams(m, n, beta):
             pi = grid.connectivity(d)[0]
@@ -180,11 +184,18 @@ def check_leading(m: int, n: int):
 
 @_check("mirror ({m},{n})")
 def check_mirror(m: int, n: int):
-    """G(pi) is the mirror image of G(gamma.pi.gamma), from one engine sweep."""
-    sums = schubert.weight_sums_by_pi(m, n, "W" * m)
+    """G(pi) is the mirror image of G(gamma.pi.gamma), from two sweeps.
+
+    The mirror takes the point A = y1 = 0 to B = yn = 0, so G(pi) at
+    A = y1 = 0 is compared with the mirror of G(gamma.pi.gamma) at
+    B = yn = 0.  The mirror keeps the ring on which both evaluations are
+    injective, so the comparison is exact.
+    """
+    sums = schubert.reduced_weight_sums(m, n, "W" * m)
+    mirrored = schubert.reduced_weight_sums(m, n, "W" * m, zero=(Var("B"), Var("y", n)))
     for pi in schubert.all_partial_perms(m, n):
         conj = schubert.gamma_conjugate(pi, m, n)
-        if sums[pi] != schubert.mirror_substitution(sums[conj]):
+        if sums[pi] != schubert.mirror_substitution(mirrored[conj]):
             yield f"pi={pi}: mirror identity fails against {conj}"
 
 

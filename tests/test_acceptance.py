@@ -166,21 +166,26 @@ def test_c04_beta_independence():
         assert reduced_weight_sums(4, 5, beta, SAMPLED_45) == reference, beta
 
 
-@budget(120)
-def test_c04_verify_beta_4x5_within_1gib():
-    # every connectivity of (4,5) across all sixteen hybridizations, run as
-    # the command line runs it, in a child whose address space is capped
+def verify_within_1gib(check, m, n, timeout):
+    """``gpd verify <check>`` run as the command line runs it, in a child
+    whose address space is capped at 1 GiB."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    done = subprocess.run(
-        [sys.executable, "-m", "gpd.cli", "verify", "beta", "--m", "4", "--n", "5"],
+    return subprocess.run(
+        [sys.executable, "-m", "gpd.cli", "verify", check, "--m", str(m), "--n", str(n)],
         env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
     )
+
+
+@budget(120)
+def test_c04_verify_beta_4x5_within_1gib():
+    # every connectivity of (4,5) across all sixteen hybridizations
+    done = verify_within_1gib("beta", 4, 5, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "PASS beta-independence (4,5)" in done.stdout.splitlines()
 
@@ -193,6 +198,14 @@ def test_c05_recurrence():
         assert set(table) == set(sums)
         for pi, g in table.items():
             assert g == sums[pi], (m, n, pi)
+
+
+@budget(30)
+def test_c05_verify_recurrence_4x5_within_1gib():
+    # every word of (4,5): the recurrence table and the sweep at A = y1 = 0
+    done = verify_within_1gib("recurrence", 4, 5, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert "PASS recurrence (4,5)" in done.stdout.splitlines()
 
 
 @budget(10)
@@ -242,6 +255,12 @@ def test_c07_leading_form():
     assert schubert_sum(3, 3, (3, 1, 2)) == product(3, 3, ["x1-y1", "x1-y2"])
 
 
+@budget(5)
+def test_c07_check_leading_4x4():
+    report = verify.check_leading(4, 4)
+    assert report.ok, report.failures[:3]
+
+
 @budget(30)
 def test_c08_mirror():
     for m, n in SMALL_SHAPES:
@@ -249,6 +268,14 @@ def test_c08_mirror():
         for pi in all_partial_perms(m, n):
             conj = gamma_conjugate(pi, m, n)
             assert sums[pi] == mirror_substitution(sums[conj]), (m, n, pi)
+
+
+@budget(30)
+def test_c08_verify_mirror_4x5_within_1gib():
+    # every word of (4,5): sweeps at A = y1 = 0 and at B = y5 = 0
+    done = verify_within_1gib("mirror", 4, 5, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert "PASS mirror (4,5)" in done.stdout.splitlines()
 
 
 @budget(10)

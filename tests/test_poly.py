@@ -355,6 +355,23 @@ def test_signed_relabel_and_substitute():
     assert shifted == parse("2*A + x1 - y2", 2, 2)
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 4), (2, 30)])
+def test_at_zero_matches_substitute(m, n):
+    # (2,30) polynomials carry a degree-2 term in every variable, so their
+    # keys are Python ints
+    rng = random.Random(f"at_zero {m} {n}")
+    variables = [slot_var(s, m, n) for s in range(2 + m + n)]
+    zero = Polynomial.zero(m, n)
+    for _ in range(40):
+        f = random_poly(rng, m, n, max_terms=8, max_deg=5)
+        if n == 30:
+            f = f + Polynomial(m, n, {(2,) * (2 + m + n): 1})
+            assert f.keys.dtype == object
+        vs = rng.sample(variables, rng.randint(0, min(3, len(variables))))
+        assert f.at_zero(*vs) == f.substitute({v: zero for v in vs}), vs
+    assert parse("A*B + x1 - 3", m, n).at_zero(Var("A"), Var("x", 1)) == parse("-3", m, n)
+
+
 def test_in_context_promote_and_restrict():
     f = parse("A + x1 - y2", 1, 2)
     wide = f.in_context(3, 4)

@@ -100,8 +100,9 @@ def test_verify_all_output_is_pinned(capsys):
 
 
 def _break_weight_sums(monkeypatch, beta, pi, extra):
-    """weight_sums_by_pi with ``extra`` added to G(pi) of one row type."""
-    original = schubert.weight_sums_by_pi
+    """reduced_weight_sums with ``extra`` added to G(pi) of one row type, at
+    every point it is evaluated at."""
+    original = schubert.reduced_weight_sums
 
     def broken(m, n, b, *rest, **kwargs):
         sums = original(m, n, b, *rest, **kwargs)
@@ -109,16 +110,17 @@ def _break_weight_sums(monkeypatch, beta, pi, extra):
             sums[pi] = sums[pi] + parse(extra, m, n)
         return sums
 
-    monkeypatch.setattr(schubert, "weight_sums_by_pi", broken)
+    monkeypatch.setattr(schubert, "reduced_weight_sums", broken)
 
 
 def _break_recurrence_table(monkeypatch):
-    """recurrence_table with A added to G(2,1)."""
+    """recurrence_table with B added to G(2,1), in the full alphabet or at a
+    point."""
     original = schubert.recurrence_table
 
-    def broken(m, n):
-        table = original(m, n)
-        table[(2, 1)] = table[(2, 1)] + parse("A", m, n)
+    def broken(m, n, zero=()):
+        table = original(m, n, zero)
+        table[(2, 1)] = table[(2, 1)] + parse("B", m, n)
         return table
 
     monkeypatch.setattr(schubert, "recurrence_table", broken)
@@ -176,7 +178,7 @@ def test_leading_check_fails_on_a_broken_degree(capsys, monkeypatch):
 
 
 def test_leading_check_fails_on_a_broken_leading_coefficient(capsys, monkeypatch):
-    _break_weight_sums(monkeypatch, "WE", (1, 2), "A*B^4")
+    _break_weight_sums(monkeypatch, "WE", (1, 2), "x1*B^4")
     assert_fails_with(
         capsys,
         ("leading", "--m", "2", "--n", "2"),
@@ -185,7 +187,7 @@ def test_leading_check_fails_on_a_broken_leading_coefficient(capsys, monkeypatch
 
 
 def test_mirror_check_fails_on_a_broken_g(capsys, monkeypatch):
-    _break_weight_sums(monkeypatch, "WW", (1, 2), "A")
+    _break_weight_sums(monkeypatch, "WW", (1, 2), "B")
     code, check = only_check(capsys, "mirror", "--m", "2", "--n", "3")
     assert code == 1 and check["status"] == "FAIL"
     assert "pi=(1, 2): mirror identity fails against (2, 3)" in check["failures"]
@@ -230,6 +232,29 @@ def test_flux_check_fails_on_a_broken_g(capsys, monkeypatch):
         ("flux", "--m", "2", "--n", "2"),
         "beta=EW pi=(2, 1): component classes do not sum to G",
     )
+
+
+# ---------------------------------------------------------------------------
+# the global G checks run at A = y1 = 0
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("check", ["recurrence", "leading", "mirror"])
+def test_g_checks_never_build_the_full_alphabet_g(capsys, monkeypatch, check):
+    original = schubert.recurrence_table
+
+    def refused(*args, **kwargs):
+        raise AssertionError("full-alphabet G built")
+
+    def evaluated_only(m, n, zero=()):
+        if not zero:
+            refused()
+        return original(m, n, zero)
+
+    monkeypatch.setattr(schubert, "weight_sums_by_pi", refused)
+    monkeypatch.setattr(schubert, "recurrence_table", evaluated_only)
+    code, report = only_check(capsys, check, "--m", "3", "--n", "4")
+    assert code == 0 and report["status"] == "PASS", report["failures"]
 
 
 # ---------------------------------------------------------------------------
