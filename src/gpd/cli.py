@@ -12,11 +12,13 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from . import flux as fluxmod
-from . import grid, schubert, verify
-from .verify import CheckReport
+from . import grid
+
+if TYPE_CHECKING:
+    from .flux import EdgeId
+    from .verify import CheckReport
 
 USAGE_ERROR = 2
 
@@ -30,7 +32,7 @@ def _parse_pi(text: str, m: int, n: int) -> tuple[int, ...]:
         values = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse connectivity {text!r}; expected e.g. 1,3,4")
-    return schubert.check_partial_perm(values, m, n)
+    return grid.check_partial_perm(values, m, n)
 
 
 def _guard_work(m: int, n: int, max_work: int) -> None:
@@ -88,10 +90,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_poly(args) -> int:
     """Print one polynomial of a connectivity: G(pi) for ``poly``, the
-    nongeneric sum for ``schubert`` (``args.compute``)."""
+    nongeneric sum for ``schubert`` (``args.compute`` names the function)."""
+    from . import schubert
+
     _guard_work(args.m, args.n, args.max_work)
     pi = _parse_pi(args.pi, args.m, args.n)
-    g = args.compute(m=args.m, n=args.n, beta=args.beta, pi=pi)
+    g = getattr(schubert, args.compute)(m=args.m, n=args.n, beta=args.beta, pi=pi)
     if args.format == "json":
         payload = {
             "m": args.m,
@@ -111,14 +115,26 @@ def _cmd_poly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checker(name: str, *fields: str) -> Callable[[argparse.Namespace], CheckReport]:
+    """Run ``verify.<name>`` on the named fields of the arguments; ``verify``
+    is imported when a check runs."""
+
+    def run(args: argparse.Namespace) -> CheckReport:
+        from . import verify
+
+        return getattr(verify, name)(*(getattr(args, f) for f in fields))
+
+    return run
+
+
 _CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
-    "beta": lambda a: verify.check_beta_independence(a.m, a.n, a.jobs),
-    "recurrence": lambda a: verify.check_recurrence(a.m, a.n),
-    "leading": lambda a: verify.check_leading(a.m, a.n),
-    "mirror": lambda a: verify.check_mirror(a.m, a.n),
-    "ybe": lambda a: verify.verify_ybe(a.mode),
-    "crossing": lambda a: verify.check_crossing(),
-    "flux": lambda a: verify.check_flux(a.m, a.n),
+    "beta": _checker("check_beta_independence", "m", "n", "jobs"),
+    "recurrence": _checker("check_recurrence", "m", "n"),
+    "leading": _checker("check_leading", "m", "n"),
+    "mirror": _checker("check_mirror", "m", "n"),
+    "ybe": _checker("verify_ybe", "mode"),
+    "crossing": _checker("check_crossing"),
+    "flux": _checker("check_flux", "m", "n"),
 }
 _SHOWN_FAILURES = 5  # per failing check, in both output formats
 
@@ -156,12 +172,14 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def render_flux_lattice(m: int, n: int, table: dict[fluxmod.EdgeId, object]) -> str:
+def render_flux_lattice(m: int, n: int, table: dict[EdgeId, object]) -> str:
     """(2m+1) x (2n+1) text lattice of flux entries.
 
     Odd lattice rows hold the vertical-edge fluxes of one grid row, even
     rows the horizontal-edge fluxes between grid rows.
     """
+    from . import flux as fluxmod
+
     cells: list[list[str]] = [["" for _ in range(2 * n + 1)] for _ in range(2 * m + 1)]
     for edge, expr in table.items():
         text = fluxmod.format_flux(expr)
@@ -181,6 +199,8 @@ def render_flux_lattice(m: int, n: int, table: dict[fluxmod.EdgeId, object]) -> 
 
 
 def _cmd_flux(args) -> int:
+    from . import flux as fluxmod
+
     if args.dream:
         with open(args.dream, encoding="utf-8") as fh:
             d = grid.parse_dream(fh.read())
@@ -271,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("poly", help="generic pipe dream polynomial")
     _add_common(sp, need_pi=True)
-    sp.set_defaults(func=_cmd_poly, compute=schubert.generic_polynomial)
+    sp.set_defaults(func=_cmd_poly, compute="generic_polynomial")
 
     sp = sub.add_parser("schubert", help="nongeneric (double Schubert) sum")
     _add_common(sp, need_pi=True)
-    sp.set_defaults(func=_cmd_poly, compute=schubert.schubert_sum)
+    sp.set_defaults(func=_cmd_poly, compute="schubert_sum")
 
     sp = sub.add_parser("verify", help="run identity checks; exit 1 on failure")
     sp.add_argument("check", choices=("all", *_CHECKS))

@@ -230,15 +230,19 @@ def connectivity(d: PipeDream) -> tuple[tuple[int, ...], tuple[tuple[int, int], 
 
 @lru_cache(maxsize=None)
 def tile_weight(row_type: str, t: Tile, x_index: int, j: int, m: int, n: int) -> Polynomial:
-    """Linear weight of one tile: x_index is the label of the row's pipe."""
-    a, b, xs, ys = alphabet(m, n)
+    """Linear weight of one tile: x_index is the label of the row's pipe.
+    Tiles of equal weight share one Polynomial, built once."""
     if t in ELBOWS:
-        return a + b
+        return _ab_power(m, n, 1)
+    # W straight / E blank: A + x - y; W blank / E straight: B - x + y
+    return _linear_weight((row_type == "W") == (t in STRAIGHTS), x_index, j, m, n)
+
+
+@lru_cache(maxsize=None)
+def _linear_weight(plus_a: bool, x_index: int, j: int, m: int, n: int) -> Polynomial:
+    a, b, xs, ys = alphabet(m, n)
     x, y = xs[x_index - 1], ys[j - 1]
-    straightish = t in STRAIGHTS
-    if (row_type == "W") == straightish:
-        return a + x - y  # W straight / E blank
-    return b - x + y  # W blank / E straight
+    return a + x - y if plus_a else b - x + y
 
 
 @lru_cache(maxsize=None)
@@ -335,11 +339,23 @@ def parse_dream(text: str) -> PipeDream:
 
 def _cells(
     m: int, n: int, beta: str, mode: str, targets: Collection[tuple[int, ...]] | None
-) -> list[tuple[int, int, int, set[int] | None, dict, bool]]:
+) -> list[tuple[int, int, int, set[int] | None, set[int] | None, dict, bool]]:
     """The cells in walk order: (i, j, the pipe entering there or 0, the
-    top-row North labels some target puts in column j or None, the (tile,
-    *route) choices by (side, South) occupancy, less the nongeneric ban and,
-    in a row's last cell, the tiles that exit on the far side; nongeneric)."""
+    labels a tile may put on the North edge and pass on along the row, both
+    None without targets, the (tile, *route) choices by (side, South)
+    occupancy, less the nongeneric ban and, in a row's last cell, the tiles
+    that exit on the far side; nongeneric).
+
+    A label may go on only if some target exits that pipe in a column it
+    can still reach.  Pipes leave only through the North boundary, W rows
+    move them only East and E rows only West, so a pipe going North from
+    column j exits exactly at j with no rows above, in [j, n] below W rows
+    only, in [1, j] below E rows only, and anywhere below both; a pipe
+    passed on may first go North from any column still ahead in its row.
+    No pruned prefix completes to a target, so pruning is exact.  Below the
+    top row 0 is always allowed; in it, only where some target leaves
+    column j empty.
+    """
     if mode not in ("generic", "nongeneric"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= m <= n:
@@ -347,16 +363,21 @@ def _cells(
     check_beta(beta, m)
     nongeneric = mode == "nongeneric"
     phi = pipe_numbering(beta)
-    exits: list[set[int]] | None = None
-    if targets is not None:
-        exits = [set() for _ in range(n + 1)]
-        for word in targets:
-            for j in range(1, n + 1):
-                exits[j].add(word.index(j) + 1 if j in word else 0)
+    exits = [{w[p] for w in targets or ()} for p in range(m)]  # by label - 1
+
+    def fits(i: int, lo: int, hi: int) -> set[int]:
+        """Labels some target exits where going North from [lo, hi] in row i leads."""
+        if lo > hi:
+            return set()
+        above = beta[: i - 1]
+        reach = range(1 if "E" in above else lo, (n if "W" in above else hi) + 1)
+        return {p for p in range(1, m + 1) if not exits[p - 1].isdisjoint(reach)}
+
     cells = []
     for i in range(m, 0, -1):
         ban = NONGENERIC_BAN[beta[i - 1]] if nongeneric else None
-        cols = list(range(1, n + 1) if beta[i - 1] == "W" else range(n, 0, -1))
+        west_going = beta[i - 1] == "W"
+        cols = list(range(1, n + 1) if west_going else range(n, 0, -1))
         for j in cols:
             last = j == cols[-1]
             choices = {
@@ -367,24 +388,28 @@ def _cells(
                 )
                 for occupancy, tiles in _TILE_CHOICES.items()
             }
-            allowed = exits[j] if exits is not None and i == 1 else None
+            north = far = None
+            if targets is not None:
+                empty = i > 1 or any(j not in w for w in targets)
+                north = fits(i, j, j) | ({0} if empty else set())
+                far = (fits(i, j + 1, n) if west_going else fits(i, 1, j - 1)) | {0}
             enter = phi[i - 1] if j == cols[0] else 0
-            cells.append((i, j, enter, allowed, choices, nongeneric))
+            cells.append((i, j, enter, north, far, choices, nongeneric))
     return cells
 
 
 def _children(cell, frontier: tuple) -> list:
     """The tiles admissible at ``cell`` after a frontier (side label, North
     labels, crossed pairs), in Tile order: (tile, next frontier) each."""
-    _, j, enter, allowed, choices, nongeneric = cell
+    _, j, enter, north_ok, far_ok, choices, nongeneric = cell
     side, front, crossed = frontier
     side = enter or side
     south = front[j - 1]
     ins = (0, side, south)
     out = []
     for t, north_src, far_src in choices[side != 0, south != 0]:
-        north = ins[north_src]
-        if allowed is not None and north not in allowed:
+        north, far = ins[north_src], ins[far_src]
+        if north_ok is not None and (north not in north_ok or far not in far_ok):
             continue
         pairs = crossed
         if nongeneric and t is Tile.CROSS:
@@ -392,7 +417,7 @@ def _children(cell, frontier: tuple) -> list:
             if pair in crossed:
                 continue
             pairs = crossed | {pair}
-        out.append((t, (ins[far_src], front[: j - 1] + (north,) + front[j:], pairs)))
+        out.append((t, (far, front[: j - 1] + (north,) + front[j:], pairs)))
     return out
 
 
@@ -409,8 +434,10 @@ def walk(
     frontier carries the pipe label of every North edge (and, nongeneric,
     the pairs that crossed), so pi is read off the top row, not retraced.
     Nongeneric mode skips NONGENERIC_BAN tiles and a second crossing of a
-    pair.  With ``targets``, top-row tiles whose North label no target puts
-    in their column are pruned, and only dreams of a target pi are yielded.
+    pair.  With ``targets``, only dreams of a target pi are yielded, and a
+    tile is pruned when a pipe it sends North or along its row can reach no
+    column where a target exits it: W rows move pipes only East, E rows
+    only West, and pipes leave only through the North boundary (``_cells``).
     """
     cells = _cells(m, n, beta, mode, targets)
     # One grid serves the whole walk: a node sets its cell's tile when it
@@ -443,8 +470,10 @@ def transfer(
 ) -> dict[tuple[int, ...], Any]:
     """Per-connectivity sums over all dreams (of ``targets``), layer by layer.
 
-    The cells, tiles and pruning of ``walk``, but a layer holds one value per
-    frontier state, keyed by (side label, North labels) and, nongeneric, the
+    The cells, tiles and exit-reach pruning of ``walk``, exact because W
+    rows move pipes only East, E rows only West, and pipes leave only
+    North: a layer holds one value per frontier state that can still end
+    in a target, keyed by (side label, North labels) and, nongeneric, the
     frozenset of crossed pairs, so prefixes ending in one state share it.
     ``step(value, i, j, tile)`` (None: identity) carries a value across a
     tile; ``combine(a, b)`` adds the values reaching a state as they arrive.

@@ -19,8 +19,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import flux, grid, schubert, yangbaxter
-from .flux import EdgeId
+from . import grid, schubert
 from .grid import PipeDream, Tile
 from .poly import Polynomial, Var
 
@@ -206,6 +205,8 @@ def verify_ybe(mode: str | None = None):
     ``mode`` is 'ww' (two W rows, rightward diamond), 'we' (a W row over an
     E row, upward diamond), or None for both.
     """
+    from . import yangbaxter
+
     for md in [mode] if mode else ["ww", "we"]:
         for boundary, cls, lhs, rhs in yangbaxter.class_identities(md):
             if lhs != rhs:
@@ -238,6 +239,9 @@ def conservation_check(m: int, n: int, beta: str):
     East + South = West + North; both sides are compared as multisets of
     markers.
     """
+    from . import flux
+    from .flux import EdgeId
+
     fluxes = flux.flux_grid(m, n, beta)
     for i in range(1, m + 1):
         for j in range(1, n + 1):
@@ -256,6 +260,8 @@ def check_flux(m: int, n: int):
     """Flux conservation, and per hybridization: every dream is rebuilt from
     its flux labels, and (A+B)^m times the sum of the component classes is
     G(pi) for every connectivity."""
+    from . import flux
+
     table = schubert.recurrence_table(m, n)
     ab_m = grid._ab_power(m, n, m)
     for beta in schubert.all_hybridizations(m):

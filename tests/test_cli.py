@@ -101,6 +101,38 @@ def test_import_builds_no_pool_and_no_layouts():
     assert done.stdout.split() == ["False", "0"]
 
 
+def test_commands_load_only_the_modules_they_run():
+    # import gpd.cli loads NumPy (the benchmark's setup child reads its
+    # version) but none of the modules that only some commands run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import gpd.cli\n"
+        "heavy = ['gpd.schubert', 'gpd.verify', 'gpd.flux', 'gpd.yangbaxter']\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gpd.cli.main(list(argv)) == 0, argv\n"
+        "    return [m for m in heavy if m in sys.modules]\n"
+        "seen = {'import': [m for m in heavy if m in sys.modules], 'numpy': 'numpy' in sys.modules}\n"
+        "seen['count'] = run('count', '--m', '3', '--n', '4', '--pi', '2,1,4')\n"
+        "seen['enumerate'] = run('enumerate', '--m', '2', '--n', '3', '--pi', '3,1')\n"
+        "seen['poly'] = run('poly', '--m', '2', '--n', '2', '--pi', '2,1')\n"
+        "seen['verify'] = run('verify', 'beta', '--m', '2', '--n', '2')\n"
+        "print(json.dumps(seen))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["numpy"] is True
+    assert seen["import"] == seen["count"] == seen["enumerate"] == []
+    assert "gpd.verify" not in seen["poly"]
+    assert "gpd.flux" not in seen["verify"] and "gpd.yangbaxter" not in seen["verify"]
+
+
 def test_ybe_and_pool_are_made_on_use(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "ybe")
     assert code == 0 and out == "PASS yang-baxter\n"
@@ -314,9 +346,10 @@ def test_render_flux_lattice_dimensions():
 
 def test_verify_json_carries_failures(capsys, monkeypatch):
     from gpd import cli
+    from gpd.verify import CheckReport
 
     def failing(args):
-        report = cli.CheckReport("crossing-flip (n<=5)")
+        report = CheckReport("crossing-flip (n<=5)")
         for k in range(7):
             report.fail(f"broken flip {k}")
         return report

@@ -93,6 +93,42 @@ def test_nongeneric_sums_match_dream_by_dream(m, n):
             assert nongeneric_sums_by_pi(m, n, beta, targets) == want, (beta, targets)
 
 
+def pruning_target_sets(m, n):
+    """Every word alone, then two multi-word sets."""
+    words = all_partial_perms(m, n)
+    return [{w} for w in words] + [set(words[1::2]), set(words[: len(words) // 2 + 1])]
+
+
+def restricted(sums, targets):
+    return {pi: v for pi, v in sums.items() if pi in targets}
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_pruned_sums_are_restricted_full_sums(m, n):
+    # targets prune frontier states by exit reach; every sum over the
+    # targets must still be the full sweep's sum at those words
+    sweeps = (weight_sums_by_pi, reduced_weight_sums, nongeneric_sums_by_pi)
+    for beta in all_hybridizations(m):
+        full = [sweep(m, n, beta) for sweep in sweeps]
+        for targets in pruning_target_sets(m, n):
+            for sweep, sums in zip(sweeps, full):
+                got = sweep(m, n, beta, targets)
+                assert got == restricted(sums, targets), (sweep.__name__, beta, targets)
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+@pytest.mark.parametrize("mode", ["generic", "nongeneric"])
+def test_pruned_counts_are_restricted_full_counts(m, n, mode):
+    for beta in all_hybridizations(m):
+        full = grid.transfer(m, n, beta, None, 1, int.__add__, mode)
+        for targets in pruning_target_sets(m, n):
+            counts = grid.transfer(m, n, beta, None, 1, int.__add__, mode, targets)
+            assert counts == restricted(full, targets), (beta, targets)
+            if len(targets) == 1:
+                (pi,) = targets
+                assert count_dreams(m, n, beta, pi, mode) == full.get(pi, 0), (beta, pi)
+
+
 @pytest.mark.parametrize("m,n,beta", [(5, 5, "WEEWE"), (5, 6, "EWWEW")])
 def test_large_counts_match_walk(m, n, beta):
     count = count_dreams(m, n, beta)
@@ -100,7 +136,7 @@ def test_large_counts_match_walk(m, n, beta):
     assert count == sum(1 for _ in grid.walk(m, n, beta))
 
 
-def layer_sizes(m, n, beta, mode="generic"):
+def layer_sizes(m, n, beta, mode="generic", targets=None):
     """Number of merged frontier states after each cell of a transfer.
 
     A layer's states are its transitions less the merges into them.  Each
@@ -125,7 +161,7 @@ def layer_sizes(m, n, beta, mode="generic"):
         stepped = False
         return a + b
 
-    grid.transfer(m, n, beta, step, 1, combine, mode)
+    grid.transfer(m, n, beta, step, 1, combine, mode, targets)
     return [size for _, size in sizes]
 
 
@@ -145,6 +181,19 @@ def test_transfer_merges_equal_frontiers(m, n, mode, states, widest):
     sizes = layer_sizes(m, n, "W" * m, mode)
     assert len(sizes) == m * n
     assert (sum(sizes), max(sizes)) == (states, widest)
+
+
+@pytest.mark.parametrize(
+    "m,n,pi,states,top_row_only",
+    [(4, 4, (2, 3, 1, 4), 58, 208), (4, 5, (1, 2, 3, 4), 147, 526)],
+)
+def test_targets_prune_states_by_exit_reach(m, n, pi, states, top_row_only):
+    # W...W: a pipe below W rows only exits East of where it is, so states
+    # whose pipes can no longer reach their target column are dropped in
+    # every row; pruning only the top row would carry ``top_row_only``
+    sizes = layer_sizes(m, n, "W" * m, targets={pi})
+    assert len(sizes) == m * n
+    assert sum(sizes) == states < top_row_only
 
 
 @pytest.mark.parametrize(
