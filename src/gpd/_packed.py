@@ -111,21 +111,56 @@ def layout(widths: tuple[int, ...]) -> Packer:
 
 
 def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combine duplicate keys, drop zero coefficients; keys come out ascending."""
-    if len(keys) == 0:
-        return keys, coeffs
-    order = np.argsort(keys, kind="stable")
-    sk, sc = keys[order], coeffs[order]
-    starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
-    uk = sk[starts]
-    uc = np.add.reduceat(sc, starts)
-    keep = uc != 0
-    return uk[keep], uc[keep]
+    """Combine duplicate keys, drop zero coefficients; keys come out ascending.
+
+    The merge owns its arguments: it drops each array once the next is
+    made, so a buffer no caller holds is freed as it goes.  Ascending keys
+    skip the sort, distinct keys the sum, nonzero coefficients the filter.
+    """
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        coeffs = coeffs[order]
+        del order
+        starts = keys[1:] != keys[:-1]
+        if not starts.all():
+            starts = np.flatnonzero(np.concatenate(([True], starts)))
+            keys = keys[starts]
+            coeffs = np.add.reduceat(coeffs, starts)
+    keep = coeffs != 0
+    if not keep.all():
+        keys, coeffs = keys[keep], coeffs[keep]
+    return keys, coeffs
 
 
-def mul_factor(keys, coeffs, fk, fc):
-    """Product of two packed polynomials in one layout that holds it.  With
-    ascending ``keys``, each factor term gives an ascending run to merge."""
-    nk = (fk[:, None] + keys[None, :]).ravel()
-    nc = (fc[:, None] * coeffs[None, :]).ravel()
-    return merge(nk, nc)
+def merge_products(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of the pieces' products, merged once.
+
+    A piece (keys, coeffs, factor, ...) is a merged packed polynomial times
+    ``factor``, a packed (keys, coeffs) pair or None for 1, in a layout that
+    holds the product.  Ufuncs write the products into one buffer with
+    ``dtype`` coefficients, dropping each piece from ``pieces``; ``merge``
+    gets the only reference to it, so it owns and frees it.  A lone piece
+    with no factor is the sum as it is.
+    """
+    if len(pieces) == 1 and pieces[0][2] is None:
+        return pieces[0][0], pieces[0][1].astype(dtype, copy=False)
+    return merge(_column(pieces, 0, pieces[0][0].dtype), _column(pieces, 1, dtype))
+
+
+def _column(pieces: list, col: int, dtype) -> np.ndarray:
+    """The products' keys (``col`` 0) or coefficients (1), piece by piece, a
+    factor term's run at a time; the coefficients drop each piece they read."""
+    sizes = [len(p[0]) * (1 if p[2] is None else len(p[2][0])) for p in pieces]
+    out = np.empty(sum(sizes), dtype=dtype)
+    op = np.multiply if col else np.add
+    for k, end in enumerate(accumulate(sizes)):
+        values, factor = pieces[k][col], pieces[k][2]
+        if col:
+            pieces[k] = None
+        run = out[end - sizes[k] : end]
+        if factor is None:
+            run[:] = values
+        else:
+            op(factor[col][:, None], values, out=run.reshape(len(factor[col]), -1), dtype=dtype)
+    return out

@@ -349,6 +349,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as exc:  # a backstop for an admitted input that does not fit
+        print(f"error: out of memory ({type(exc).__name__}) {exc}".rstrip(), file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ states instead (the transfer-matrix method), behind counts and weight sums.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -464,7 +463,7 @@ def transfer(
     beta: str,
     step: Callable[[Any, int, int, Tile], Any] | None,
     root: Any,
-    combine: Callable[[Any, Any], Any],
+    combine: Callable[[list], Any],
     mode: str = "generic",
     targets: Collection[tuple[int, ...]] | None = None,
 ) -> dict[tuple[int, ...], Any]:
@@ -476,24 +475,30 @@ def transfer(
     in a target, keyed by (side label, North labels) and, nongeneric, the
     frozenset of crossed pairs, so prefixes ending in one state share it.
     ``step(value, i, j, tile)`` (None: identity) carries a value across a
-    tile; ``combine(a, b)`` adds the values reaching a state as they arrive.
+    tile.  Each state is reduced once per cell: ``combine(values)`` turns
+    the list of values reaching it into its value (``sum`` counts), and
+    groups the last layer's states by word.  A parent is popped once its
+    children are taken, so its value lives on only in them.
     """
     cells = _cells(m, n, beta, mode, targets)
     layer: dict[tuple, Any] = {(0, (0,) * n, frozenset()): root}
     for cell in cells:
         i, j = cell[0], cell[1]
-        nxt: dict[tuple, Any] = {}
-        for frontier, value in layer.items():
+        nxt: dict[tuple, list] = {}
+        for frontier in list(layer):
+            value = layer.pop(frontier)
             for t, key in _children(cell, frontier):
-                child = value if step is None else step(value, i, j, t)
-                nxt[key] = combine(nxt[key], child) if key in nxt else child
+                nxt.setdefault(key, []).append(value if step is None else step(value, i, j, t))
         layer = nxt
-    sums: dict[tuple[int, ...], Any] = {}
-    for (_, front, _), value in layer.items():
-        word = _exit_word(front, m)
+        for key, values in layer.items():
+            layer[key] = combine(values)
+    by_word: dict[tuple[int, ...], list] = {}
+    for state in list(layer):
+        word = _exit_word(state[1], m)
+        value = layer.pop(state)
         if targets is None or word in targets:
-            sums[word] = combine(sums[word], value) if word in sums else value
-    return sums
+            by_word.setdefault(word, []).append(value)
+    return {word: combine(values) for word, values in by_word.items()}
 
 
 def enumerate_dreams(
@@ -521,4 +526,4 @@ def count_dreams(
 ) -> int:
     """Number of dreams of the given shape and type (of connectivity ``pi``)."""
     targets = None if pi is None else {check_partial_perm(pi, m, n)}
-    return sum(transfer(m, n, beta, None, 1, operator.add, mode, targets).values())
+    return sum(transfer(m, n, beta, None, 1, sum, mode, targets).values())

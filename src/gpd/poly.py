@@ -659,9 +659,8 @@ def total(m: int, n: int, terms: Iterable[Polynomial]) -> Polynomial:
         return ps[0] if ps else Polynomial.zero(m, n)
     packer = _packed.layout(tuple(map(max, *(p.packer.widths for p in ps))))
     dtype = _packed.coeff_dtype(sum(p.l1_norm() for p in ps))
-    keys = np.concatenate([p.packer.rekey(p.keys, packer) for p in ps])
-    coeffs = np.concatenate([p.coeffs.astype(dtype, copy=False) for p in ps])
-    return Polynomial.from_packed(m, n, packer, *_packed.merge(keys, coeffs))
+    pieces = [(p.packer.rekey(p.keys, packer), p.coeffs, None) for p in ps]
+    return Polynomial.from_packed(m, n, packer, *_packed.merge_products(pieces, dtype))
 
 
 def product(m: int, n: int, factors: Iterable[Polynomial]) -> Polynomial:
@@ -680,11 +679,8 @@ def product(m: int, n: int, factors: Iterable[Polynomial]) -> Polynomial:
     dtype = _packed.coeff_dtype(math.prod(f.l1_norm() for f in fs))
     keys, coeffs = fs[0].packer.rekey(fs[0].keys, packer), fs[0].coeffs.astype(dtype, copy=False)
     for f in fs[1:]:
-        fk, fc = f.packer.rekey(f.keys, packer), f.coeffs.astype(dtype, copy=False)
-        if len(f) == 1:  # a monomial shifts every key alike: no merge
-            keys, coeffs = keys + fk[0], coeffs * fc[0]
-        else:
-            keys, coeffs = _packed.mul_factor(keys, coeffs, fk, fc)
+        factor = f.packer.rekey(f.keys, packer), f.coeffs.astype(dtype, copy=False)
+        keys, coeffs = _packed.merge_products([(keys, coeffs, factor)], dtype)
     return Polynomial.from_packed(m, n, packer, keys, coeffs)
 
 

@@ -12,9 +12,9 @@ Summation over dreams is exact integer arithmetic throughout.  One packed
 numpy sweep over the merged frontier states of ``grid.transfer`` runs
 every sum, generic weight sums, their values at A = y1 = 0 and nongeneric
 (Schubert) sums alike: each tile multiplies its state's value by the tile
-weight, and values reaching one state are merged.  Its coefficients are
-int64 while an L1-norm bound certifies them and become Python ints from
-the tile where the bound runs out.  Its (keys, coefficients) arrays become
+weight, and the values reaching one state are merged once per cell.  Its
+coefficients are int64 while an L1-norm bound certifies them and become
+Python ints from the cell where the bound runs out.  Its (keys, coefficients) arrays become
 ``Polynomial`` values as they are, so G(pi) never leaves the packed
 representation.  Hybridization independence, the recurrence, the
 B-leading form and the mirror identity (``gpd verify beta``,
@@ -76,12 +76,15 @@ def _sweep(
     """Dream weight sums by connectivity, on ``grid.transfer``.
 
     A tile multiplies its state's value by ``weight(i, j, tile)`` (None is
-    1; a one-term weight is a key shift), all in the ``Packer.alphabet``
-    layout.  Each value carries an L1 bound: the parent's bound times the
-    weight's L1, summed when values merge, so the running total of the
-    tiles' bounds caps every coefficient the sweep holds.  Coefficients are
-    int64 while that total stays below ``_packed.INT64_HEADROOM`` and Python
-    ints from the tile that reaches it.
+    1), all in the ``Packer.alphabet`` layout.  ``step`` returns a pending
+    product, the parent's arrays uncopied and the tile's factor; each state
+    is reduced once per cell by one ``_packed.merge_products`` over the
+    products reaching it, in a buffer the merge owns.  Each value carries
+    an L1 bound: the parent's bound times the weight's L1, summed when
+    values merge, so the running total of the tiles' bounds caps every
+    coefficient the sweep holds.  Coefficients are int64 while that total
+    stays below ``_packed.INT64_HEADROOM`` and Python ints from the cell
+    that reaches it.
     """
     grid.check_beta(beta, m)
     targets = None if pis is None else {check_partial_perm(p, m, n) for p in pis}
@@ -91,36 +94,30 @@ def _sweep(
     for cell in itertools.product(range(1, m + 1), range(1, n + 1), Tile):
         w = weight(*cell)
         if w is None:
-            table[cell] = None, None, 1
+            table[cell] = None, 1
         else:
-            table[cell] = w.packer.rekey(w.keys, packer), w.coeffs, w.l1_norm()
+            fl1 = w.l1_norm()  # a cached weight may hold Python ints that fit int64
+            fc = w.coeffs.astype(np.int64 if fl1 < headroom else object, copy=False)
+            table[cell] = (w.packer.rekey(w.keys, packer), fc), fl1
     total = 0
 
     def step(value, i, j, t):
         nonlocal total
-        keys, coeffs, bound = value
-        fk, fc, fl1 = table[i, j, t]
-        bound *= fl1
+        factor, fl1 = table[i, j, t]
+        bound = value[3] * fl1
         total += bound
-        if fk is None:
-            return keys, coeffs, bound
-        if total >= headroom:
-            coeffs = coeffs.astype(object, copy=False)
-        if len(fk) == 1:
-            return keys + fk[0], coeffs * int(fc[0]), bound
-        return (*_packed.mul_factor(keys, coeffs, fk, fc), bound)
+        return value[0], value[1], factor, bound
 
-    def combine(a, b):
+    def combine(values):
         dtype = object if total >= headroom else np.int64
-        keys = np.concatenate((a[0], b[0]))
-        coeffs = np.concatenate((a[1].astype(dtype, copy=False), b[1].astype(dtype, copy=False)))
-        return (*_packed.merge(keys, coeffs), a[2] + b[2])
+        bound = sum(v[3] for v in values)
+        return (*_packed.merge_products(values, dtype), None, bound)
 
-    root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
+    root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), None, 1)
     sums = grid.transfer(m, n, beta, step, root, combine, mode, targets)
     return {
         word: Polynomial.from_packed(m, n, packer, keys, coeffs)
-        for word, (keys, coeffs, _) in sums.items()
+        for word, (keys, coeffs, _, _) in sums.items()
     }
 
 
@@ -294,15 +291,19 @@ def nongeneric_sums_by_pi(
     nongeneric mode sums the products for every word, or for ``pis``.
     """
     phi = pipe_numbering(beta)
-    _, _, xs, ys = alphabet(m, n)
     counted = {"W": grid.STRAIGHTS, "E": {Tile.BLANK}}
 
     def weight(i, j, t):
-        if t in counted[beta[i - 1]]:
-            return xs[phi[i - 1] - 1] - ys[j - 1]
-        return None
+        return _x_minus_y(phi[i - 1], j, m, n) if t in counted[beta[i - 1]] else None
 
     return _sweep(m, n, beta, pis, weight, "nongeneric")
+
+
+@lru_cache(maxsize=None)
+def _x_minus_y(p: int, j: int, m: int, n: int) -> Polynomial:
+    """x_p - y_j, built once."""
+    _, _, xs, ys = alphabet(m, n)
+    return xs[p - 1] - ys[j - 1]
 
 
 def schubert_sum(

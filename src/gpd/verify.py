@@ -125,11 +125,13 @@ def _weight_b_degree(d: PipeDream) -> int:
     )
 
 
-def _is_nongeneric(d: PipeDream) -> bool:
+def _is_nongeneric(d: PipeDream, crossings: tuple | None = None) -> bool:
+    """No banned tile, no pair crossing twice (``grid.connectivity``'s record)."""
     for i in range(1, d.m + 1):
         if grid.NONGENERIC_BAN[d.row_type(i)] in d.tiles[i - 1]:
             return False
-    _, crossings = grid.connectivity(d)
+    if crossings is None:
+        _, crossings = grid.connectivity(d)
     return len(set(crossings)) == len(crossings)
 
 
@@ -172,9 +174,9 @@ def check_leading(m: int, n: int):
             if coeff != at_origin:
                 yield f"pi={pi} beta={beta}: leading coefficient mismatch"
         for d in grid.enumerate_dreams(m, n, beta):
-            pi = grid.connectivity(d)[0]
+            pi, crossings = grid.connectivity(d)
             top, bdeg = expected[pi][0], _weight_b_degree(d)
-            if _is_nongeneric(d):
+            if _is_nongeneric(d, crossings):
                 if bdeg != top:
                     yield f"pi={pi} beta={beta}: nongeneric dream of B-degree {bdeg}"
             elif bdeg >= top:

@@ -4,11 +4,13 @@ Each test prints one PASS line (with its runtime) on success; budgets are
 asserted as hard limits.
 """
 
+import hashlib
 import os
 import random
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 from gpd import flux as fluxmod
@@ -166,28 +168,62 @@ def test_c04_beta_independence():
         assert reduced_weight_sums(4, 5, beta, SAMPLED_45) == reference, beta
 
 
-def verify_within_1gib(check, m, n, timeout):
-    """``gpd verify <check>`` run as the command line runs it, in a child
-    whose address space is capped at 1 GiB."""
+def gpd_within_1gib(argv, timeout):
+    """``gpd <argv>`` run as the command line runs it, in a child whose
+    address space is capped at 1 GiB and CPU time at ``timeout`` seconds.
+
+    Returns its exit code, its stdout in a rewound temporary file, its
+    stderr, and its peak RSS in MB: the ``ru_maxrss`` of ``os.wait4``.
+    """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (timeout, timeout))
 
-    return subprocess.run(
-        [sys.executable, "-m", "gpd.cli", "verify", check, "--m", str(m), "--n", str(n)],
-        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
-        capture_output=True, text=True, timeout=timeout,
-    )
+    out = tempfile.TemporaryFile()
+    with tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "gpd.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap, stdout=out, stderr=err,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        message = err.read().decode()
+    out.seek(0)
+    return child.returncode, out, message, usage.ru_maxrss / 1024
+
+
+def verify_within_1gib(check, m, n, timeout):
+    """Exit code, stdout and stderr of ``gpd verify <check>`` within 1 GiB."""
+    code, out, err, _ = gpd_within_1gib(["verify", check, "--m", str(m), "--n", str(n)], timeout)
+    with out:
+        return code, out.read().decode(), err
 
 
 @budget(120)
 def test_c04_verify_beta_4x5_within_1gib():
     # every connectivity of (4,5) across all sixteen hybridizations
-    done = verify_within_1gib("beta", 4, 5, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "PASS beta-independence (4,5)" in done.stdout.splitlines()
+    code, out, err = verify_within_1gib("beta", 4, 5, timeout=120)
+    assert code == 0, err
+    assert "PASS beta-independence (4,5)" in out.splitlines()
+
+
+@budget(30)
+def test_c02_poly_4x5_within_280mb():
+    # G(1,2,3,4) at (4,5): 85,895,751 bytes of text, pinned by hash; the
+    # sweep merges each frontier state once per cell, so the peak stays low
+    code, out, err, peak_mb = gpd_within_1gib(["poly", "--m", "4", "--n", "5", "--pi", "1,2,3,4"], 30)
+    with out:
+        digest = hashlib.file_digest(out, "sha256").hexdigest()
+        size = out.tell()
+    assert code == 0, err
+    assert (size, digest) == (
+        85_895_751, "1d0585315528dc58be663757df5b99984b3270ea52b87a4a94edf1784c7446e9"
+    )
+    assert peak_mb <= 280, f"peak RSS {peak_mb:.0f} MB"
 
 
 @budget(60)
@@ -203,9 +239,9 @@ def test_c05_recurrence():
 @budget(30)
 def test_c05_verify_recurrence_4x5_within_1gib():
     # every word of (4,5): the recurrence table and the sweep at A = y1 = 0
-    done = verify_within_1gib("recurrence", 4, 5, timeout=30)
-    assert done.returncode == 0, done.stderr
-    assert "PASS recurrence (4,5)" in done.stdout.splitlines()
+    code, out, err = verify_within_1gib("recurrence", 4, 5, timeout=30)
+    assert code == 0, err
+    assert "PASS recurrence (4,5)" in out.splitlines()
 
 
 @budget(10)
@@ -273,9 +309,9 @@ def test_c08_mirror():
 @budget(30)
 def test_c08_verify_mirror_4x5_within_1gib():
     # every word of (4,5): sweeps at A = y1 = 0 and at B = y5 = 0
-    done = verify_within_1gib("mirror", 4, 5, timeout=30)
-    assert done.returncode == 0, done.stderr
-    assert "PASS mirror (4,5)" in done.stdout.splitlines()
+    code, out, err = verify_within_1gib("mirror", 4, 5, timeout=30)
+    assert code == 0, err
+    assert "PASS mirror (4,5)" in out.splitlines()
 
 
 @budget(10)

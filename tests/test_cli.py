@@ -371,3 +371,14 @@ def test_verify_json_carries_failures(capsys, monkeypatch):
     assert out == "FAIL crossing-flip (n<=5): broken flip 0\n" + "".join(
         f"     broken flip {k}\n" for k in range(1, 5)
     )
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # the backstop for an admitted input that does not fit, without running out
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    monkeypatch.setattr("gpd.grid.count_dreams", exhausted)
+    code, out, err = run(capsys, "count", "--m", "2", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory (MemoryError) Unable to allocate 2.00 GiB for an array\n"

@@ -51,7 +51,7 @@ def test_counts_match_walk(m, n, mode):
             leaves = {}
             for word, _ in grid.walk(m, n, beta, mode=mode, targets=targets):
                 leaves[word] = leaves.get(word, 0) + 1
-            counts = grid.transfer(m, n, beta, None, 1, int.__add__, mode, targets)
+            counts = grid.transfer(m, n, beta, None, 1, sum, mode, targets)
             assert counts == leaves, (beta, targets)
             if targets is not None and len(targets) == 1:
                 (pi,) = targets
@@ -120,9 +120,9 @@ def test_pruned_sums_are_restricted_full_sums(m, n):
 @pytest.mark.parametrize("mode", ["generic", "nongeneric"])
 def test_pruned_counts_are_restricted_full_counts(m, n, mode):
     for beta in all_hybridizations(m):
-        full = grid.transfer(m, n, beta, None, 1, int.__add__, mode)
+        full = grid.transfer(m, n, beta, None, 1, sum, mode)
         for targets in pruning_target_sets(m, n):
-            counts = grid.transfer(m, n, beta, None, 1, int.__add__, mode, targets)
+            counts = grid.transfer(m, n, beta, None, 1, sum, mode, targets)
             assert counts == restricted(full, targets), (beta, targets)
             if len(targets) == 1:
                 (pi,) = targets
@@ -139,30 +139,19 @@ def test_large_counts_match_walk(m, n, beta):
 def layer_sizes(m, n, beta, mode="generic", targets=None):
     """Number of merged frontier states after each cell of a transfer.
 
-    A layer's states are its transitions less the merges into them.  Each
-    merge inside a layer follows the step that made its value; a merge
-    that follows no step groups the last layer's states by word.
+    ``combine`` runs once per state on the values that reach it.  Here a
+    step's value is its cell, so a call on stepped values is one state of
+    that cell; the calls that group the last layer's states by word get
+    combined values (None) and are not counted.
     """
-    sizes = []
-    stepped = False
+    sizes = {}
 
-    def step(value, i, j, t):
-        nonlocal stepped
-        if not sizes or sizes[-1][0] != (i, j):
-            sizes.append([(i, j), 0])
-        sizes[-1][1] += 1
-        stepped = True
-        return value
+    def combine(values):
+        if values[0] is not None:
+            sizes[values[0]] = sizes.get(values[0], 0) + 1
 
-    def combine(a, b):
-        nonlocal stepped
-        if stepped:
-            sizes[-1][1] -= 1
-        stepped = False
-        return a + b
-
-    grid.transfer(m, n, beta, step, 1, combine, mode, targets)
-    return [size for _, size in sizes]
+    grid.transfer(m, n, beta, lambda value, i, j, t: (i, j), None, combine, mode, targets)
+    return list(sizes.values())
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 
 from gpd import cli, flux, grid, schubert, yangbaxter
 from gpd.poly import parse
+from gpd.verify import check_flux
 
 
 def verify(capsys, *argv):
@@ -318,10 +319,15 @@ def test_a_check_that_raises_reports_fail(capsys, monkeypatch, exc, text):
     assert checks[-1] == {"name": "flux (2,2)", "status": "FAIL", "failures": [text]}
 
 
-def test_memory_error_in_a_check_propagates(monkeypatch):
+def test_memory_error_in_a_check_propagates(capsys, monkeypatch):
+    # no FAIL line: the error leaves the check, and the command line ends
+    # with exit 2 and one stderr line naming it
     def failing(eqs):
         raise MemoryError
 
     monkeypatch.setattr(flux, "reconstruct_dream", failing)
     with pytest.raises(MemoryError):
-        cli.main(["verify", "flux", "--m", "2", "--n", "2"])
+        check_flux(2, 2)
+    assert cli.main(["verify", "flux", "--m", "2", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: out of memory (MemoryError)\n"
