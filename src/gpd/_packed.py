@@ -141,10 +141,16 @@ def merge_products(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     holds the product.  Ufuncs write the products into one buffer with
     ``dtype`` coefficients, dropping each piece from ``pieces``; ``merge``
     gets the only reference to it, so it owns and frees it.  A lone piece
-    with no factor is the sum as it is.
+    with no factor is the sum as it is; times a monomial, its keys shift
+    and its coefficients scale, still ascending, distinct and nonzero.
     """
-    if len(pieces) == 1 and pieces[0][2] is None:
-        return pieces[0][0], pieces[0][1].astype(dtype, copy=False)
+    if len(pieces) == 1:
+        keys, coeffs, factor = pieces[0][:3]
+        coeffs = coeffs.astype(dtype, copy=False)
+        if factor is None:
+            return keys, coeffs
+        if len(factor[0]) == 1:
+            return keys + int(factor[0][0]), coeffs * int(factor[1][0])
     return merge(_column(pieces, 0, pieces[0][0].dtype), _column(pieces, 1, dtype))
 
 

@@ -127,11 +127,9 @@ def _checker(name: str, *fields: str) -> Callable[[argparse.Namespace], CheckRep
     return run
 
 
+# The global G checks, run together by ``verify.g_checks`` on one sweep plan.
+_G_CHECKS = ("beta", "recurrence", "leading", "mirror")
 _CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
-    "beta": _checker("check_beta_independence", "m", "n", "jobs"),
-    "recurrence": _checker("check_recurrence", "m", "n"),
-    "leading": _checker("check_leading", "m", "n"),
-    "mirror": _checker("check_mirror", "m", "n"),
     "ybe": _checker("verify_ybe", "mode"),
     "crossing": _checker("check_crossing"),
     "flux": _checker("check_flux", "m", "n"),
@@ -141,8 +139,14 @@ _SHOWN_FAILURES = 5  # per failing check, in both output formats
 
 def _cmd_verify(args) -> int:
     _guard_work(args.m, args.n, args.max_work)
-    names = _CHECKS if args.check == "all" else (args.check,)
-    reports = [_CHECKS[name](args) for name in names]
+    names = (*_G_CHECKS, *_CHECKS) if args.check == "all" else (args.check,)
+    reports = []
+    g_names = [name for name in names if name in _G_CHECKS]
+    if g_names:
+        from . import verify
+
+        reports += verify.g_checks(args.m, args.n, g_names, args.jobs)
+    reports += [_CHECKS[name](args) for name in names if name in _CHECKS]
     if args.format == "json":
         payload = {
             "checks": [
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_poly, compute="schubert_sum")
 
     sp = sub.add_parser("verify", help="run identity checks; exit 1 on failure")
-    sp.add_argument("check", choices=("all", *_CHECKS))
+    sp.add_argument("check", choices=("all", *_G_CHECKS, *_CHECKS))
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--mode", choices=("ww", "we"), default=None)

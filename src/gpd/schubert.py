@@ -22,11 +22,10 @@ B-leading form and the mirror identity (``gpd verify beta``,
 A = y1 = 0, which has far fewer terms and, being injective on the sums
 (see ``reduced_weight_sums``), loses nothing; the flux check, ``gpd poly``
 and ``gpd schubert`` keep the full alphabet.  The recurrence is plain
-``Polynomial`` arithmetic, at that point (its linear factors set to 0
-alike) or in the full alphabet: each step multiplies, swaps x_i with
-x_{i+1}, subtracts and divides by x_i - x_{i+1}, checks that the
-remainder vanishes, and every operation certifies its own coefficients
-(L1(next) <= 6 (n+1) L1(g) over a step).
+``Polynomial`` arithmetic, at that point (A+B set to B alike) or in the
+full alphabet: each step is (A+B) d_i g - r_i g, the divided difference
+d_i checking that its remainder vanishes, and every operation certifies
+its own coefficients (L1(next) <= (4n + 1) L1(g) over a step).
 ``gpd.verify`` checks these identities.
 """
 
@@ -65,26 +64,38 @@ def min_extension(pi: Sequence[int], n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _factor(weight: Callable[..., Polynomial], args: tuple, packer: _packed.Packer):
+    """``weight(*args)``, a cached tile weight, re-keyed into ``packer`` with
+    its L1 norm: the factor a sweep multiplies by, made once per layout."""
+    w = weight(*args)
+    # coefficients +-1, so int64 whatever the headroom the weight was made under
+    fc = w.coeffs.astype(np.int64, copy=False)
+    return (w.packer.rekey(w.keys, packer), fc), w.l1_norm()
+
+
 def _sweep(
     m: int,
     n: int,
     beta: str,
     pis: Iterable[Sequence[int]] | None,
-    weight: Callable[[int, int, Tile], Polynomial | None],
+    weight: Callable[[int, int, Tile], tuple[Callable[..., Polynomial], tuple] | None],
     mode: str = "generic",
 ) -> dict[tuple[int, ...], Polynomial]:
     """Dream weight sums by connectivity, on ``grid.transfer``.
 
-    A tile multiplies its state's value by ``weight(i, j, tile)`` (None is
-    1), all in the ``Packer.alphabet`` layout.  ``step`` returns a pending
-    product, the parent's arrays uncopied and the tile's factor; each state
-    is reduced once per cell by one ``_packed.merge_products`` over the
-    products reaching it, in a buffer the merge owns.  Each value carries
-    an L1 bound: the parent's bound times the weight's L1, summed when
-    values merge, so the running total of the tiles' bounds caps every
-    coefficient the sweep holds.  Coefficients are int64 while that total
-    stays below ``_packed.INT64_HEADROOM`` and Python ints from the cell
-    that reaches it.
+    A tile multiplies its state's value by the tile weight that
+    ``weight(i, j, tile)`` names as (cached weight function, arguments), or
+    by 1 for None, all in the ``Packer.alphabet`` layout (``_factor``).
+    ``step`` returns a pending product, the parent's arrays uncopied and
+    the tile's factor; each state is reduced once per cell by one
+    ``_packed.merge_products`` over the products reaching it, in a buffer
+    the merge owns.  Each value carries an L1 bound: the parent's bound
+    times the weight's L1, summed when values merge, so the running total
+    of the tiles' bounds caps every coefficient the sweep holds.
+    Coefficients are int64 while that total stays below
+    ``_packed.INT64_HEADROOM`` and Python ints from the cell that reaches
+    it.
     """
     grid.check_beta(beta, m)
     targets = None if pis is None else {check_partial_perm(p, m, n) for p in pis}
@@ -92,13 +103,8 @@ def _sweep(
     headroom = _packed.INT64_HEADROOM
     table = {}
     for cell in itertools.product(range(1, m + 1), range(1, n + 1), Tile):
-        w = weight(*cell)
-        if w is None:
-            table[cell] = None, 1
-        else:
-            fl1 = w.l1_norm()  # a cached weight may hold Python ints that fit int64
-            fc = w.coeffs.astype(np.int64 if fl1 < headroom else object, copy=False)
-            table[cell] = (w.packer.rekey(w.keys, packer), fc), fl1
+        named = weight(*cell)
+        table[cell] = (None, 1) if named is None else _factor(*named, packer)
     total = 0
 
     def step(value, i, j, t):
@@ -128,7 +134,7 @@ def weight_sums_by_pi(
     phi = pipe_numbering(beta)
 
     def weight(i, j, t):
-        return grid.tile_weight(beta[i - 1], t, phi[i - 1], j, m, n)
+        return grid.tile_weight, (beta[i - 1], t, phi[i - 1], j, m, n)
 
     return _sweep(m, n, beta, pis, weight)
 
@@ -162,7 +168,7 @@ def reduced_weight_sums(
     phi = pipe_numbering(beta)
 
     def weight(i, j, t):
-        return _tile_weight_at_zero(beta[i - 1], t, phi[i - 1], j, m, n, zero)
+        return _tile_weight_at_zero, (beta[i - 1], t, phi[i - 1], j, m, n, zero)
 
     return _sweep(m, n, beta, pis, weight)
 
@@ -216,23 +222,32 @@ def base_case(m: int, n: int, pi: Sequence[int], *zero: Var) -> Polynomial:
 def recurrence_step(g: Polynomial, i: int, *zero: Var) -> Polynomial:
     """One inductive step: from G(pi') with pi' = pi.r_i longer, recover G(pi).
 
-    Computes ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}) with the
-    variables ``zero`` (among A, B and the y) set to 0 in both linear
-    factors, which commutes with r_i and the division; the remainder must
-    vanish.  Each operation certifies its coefficients from its operands'
-    L1 norms: L1(num) <= 6 L1(g) and the quotient's at most max(e) L1(num),
-    where e <= x+1 is the numerator's x_i degree, so L1(next) <= 6 (x+1)
-    L1(g) (x = n on the recurrence walk).
+    The step ((A+B) g - (A+B+x_i-x_{i+1}) r_i g) / (x_i - x_{i+1}) is, in
+    closed form, (A+B) d_i g - r_i g, with d_i g = (g - r_i g) / (x_i -
+    x_{i+1}) the divided difference, whose remainder must vanish; the
+    variables ``zero`` (among A, B and the y) are set to 0 in A+B, which
+    commutes with r_i and d_i.  Each operation certifies its coefficients
+    from its operands' L1 norms: L1(g - r_i g) <= 2 L1(g), the quotient's
+    at most e times that, where e <= x is its x_i degree, so L1(next) <=
+    (4x + 1) L1(g) (x = n on the recurrence walk).
     """
     if not 1 <= i <= g.m - 1:
         raise ValueError(f"swap index {i} outside [1..{g.m - 1}]")
-    a, b, xs, _ = alphabet(g.m, g.n)
-    ab = (a + b).at_zero(*zero)
-    num = ab * g - (ab + xs[i - 1] - xs[i]) * g.swap_x(i)
-    quotient, remainder = num._divmod_x_diff(i)
+    swapped = g.swap_x(i)
+    quotient, remainder = (g - swapped)._divmod_x_diff(i)
     if remainder:
-        raise ExactDivisionError(f"not divisible by x{i} - x{i + 1}")
-    return quotient
+        raise ExactDivisionError(f"g - r_{i} g not divisible by x{i} - x{i + 1}")
+    return grid._ab_power(g.m, g.n, 1).at_zero(*zero) * quotient - swapped
+
+
+def recurrence_parent(word: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """The step the recurrence walk takes to ``word``: (i, word.r_i) at its
+    first ascent i, the parent one inversion longer; None when ``word`` is
+    decreasing, a base case."""
+    i = next((i for i in range(1, len(word)) if word[i - 1] < word[i]), None)
+    if i is None:
+        return None
+    return i, word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
 
 
 def _recurrence_walk(
@@ -241,19 +256,18 @@ def _recurrence_walk(
     """G(pi) for each word, with the variables ``zero`` set to 0, by
     adjacent-swap steps from the decreasing base cases.
 
-    At each stage the lexicographically first ascent is swapped, so words
-    share their chains.
+    At each stage the first ascent is swapped (``recurrence_parent``), so
+    words share their chains.
     """
     known: dict[tuple[int, ...], Polynomial] = {}
 
     def rec(w: tuple[int, ...]) -> Polynomial:
         if w not in known:
-            i = next((i for i in range(m - 1) if w[i] < w[i + 1]), None)
-            if i is None:
+            parent = recurrence_parent(w)
+            if parent is None:
                 known[w] = base_case(m, n, w, *zero)
             else:
-                longer = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                known[w] = recurrence_step(rec(longer), i + 1, *zero)
+                known[w] = recurrence_step(rec(parent[1]), parent[0], *zero)
         return known[w]
 
     return {w: rec(w) for w in words}
@@ -294,7 +308,7 @@ def nongeneric_sums_by_pi(
     counted = {"W": grid.STRAIGHTS, "E": {Tile.BLANK}}
 
     def weight(i, j, t):
-        return _x_minus_y(phi[i - 1], j, m, n) if t in counted[beta[i - 1]] else None
+        return (_x_minus_y, (phi[i - 1], j, m, n)) if t in counted[beta[i - 1]] else None
 
     return _sweep(m, n, beta, pis, weight, "nongeneric")
 
@@ -326,30 +340,27 @@ def double_schubert_oracle(w: Sequence[int], m: int, n: int) -> Polynomial:
 
     Independent of the pipe dream machinery: starts from the product
     prod_{i+j<=N} (x_i - y_j) at the longest element of S_N and walks down
-    by divided differences in x.  Returned in context (m, n), which must
-    accommodate every variable that survives.
+    by divided differences in x (``_schubert_walk``).  Returned in context
+    (m, n), which must accommodate every variable that survives.
     """
     word = tuple(w)
+    if sorted(word) != list(range(1, len(word) + 1)):
+        raise ValueError(f"{word} is not a permutation of [1..{len(word)}]")
+    return _schubert_walk(word).in_context(m, n)
+
+
+@lru_cache(maxsize=None)
+def _schubert_walk(word: tuple[int, ...]) -> Polynomial:
+    """S_w in context (N, N) for a permutation w of [1..N]: the product at
+    the longest element, else d_i S_{w.r_i} at the first ascent i.  One
+    memo serves every permutation of one N, so each is built by one step."""
     nn = len(word)
-    if sorted(word) != list(range(1, nn + 1)):
-        raise ValueError(f"{word} is not a permutation of [1..{nn}]")
-    _, _, xs, ys = alphabet(nn, nn)
-    poly = Polynomial.const(1, nn, nn)
-    for i in range(1, nn + 1):
-        for j in range(1, nn + 1 - i):
-            poly = poly * (xs[i - 1] - ys[j - 1])
-    longest = tuple(range(nn, 0, -1))
-    v = word
-    ascents: list[int] = []
-    while v != longest:
-        for i in range(nn - 1):
-            if v[i] < v[i + 1]:
-                ascents.append(i + 1)
-                v = v[:i] + (v[i + 1], v[i]) + v[i + 2 :]
-                break
-    for i in reversed(ascents):
-        poly = poly.divided_difference(i)
-    return poly.in_context(m, n)
+    parent = recurrence_parent(word)
+    if parent is None:
+        _, _, xs, ys = alphabet(nn, nn)
+        factors = [xs[i - 1] - ys[j - 1] for i in range(1, nn + 1) for j in range(1, nn + 1 - i)]
+        return product(nn, nn, factors)
+    return _schubert_walk(parent[1]).divided_difference(parent[0])
 
 
 def shift_x_by_a(f: Polynomial) -> Polynomial:

@@ -3,11 +3,32 @@
 Hybridization independence, the divided-difference recurrence, the
 Schubert leading form in B, the mirror identity, Yang-Baxter, the crossing
 flip, and the flux components with their conservation law.  Each check is
-a generator of failure messages that ``_check`` turns into a function
-returning a ``CheckReport``; an exception inside a check (MemoryError
-aside) becomes its last failure, so one broken check hides no other.
-Checks compare results as they arrive and require every connectivity to
-be present.
+a generator of failure messages that ``_check`` (or, for the four global
+G checks, ``g_checks``) turns into a ``CheckReport``; an exception inside
+a check (MemoryError aside) becomes its last failure, so one broken check
+hides no other.  Checks compare results as they arrive and require every
+connectivity to be present.
+
+The global G checks (beta, recurrence, leading, mirror) read G(pi) at
+A = y1 = 0 one word batch at a time, and no check holds more than one
+batch per sweep:
+
+- Batch k is the words whose last letter is k.  Exit-reach pruning makes
+  a sweep of one batch carry only the states that can end in it.
+- The recurrence is checked in local form: a decreasing word's G against
+  its base case, every other word's G against one ``recurrence_step``
+  from the swept G of its parent, at the walk's first ascent.  By
+  induction on the inversions from the decreasing words, every swept G
+  then equals the recurrence's, which is what comparing with
+  ``recurrence_table`` decides.  A parent one swap of the last pair away
+  ends in another letter, so the all-W sweep of a batch also sums those
+  parents.
+- The mirror compares batch k at A = y1 = 0 with its conjugates at
+  B = yn = 0, the words that begin with n+1-k.
+- The sweep plan (``_plan``): per batch, each row type at A = y1 = 0,
+  then the all-W row type at B = yn = 0; 2^m + 1 sweeps per batch.  Run
+  together, as ``verify all`` runs them, the checks share each sweep of
+  the plan, which runs once.
 """
 
 from __future__ import annotations
@@ -18,6 +39,7 @@ import inspect
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import grid, schubert
 from .grid import PipeDream, Tile
@@ -66,9 +88,9 @@ def _check(title: str):
     return wrap
 
 
-def _missing(m: int, n: int, beta: str, sums: dict):
-    """One failure per connectivity word that has no entry in ``sums``."""
-    for pi in schubert.all_partial_perms(m, n):
+def _missing(words, beta: str, sums: dict):
+    """One failure per word of ``words`` that has no entry in ``sums``."""
+    for pi in words:
         if pi not in sums:
             yield f"beta={beta} pi={pi}: no dream enumerated"
 
@@ -81,40 +103,106 @@ def ProcessPoolExecutor(max_workers: int):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
-@_check("beta-independence ({m},{n})")
-def check_beta_independence(m: int, n: int, jobs: int = 1):
+# ---------------------------------------------------------------------------
+# the global G checks: one word batch at a time, on a shared sweep plan
+# ---------------------------------------------------------------------------
+
+ORIGIN = schubert.ORIGIN
+
+
+class Sweep(NamedTuple):
+    """One reduced sweep: row type ``beta``, the variables ``zero`` set to
+    0, the words of batch ``k`` (``_targets``)."""
+
+    beta: str
+    zero: tuple[Var, ...]
+    k: int
+
+
+def _batch(m: int, n: int, k: int) -> list[tuple[int, ...]]:
+    """Batch k: the words whose last letter is k, in lexicographic order."""
+    return [pi for pi in schubert.all_partial_perms(m, n) if pi[-1] == k]
+
+
+def _mirror_point(n: int) -> tuple[Var, ...]:
+    """B = yn = 0, the mirror image of A = y1 = 0."""
+    return Var("B"), Var("y", n)
+
+
+def _plan(m: int, n: int) -> list[Sweep]:
+    """Every sweep a G check reads, in the order they run: per batch, each
+    row type at A = y1 = 0, then the all-W row type at B = yn = 0."""
+    betas = schubert.all_hybridizations(m)
+    return [
+        s for k in range(1, n + 1)
+        for s in [*(Sweep(b, ORIGIN, k) for b in betas), Sweep("W" * m, _mirror_point(n), k)]
+    ]
+
+
+def _targets(m: int, n: int, sweep: Sweep) -> list[tuple[int, ...]]:
+    """The words a sweep sums: batch k at A = y1 = 0, where the all-W row
+    type also sums the recurrence parents that end in another letter; at
+    B = yn = 0, the conjugates of batch k, whose first letter is n+1-k."""
+    batch = _batch(m, n, sweep.k)
+    if sweep.zero != ORIGIN:
+        return [schubert.gamma_conjugate(pi, m, n) for pi in batch]
+    if "E" in sweep.beta:
+        return batch
+    parents = [schubert.recurrence_parent(pi) for pi in batch]
+    return batch + [p[1] for p in parents if p and p[1][-1] != sweep.k]
+
+
+def _swept(m: int, n: int, sweep: Sweep):
+    """The sums of one sweep, or the exception (MemoryError aside) it raised."""
+    try:
+        return schubert.reduced_weight_sums(m, n, sweep.beta, _targets(m, n, sweep), sweep.zero)
+    except MemoryError:
+        raise
+    except Exception as exc:
+        return exc
+
+
+def _restrict(sums: dict, words) -> dict:
+    """The entries of ``sums`` for ``words``."""
+    return {pi: sums[pi] for pi in words if pi in sums}
+
+
+def _beta_failures(m: int, n: int):
     """All hybridizations give the same per-connectivity weight sums.
 
-    The first row type's reduced sums must cover every word; each other
-    row type's sums are compared with them as they arrive, then dropped.
-    ``jobs`` > 1 computes them in a pool of at most that many processes,
-    capped by the CPUs and the row types.
-    """
+    Per batch, the first row type's sums must cover the batch, and each
+    other row type's sums are compared with them as they arrive."""
     betas = schubert.all_hybridizations(m)
-    sweep = functools.partial(schubert.reduced_weight_sums, m, n)
-    workers = min(jobs, os.cpu_count() or 1, len(betas))
-    pooled = workers > 1
-    pool = ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext()
-    with pool:
-        results = pool.map(sweep, betas) if pooled else map(sweep, betas)
-        reference = next(results)
-        yield from _missing(m, n, betas[0], reference)
-        for beta, sums in zip(betas[1:], results):
-            if sums != reference:
+    disagree = set()
+    for k in range(1, n + 1):
+        batch = _batch(m, n, k)
+        reference = _restrict((yield Sweep(betas[0], ORIGIN, k)), batch)
+        yield from _missing(batch, betas[0], reference)
+        for beta in betas[1:]:
+            if (yield Sweep(beta, ORIGIN, k)) != reference and beta not in disagree:
+                disagree.add(beta)
                 yield f"beta={beta} disagrees with beta={betas[0]}"
 
 
-@_check("recurrence ({m},{n})")
-def check_recurrence(m: int, n: int):
-    """The recurrence from the decreasing base cases gives every G(pi),
-    both compared at A = y1 = 0 (see ``schubert.reduced_weight_sums``)."""
-    sums = schubert.reduced_weight_sums(m, n, "W" * m)
-    table = schubert.recurrence_table(m, n, zero=schubert.ORIGIN)
-    for pi in schubert.all_partial_perms(m, n):
-        if pi not in sums:
-            yield f"pi={pi}: no dream enumerated"
-        elif table[pi] != sums[pi]:
-            yield f"pi={pi}: recurrence disagrees with enumeration"
+def _recurrence_failures(m: int, n: int):
+    """The recurrence in local form: each decreasing word's G is its base
+    case, and every other word's G is one ``recurrence_step`` from its
+    parent's swept G, at the walk's first ascent (``recurrence_parent``)."""
+    for k in range(1, n + 1):
+        sums = yield Sweep("W" * m, ORIGIN, k)
+        for pi in _batch(m, n, k):
+            if pi not in sums:
+                yield f"pi={pi}: no dream enumerated"
+                continue
+            parent = schubert.recurrence_parent(pi)
+            if parent is None:
+                expected = schubert.base_case(m, n, pi, *ORIGIN)
+            elif parent[1] in sums:
+                expected = schubert.recurrence_step(sums[parent[1]], parent[0], *ORIGIN)
+            else:
+                continue  # a parent with no dream fails in its own batch
+            if expected != sums[pi]:
+                yield f"pi={pi}: recurrence disagrees with enumeration"
 
 
 def _weight_b_degree(d: PipeDream) -> int:
@@ -135,44 +223,47 @@ def _is_nongeneric(d: PipeDream, crossings: tuple | None = None) -> bool:
     return len(set(crossings)) == len(crossings)
 
 
-@_check("leading-form ({m},{n})")
-def check_leading(m: int, n: int):
+def _leading_failures(m: int, n: int):
     """The B-leading form of every G(pi), for every hybridization.
 
     Per (pi, beta): the nongeneric sum matches the independent double
     Schubert construction S_w, G(pi) has B-degree mn - inv(w) and leading
     coefficient S_w with x_i -> A + x_i, and only nongeneric dreams attain
-    that degree.  Degree and coefficient are read off G(pi) at A = y1 = 0.
-    B enters G(pi) only through u0 = A+B, so the evaluation keeps its
-    B-degree; and S_w(A + x; y) = S_w(A + x - y1; y - y1), double Schubert
-    polynomials being translation invariant, lies in the ring on which the
-    evaluation is injective, so the expected coefficient is S_w at y1 = 0.
-    One reduced sweep, one nongeneric sweep and one dream enumeration per
-    row type serve every pi.
+    that degree.  Degree and coefficient are read off G(pi) at A = y1 = 0,
+    batch by batch.  B enters G(pi) only through u0 = A+B, so the
+    evaluation keeps its B-degree; and S_w(A + x; y) = S_w(A + x - y1;
+    y - y1), double Schubert polynomials being translation invariant, lies
+    in the ring on which the evaluation is injective, so the expected
+    coefficient is S_w at y1 = 0.  One nongeneric sweep and one dream
+    enumeration per row type serve every pi.
     """
     words = schubert.all_partial_perms(m, n)
+    betas = schubert.all_hybridizations(m)
     expected = {}
     for pi in words:
         ext = schubert.min_extension(pi, n)
         oracle = schubert.double_schubert_oracle(ext, m, n)
         top = m * n - schubert.inversions(ext)
         expected[pi] = top, oracle, oracle.at_zero(Var("y", 1))
-    for beta in schubert.all_hybridizations(m):
-        sums = schubert.reduced_weight_sums(m, n, beta)
+    for k in range(1, n + 1):
+        batch = _batch(m, n, k)
+        for beta in betas:
+            sums = yield Sweep(beta, ORIGIN, k)
+            yield from _missing(batch, beta, sums)
+            for pi in batch:
+                if pi not in sums:
+                    continue
+                top, _, at_origin = expected[pi]
+                deg, coeff = sums[pi].leading_form(Var("B"))
+                if deg != top:
+                    yield f"pi={pi} beta={beta}: B-degree {deg} != {top}"
+                if coeff != at_origin:
+                    yield f"pi={pi} beta={beta}: leading coefficient mismatch"
+    for beta in betas:
         nongeneric = schubert.nongeneric_sums_by_pi(m, n, beta)
-        yield from _missing(m, n, beta, sums)
         for pi in words:
-            top, oracle, at_origin = expected[pi]
-            s = nongeneric.get(pi, Polynomial.zero(m, n))
-            if s != oracle:
+            if nongeneric.get(pi, Polynomial.zero(m, n)) != expected[pi][1]:
                 yield f"pi={pi} beta={beta}: nongeneric sum differs from oracle"
-            if pi not in sums:
-                continue
-            deg, coeff = sums.pop(pi).leading_form(Var("B"))
-            if deg != top:
-                yield f"pi={pi} beta={beta}: B-degree {deg} != {top}"
-            if coeff != at_origin:
-                yield f"pi={pi} beta={beta}: leading coefficient mismatch"
         for d in grid.enumerate_dreams(m, n, beta):
             pi, crossings = grid.connectivity(d)
             top, bdeg = expected[pi][0], _weight_b_degree(d)
@@ -183,21 +274,106 @@ def check_leading(m: int, n: int):
                 yield f"pi={pi} beta={beta}: generic-only dream reaches B-degree {bdeg}"
 
 
-@_check("mirror ({m},{n})")
-def check_mirror(m: int, n: int):
-    """G(pi) is the mirror image of G(gamma.pi.gamma), from two sweeps.
+def _mirror_failures(m: int, n: int):
+    """G(pi) is the mirror image of G(gamma.pi.gamma), batch by batch.
 
     The mirror takes the point A = y1 = 0 to B = yn = 0, so G(pi) at
     A = y1 = 0 is compared with the mirror of G(gamma.pi.gamma) at
-    B = yn = 0.  The mirror keeps the ring on which both evaluations are
-    injective, so the comparison is exact.
+    B = yn = 0, swept for the conjugates of the batch.  The mirror keeps
+    the ring on which both evaluations are injective, so the comparison is
+    exact.  Each pair is dropped once compared.
     """
-    sums = schubert.reduced_weight_sums(m, n, "W" * m)
-    mirrored = schubert.reduced_weight_sums(m, n, "W" * m, zero=(Var("B"), Var("y", n)))
-    for pi in schubert.all_partial_perms(m, n):
-        conj = schubert.gamma_conjugate(pi, m, n)
-        if sums[pi] != schubert.mirror_substitution(mirrored[conj]):
-            yield f"pi={pi}: mirror identity fails against {conj}"
+    for k in range(1, n + 1):
+        batch = _batch(m, n, k)
+        sums = _restrict((yield Sweep("W" * m, ORIGIN, k)), batch)
+        mirrored = yield Sweep("W" * m, _mirror_point(n), k)
+        for pi in batch:
+            conj = schubert.gamma_conjugate(pi, m, n)
+            if sums.pop(pi) != schubert.mirror_substitution(mirrored[conj]):
+                yield f"pi={pi}: mirror identity fails against {conj}"
+
+
+# name: (report title, failures, the sweeps of the plan it reads)
+G_CHECKS: dict[str, tuple[str, Callable, Callable[[Sweep], bool]]] = {
+    "beta": ("beta-independence ({m},{n})", _beta_failures, lambda s: s.zero == ORIGIN),
+    "recurrence": ("recurrence ({m},{n})", _recurrence_failures,
+                   lambda s: s.zero == ORIGIN and "E" not in s.beta),
+    "leading": ("leading-form ({m},{n})", _leading_failures, lambda s: s.zero == ORIGIN),
+    "mirror": ("mirror ({m},{n})", _mirror_failures, lambda s: "E" not in s.beta),
+}
+
+
+def g_checks(m: int, n: int, names=tuple(G_CHECKS), jobs: int = 1) -> list[CheckReport]:
+    """Run the named G checks together, each sweep of the plan once.
+
+    A check is a generator that yields its failures and asks for the
+    sweeps it reads by yielding a ``Sweep``, in plan order; it is sent the
+    sums, or thrown the sweep's exception.  Every sweep that some check
+    reads runs once, and each check waiting for it is fed before the next
+    runs, so no sweep's sums outlive the checks that hold them.  An
+    exception inside a check (MemoryError aside) ends it with the failure
+    ``<ExceptionType>: <text>``.  ``jobs`` > 1 runs the sweeps in a pool of
+    at most that many processes, capped by the CPUs and the row types; the
+    results are read in plan order.
+    """
+    reports = [CheckReport(G_CHECKS[name][0].format(m=m, n=n)) for name in names]
+    checks = [G_CHECKS[name][1](m, n) for name in names]
+    waiting: dict[int, Sweep] = {}
+
+    def advance(c: int, value=None) -> None:
+        """Run check c on ``value`` until it asks for a sweep or ends."""
+        waiting.pop(c, None)
+        check = checks[c]
+        try:
+            item = check.throw(value) if isinstance(value, Exception) else check.send(value)
+            while isinstance(item, str):
+                reports[c].fail(item)
+                item = next(check)
+            waiting[c] = item
+        except StopIteration:
+            pass
+        except MemoryError:
+            raise
+        except Exception as exc:
+            reports[c].fail(f"{type(exc).__name__}: {exc}")
+
+    for c in range(len(checks)):
+        advance(c)
+    plan = [s for s in _plan(m, n) if any(G_CHECKS[name][2](s) for name in names)]
+    workers = min(jobs, os.cpu_count() or 1, 2**m)
+    pooled = workers > 1
+    pool = ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext()
+    with pool:
+        sweep = functools.partial(_swept, m, n)
+        results = pool.map(sweep, plan) if pooled else map(sweep, plan)
+        for s in plan:
+            value = next(results)
+            for c in [c for c, asked in waiting.items() if asked == s]:
+                advance(c, value)
+            del value
+    for c, asked in waiting.items():
+        reports[c].fail(f"RuntimeError: {asked} is not in the sweep plan")
+    return reports
+
+
+def check_beta_independence(m: int, n: int, jobs: int = 1) -> CheckReport:
+    """Hybridization independence (``_beta_failures``); ``jobs`` as in ``g_checks``."""
+    return g_checks(m, n, ["beta"], jobs)[0]
+
+
+def check_recurrence(m: int, n: int) -> CheckReport:
+    """The divided-difference recurrence (``_recurrence_failures``)."""
+    return g_checks(m, n, ["recurrence"])[0]
+
+
+def check_leading(m: int, n: int) -> CheckReport:
+    """The Schubert leading form in B (``_leading_failures``)."""
+    return g_checks(m, n, ["leading"])[0]
+
+
+def check_mirror(m: int, n: int) -> CheckReport:
+    """The mirror identity (``_mirror_failures``)."""
+    return g_checks(m, n, ["mirror"])[0]
 
 
 @_check("yang-baxter")
@@ -276,7 +452,7 @@ def check_flux(m: int, n: int):
                 continue
             cls = flux.component_class(eqs)
             classes[eqs.pi] = classes[eqs.pi] + cls if eqs.pi in classes else cls
-        yield from _missing(m, n, beta, classes)
+        yield from _missing(schubert.all_partial_perms(m, n), beta, classes)
         for pi, total in classes.items():
             if ab_m * total != table[pi]:
                 yield f"beta={beta} pi={pi}: component classes do not sum to G"

@@ -244,6 +244,15 @@ def test_c05_verify_recurrence_4x5_within_1gib():
     assert "PASS recurrence (4,5)" in out.splitlines()
 
 
+@budget(60)
+def test_c05_verify_recurrence_5x5_within_1gib():
+    # all 120 words of (5,5), one batch of words sharing their last letter
+    # at a time, each word one recurrence step from its parent's swept G
+    code, out, err = verify_within_1gib("recurrence", 5, 5, timeout=60)
+    assert code == 0, err
+    assert "PASS recurrence (5,5)" in out.splitlines()
+
+
 @budget(10)
 def test_c06_base_case():
     from gpd.schubert import base_case
@@ -312,6 +321,15 @@ def test_c08_verify_mirror_4x5_within_1gib():
     code, out, err = verify_within_1gib("mirror", 4, 5, timeout=30)
     assert code == 0, err
     assert "PASS mirror (4,5)" in out.splitlines()
+
+
+@budget(60)
+def test_c08_verify_mirror_5x5_within_1gib():
+    # all 120 words of (5,5): per batch, the words ending in k at A = y1 = 0
+    # against their conjugates, which begin with 6 - k, at B = y5 = 0
+    code, out, err = verify_within_1gib("mirror", 5, 5, timeout=60)
+    assert code == 0, err
+    assert "PASS mirror (5,5)" in out.splitlines()
 
 
 @budget(10)

@@ -12,8 +12,11 @@ import json
 import pytest
 
 from gpd import cli, flux, grid, schubert, yangbaxter
-from gpd.poly import parse
-from gpd.verify import check_flux
+from gpd.poly import Var, parse
+from gpd.schubert import ORIGIN, all_hybridizations, all_partial_perms, reduced_weight_sums
+from gpd.verify import _plan, _targets, check_flux, check_recurrence
+
+SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
 
 def verify(capsys, *argv):
@@ -127,12 +130,24 @@ def _break_recurrence_table(monkeypatch):
     monkeypatch.setattr(schubert, "recurrence_table", broken)
 
 
+def _break_base_case(monkeypatch):
+    """base_case with B added to the closed product of (2,1), the
+    recurrence's expected G(2,1)."""
+    original = schubert.base_case
+
+    def broken(m, n, pi, *zero):
+        g = original(m, n, pi, *zero)
+        return g + parse("B", m, n) if tuple(pi) == (2, 1) else g
+
+    monkeypatch.setattr(schubert, "base_case", broken)
+
+
 def test_beta_check_fails_on_a_broken_row_type(capsys, monkeypatch):
     original = schubert.reduced_weight_sums
 
     def broken(m, n, beta, *rest):
         sums = original(m, n, beta, *rest)
-        if beta == "WE":
+        if beta == "WE" and (1, 2) in sums:
             sums[(1, 2)] = sums[(1, 2)] + parse("1", m, n)
         return sums
 
@@ -143,7 +158,9 @@ def test_beta_check_fails_on_a_broken_row_type(capsys, monkeypatch):
 
 
 def test_recurrence_check_fails_on_a_broken_table_entry(capsys, monkeypatch):
-    _break_recurrence_table(monkeypatch)
+    # the check compares each word with one step from its parent's G, so
+    # the entry of (2,1) it reads is the base case
+    _break_base_case(monkeypatch)
     assert_fails_with(
         capsys,
         ("recurrence", "--m", "2", "--n", "3"),
@@ -259,6 +276,65 @@ def test_g_checks_never_build_the_full_alphabet_g(capsys, monkeypatch, check):
 
 
 # ---------------------------------------------------------------------------
+# the G checks read G one word batch at a time, each sweep once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, n", SMALL_SHAPES + [(4, 4)])
+def test_batched_sums_are_the_all_words_sums(m, n):
+    # the plan's batches cover every word at each point, and a batch's sums
+    # are the all-words sums of its words
+    for beta in all_hybridizations(m):
+        for zero in (ORIGIN, (Var("B"), Var("y", n))):
+            sweeps = [s for s in _plan(m, n) if (s.beta, s.zero) == (beta, zero)]
+            if not sweeps:
+                continue
+            full = reduced_weight_sums(m, n, beta, zero=zero)
+            covered = set()
+            for s in sweeps:
+                targets = _targets(m, n, s)
+                assert reduced_weight_sums(m, n, beta, targets, zero) == {
+                    pi: full[pi] for pi in targets
+                }, (m, n, s)
+                covered |= set(targets)
+            assert covered == set(all_partial_perms(m, n)), (m, n, beta, zero)
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    original = schubert.reduced_weight_sums
+
+    def spy(m, n, beta, pis=None, zero=ORIGIN):
+        calls.append((beta, zero, tuple(pis)))
+        return original(m, n, beta, pis, zero)
+
+    monkeypatch.setattr(schubert, "reduced_weight_sums", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check, per_batch",
+    [("all", 2**3 + 1), ("beta", 2**3), ("recurrence", 1), ("leading", 2**3), ("mirror", 2)],
+)
+def test_each_reduced_sweep_runs_once(capsys, monkeypatch, check, per_batch):
+    # verify all: every row type at A = y1 = 0 and the all-W row type at
+    # B = yn = 0, per batch of words sharing their last letter, each once
+    calls = _count_sweeps(monkeypatch)
+    assert cli.main(["verify", check, "--m", "3", "--n", "3"]) == 0
+    assert len(calls) == len(set(calls)) == per_batch * 3
+    assert {len(pis) for _, _, pis in calls} <= {2, 3}  # 2 words per batch, or 3 with a parent
+
+
+def test_recurrence_check_reaches_a_parent_in_another_batch(monkeypatch):
+    # the first ascent of (1, 3) is its last pair, so its parent (3, 1) ends
+    # in another letter and is swept with the batch of (1, 3)
+    assert schubert.recurrence_parent((1, 3)) == (1, (3, 1))
+    _break_weight_sums(monkeypatch, "WW", (1, 3), "B")
+    report = check_recurrence(2, 3)
+    assert report.failures == ["pi=(1, 3): recurrence disagrees with enumeration"]
+
+
+# ---------------------------------------------------------------------------
 # completeness: every connectivity must be present
 # ---------------------------------------------------------------------------
 
@@ -282,7 +358,7 @@ def test_beta_check_fails_when_a_connectivity_is_missing(capsys, monkeypatch):
 
     def dropping(m, n, beta, *rest):
         sums = original(m, n, beta, *rest)
-        del sums[(2, 1)]
+        sums.pop((2, 1), None)
         return sums
 
     monkeypatch.setattr(schubert, "reduced_weight_sums", dropping)
