@@ -10,6 +10,13 @@ int64 while an L1-norm bound (an upper bound for every intermediate
 coefficient) stays below ``INT64_HEADROOM``, and Python ints beyond it;
 numpy promotes int64 operands to Python ints when an object array meets
 them.  Either way the arithmetic is exact and the code path is the same.
+
+Memory contract: a pass over a whole polynomial holds at most
+``_MERGE_CHUNK`` terms of transient arrays besides its inputs and its
+output.  A re-key of more keys goes one chunk at a time.  A merge of more
+input terms goes one key range at a time (``_merge_ranges``); its merged
+ranges are the output in pieces, joined into one array at the end, so for
+that moment it holds the output twice.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 INT64_HEADROOM = 2**62
+
+# Input terms above which merge_products merges one key range at a time, and
+# keys per chunk of a large re-key: the transient arrays of either pass.
+_MERGE_CHUNK = 1 << 16
 
 
 def coeff_dtype(bound: int):
@@ -82,6 +93,11 @@ class Packer:
         """The same exponent vectors as keys of ``dst``, which must hold them."""
         if dst is self:
             return keys
+        if len(keys) > _MERGE_CHUNK:
+            out = np.empty(len(keys), dtype=dst.key_dtype)
+            for start in range(0, len(keys), _MERGE_CHUNK):
+                out[start:start + _MERGE_CHUNK] = self.rekey(keys[start:start + _MERGE_CHUNK], dst)
+            return out
         if dst.key_dtype is object:
             keys = keys.astype(object)
         out = np.zeros(len(keys), dtype=keys.dtype)
@@ -143,6 +159,7 @@ def merge_products(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     gets the only reference to it, so it owns and frees it.  A lone piece
     with no factor is the sum as it is; times a monomial, its keys shift
     and its coefficients scale, still ascending, distinct and nonzero.
+    Above ``_MERGE_CHUNK`` input terms the merge goes by key range.
     """
     if len(pieces) == 1:
         keys, coeffs, factor = pieces[0][:3]
@@ -151,6 +168,8 @@ def merge_products(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
             return keys, coeffs
         if len(factor[0]) == 1:
             return keys + int(factor[0][0]), coeffs * int(factor[1][0])
+    if sum(len(p[0]) * (1 if p[2] is None else len(p[2][0])) for p in pieces) > _MERGE_CHUNK:
+        return _merge_ranges(pieces, dtype)
     return merge(_column(pieces, 0, pieces[0][0].dtype), _column(pieces, 1, dtype))
 
 
@@ -170,3 +189,50 @@ def _column(pieces: list, col: int, dtype) -> np.ndarray:
         else:
             op(factor[col][:, None], values, out=run.reshape(len(factor[col]), -1), dtype=dtype)
     return out
+
+
+def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``merge_products`` one key range at a time, for more than
+    ``_MERGE_CHUNK`` input terms.
+
+    The products are sorted runs: a piece's keys plus one factor term's key
+    each.  Range bounds are taken from a sorted sample of the runs, every
+    ``step``-th key of each, so a range holds fewer than ``_MERGE_CHUNK``
+    input terms while there are at most ``_MERGE_CHUNK // 8`` runs.  The
+    ranges are disjoint, so no duplicate key straddles two.  A piece finds
+    every run's start in every range with one ``searchsorted``; a range
+    writes each run's slice into one buffer, shifted and scaled, and merges
+    it.  That is two ufunc calls per run and range, and ``poly.product``
+    keeps the runs few: it multiplies the longest factor first, so the runs
+    are the shorter factor's terms.  The merged ranges are joined at the
+    end.
+    """
+    one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    runs = [(p[0], p[1], *(one if p[2] is None else p[2])) for p in pieces]
+    step = max(1, _MERGE_CHUNK // (8 * sum(len(shifts) for _, _, shifts, _ in runs)))
+    sample = np.sort(np.concatenate(
+        [(keys[::step] + shifts[:, None]).ravel() for keys, _, shifts, _ in runs]))
+    every = max(1, _MERGE_CHUNK // (2 * step))
+    bounds = sample[every::every]
+    # starts[p][k][r]: the first index of run k of piece p at or past range
+    # r's lower bound; the last entry is the run's length
+    starts = [
+        [[0, *row, len(keys)] for row in np.searchsorted(keys, bounds - shifts[:, None]).tolist()]
+        for keys, _, shifts, _ in runs
+    ]
+    key_parts, coeff_parts = [], []
+    for r in range(len(bounds) + 1):
+        size = sum(row[r + 1] - row[r] for s in starts for row in s)
+        keys = np.empty(size, dtype=pieces[0][0].dtype)
+        coeffs = np.empty(size, dtype=dtype)
+        at = 0
+        for (base, values, shifts, scales), s in zip(runs, starts):
+            for k, row in enumerate(s):
+                lo, hi = row[r], row[r + 1]
+                np.add(base[lo:hi], shifts[k], out=keys[at : at + hi - lo], dtype=keys.dtype)
+                np.multiply(values[lo:hi], scales[k], out=coeffs[at : at + hi - lo], dtype=dtype)
+                at += hi - lo
+        keys, coeffs = merge(keys, coeffs)
+        key_parts.append(keys)
+        coeff_parts.append(coeffs)
+    return np.concatenate(key_parts), np.concatenate(coeff_parts)

@@ -22,9 +22,10 @@ the text format; exponent tuples are decoded only by ``items``,
 Canonical term order (used by :meth:`Polynomial.sorted_terms` and the text
 format): total degree descending, ties broken by the exponent vector,
 lexicographically descending in the variable order above.  Ascending keys
-are lexicographically ascending, so one stable sort of the reversed keys by
-descending degree gives it.  :func:`_canonical_sort_key` is the same order
-as a Python key and drives the leading term of exact division.
+are lexicographically ascending, so within one degree it is the keys read
+backwards, and the text streams it one chunk at a time, degree by
+descending degree.  :func:`_canonical_sort_key` is the same order as a
+Python key and drives the leading term of exact division.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -255,29 +257,65 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in canonical order (degree descending, then lex descending)."""
-        order = self._canonical_order()
+        order = np.concatenate([np.empty(0, np.intp), *self._canonical_chunks()])
         cols = self.packer.fields(self.keys[order])
         return list(zip(zip(*cols), self.coeffs[order].tolist()))
 
     def _degrees(self) -> np.ndarray:
-        """Total degree of each term, exact for any exponent."""
+        """Total degree of each term, exact for any exponent, in the smallest
+        dtype that holds every degree; summed ``_FORMAT_CHUNK`` terms at a time."""
         packer = self.packer
-        top = sum((1 << w) - 1 for w in packer.widths)
-        degrees = np.zeros(len(self), dtype=np.int64 if top < 2**63 else object)
-        for k, w in enumerate(packer.widths):
-            if w:
-                degrees += packer.field(self.keys, k).astype(degrees.dtype, copy=False)
+        degrees = np.zeros(len(self), dtype=np.min_scalar_type(sum(packer.masks)))
+        for start in range(0, len(self), _FORMAT_CHUNK):
+            keys, out = self.keys[start:start + _FORMAT_CHUNK], degrees[start:start + _FORMAT_CHUNK]
+            for k, w in enumerate(packer.widths):
+                if w:
+                    out += packer.field(keys, k).astype(degrees.dtype, copy=False)
         return degrees
 
-    def _canonical_order(self) -> np.ndarray:
-        """Term indices in canonical order.
+    def _canonical_chunks(self) -> Iterator[np.ndarray]:
+        """Term indices in canonical order, ``_FORMAT_CHUNK`` at a time.
 
-        Read backwards, the keys descend lexicographically in (A, B, x.., y..);
-        a stable sort by descending total degree keeps that order among the
-        terms of one degree.
+        Read backwards, the keys descend lexicographically in (A, B, x.., y..),
+        so the terms of one degree in canonical order are its indices read
+        backwards: a homogeneous polynomial's order is the keys read
+        backwards.  The distinct degrees are walked in descending order, in
+        bands of adjacent degrees of at most ``_FORMAT_CHUNK`` terms, or one
+        degree.  Each band is found by a backwards scan of the degrees, one
+        chunk at a time; a band of several degrees is then stably sorted by
+        descending degree.
         """
-        backwards = -self._degrees()[::-1]
-        return len(backwards) - 1 - np.argsort(backwards, kind="stable")
+        degrees = self._degrees()
+        counts: Counter = Counter()
+        for start in range(0, len(self), _FORMAT_CHUNK):
+            values, number = np.unique(degrees[start:start + _FORMAT_CHUNK], return_counts=True)
+            counts.update(dict(zip(values.tolist(), number.tolist())))
+        bands, band, held = [], [], 0
+        for d in sorted(counts, reverse=True):
+            if band and held + counts[d] > _FORMAT_CHUNK:
+                bands.append(band)
+                band, held = [], 0
+            band.append(d)
+            held += counts[d]
+        if band:
+            bands.append(band)
+        ends = range(len(self), 0, -_FORMAT_CHUNK)
+
+        def scan(band):
+            for end in ends:
+                start = max(0, end - _FORMAT_CHUNK)
+                block = degrees[start:end]
+                yield np.flatnonzero((block <= band[0]) & (block >= band[-1]))[::-1] + start
+
+        def parts():
+            for band in bands:
+                if len(band) == 1:
+                    yield from scan(band)
+                else:
+                    index = np.concatenate(list(scan(band)))
+                    yield index[np.argsort(band[0] - degrees[index], kind="stable")]
+
+        return _rechunk(parts(), _FORMAT_CHUNK)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -610,9 +648,7 @@ class Polynomial:
             yield "0"
             return
         blocks = _monomial_blocks(self.packer, self.m, self.n, len(self))
-        order = self._canonical_order()
-        for start in range(0, len(order), _FORMAT_CHUNK):
-            idx = order[start:start + _FORMAT_CHUNK]
+        for chunk, idx in enumerate(self._canonical_chunks()):
             keys, coeffs = self.keys[idx], self.coeffs[idx]
             mags = np.abs(coeffs)
             digits = _digit_bytes(mags)
@@ -624,10 +660,25 @@ class Polynomial:
             mono[unit, first[unit]] = 0
             digits[unit[first[unit] > 0]] = 0
             mat = np.hstack([_SIGNS[(coeffs < 0).astype(np.intp)], digits, mono])
-            if start == 0:  # the first term drops its spaces and a "+"
+            if chunk == 0:  # the first term drops its spaces and a "+"
                 sign = mat[0, :3]
                 sign[sign != ord("-")] = 0
             yield mat.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _rechunk(parts: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The concatenation of ``parts`` in pieces of ``size``, the last shorter."""
+    pending: list[np.ndarray] = []
+    held = 0
+    for part in parts:
+        pending.append(part)
+        held += len(part)
+        while held >= size:
+            joined = np.concatenate(pending)
+            yield joined[:size]
+            pending, held = [joined[size:]], held - size
+    if held:
+        yield np.concatenate(pending)
 
 
 def _encode(m: int, n: int, rows: list[Exponents], coeffs: list[int]):
@@ -674,6 +725,9 @@ def product(m: int, n: int, factors: Iterable[Polynomial]) -> Polynomial:
     fs = _in_context(m, n, factors) or [Polynomial.const(1, m, n)]
     if not all(fs):
         return Polynomial.zero(m, n)
+    # longest first: a merge has the shorter factor's terms as its runs, and
+    # a one-term factor only shifts the keys
+    fs.sort(key=len, reverse=True)
     widths = [sum((1 << f.packer.widths[k]) - 1 for f in fs).bit_length() for k in range(2 + m + n)]
     packer = _packed.layout(tuple(widths))
     dtype = _packed.coeff_dtype(math.prod(f.l1_norm() for f in fs))

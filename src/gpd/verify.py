@@ -37,7 +37,7 @@ import contextlib
 import functools
 import inspect
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -314,7 +314,8 @@ def g_checks(m: int, n: int, names=tuple(G_CHECKS), jobs: int = 1) -> list[Check
     exception inside a check (MemoryError aside) ends it with the failure
     ``<ExceptionType>: <text>``.  ``jobs`` > 1 runs the sweeps in a pool of
     at most that many processes, capped by the CPUs and the row types; the
-    results are read in plan order.
+    results are read in plan order, with at most one sweep per worker
+    submitted past the one the checks read (``_ahead``).
     """
     reports = [CheckReport(G_CHECKS[name][0].format(m=m, n=n)) for name in names]
     checks = [G_CHECKS[name][1](m, n) for name in names]
@@ -345,7 +346,7 @@ def g_checks(m: int, n: int, names=tuple(G_CHECKS), jobs: int = 1) -> list[Check
     pool = ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext()
     with pool:
         sweep = functools.partial(_swept, m, n)
-        results = pool.map(sweep, plan) if pooled else map(sweep, plan)
+        results = _ahead(pool, sweep, plan, workers) if pooled else map(sweep, plan)
         for s in plan:
             value = next(results)
             for c in [c for c, asked in waiting.items() if asked == s]:
@@ -354,6 +355,19 @@ def g_checks(m: int, n: int, names=tuple(G_CHECKS), jobs: int = 1) -> list[Check
     for c, asked in waiting.items():
         reports[c].fail(f"RuntimeError: {asked} is not in the sweep plan")
     return reports
+
+
+def _ahead(pool, fn, items, depth: int):
+    """``fn`` over ``items`` in ``pool``, results in order, with at most
+    ``depth`` calls submitted past the one whose result is read, so finished
+    results never pile up beyond that."""
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def check_beta_independence(m: int, n: int, jobs: int = 1) -> CheckReport:

@@ -7,12 +7,21 @@ Variables are named by slot: x_i is slot 1 + i.
 
 from __future__ import annotations
 
+import numpy as np
+
 Terms = dict[tuple[int, ...], int]
 
 
 def terms(p) -> Terms:
     """The terms of a ``Polynomial`` as a reference dict."""
     return dict(p.items())
+
+
+def canonical_order(p) -> np.ndarray:
+    """Term indices of a ``Polynomial`` in canonical order by one stable
+    argsort: its keys read backwards, sorted by descending total degree."""
+    backwards = -np.array([sum(exps) for exps, _ in p.items()], dtype=object)[::-1]
+    return len(backwards) - 1 - np.argsort(backwards, kind="stable")
 
 
 def _collect(pairs) -> Terms:

@@ -226,6 +226,23 @@ def test_c02_poly_4x5_within_280mb():
     assert peak_mb <= 280, f"peak RSS {peak_mb:.0f} MB"
 
 
+@budget(30)
+def test_c02_poly_4x5_within_150mb():
+    # the same G(1,2,3,4): the last merges go by key range, the re-key and
+    # the canonical order by chunk, so no pass holds more than two copies
+    # of G (125-128 MB measured; 204-217 MB when the last merges sorted one
+    # buffer of every product)
+    code, out, err, peak_mb = gpd_within_1gib(["poly", "--m", "4", "--n", "5", "--pi", "1,2,3,4"], 30)
+    with out:
+        digest = hashlib.file_digest(out, "sha256").hexdigest()
+        size = out.tell()
+    assert code == 0, err
+    assert (size, digest) == (
+        85_895_751, "1d0585315528dc58be663757df5b99984b3270ea52b87a4a94edf1784c7446e9"
+    )
+    assert peak_mb <= 150, f"peak RSS {peak_mb:.0f} MB"
+
+
 @budget(60)
 def test_c05_recurrence():
     for m, n in SMALL_SHAPES:

@@ -5,8 +5,12 @@ polynomial times a factor, or times 1) and merges them once;
 ``_packed.merge`` merges one (keys, coefficients) buffer.  Both are
 compared with ``refpoly`` over pieces that share keys, cancel, or are
 empty, factors of one to three terms, int64 and Python-int coefficients,
-and keys of 12 and of 69 bits.
+and keys of 12 and of 69 bits.  With ``_MERGE_CHUNK`` cut to a few terms,
+every merge of more input terms goes by key range (``_merge_ranges``),
+its range bounds falling on duplicated and cancelling keys.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -55,9 +59,49 @@ def products(draw):
     return packer, dtype, pieces
 
 
+@st.composite
+def ranged_products(draw):
+    """Like ``products``, with factors of up to eight terms and at least
+    two input terms, so a ``_MERGE_CHUNK`` below their count applies."""
+    packer = draw(st.sampled_from([NARROW, WIDE]))
+    big = draw(st.booleans())
+    coeff = BIG if big else SMALL
+    terms = st.dictionaries(EXPONENTS, coeff, min_size=1, max_size=8)
+    factor = st.none() | st.dictionaries(EXPONENTS, coeff, min_size=2, max_size=8)
+    pieces = draw(st.lists(st.tuples(terms, factor), min_size=2, max_size=4))
+    if draw(st.booleans()):  # every piece twice, once negated: duplicates that cancel
+        pieces += [({e: -c for e, c in t.items()}, f) for t, f in pieces]
+    dtype = object if big or draw(st.booleans()) else np.int64
+    return packer, dtype, pieces
+
+
 @settings(max_examples=300, deadline=None)
 @given(products(), st.data())
 def test_merge_products_matches_reference(case, data):
+    check_products(case, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranged_products(), st.integers(2, 8), st.data())
+def test_ranged_merge_matches_reference(case, chunk, data):
+    _, _, pieces = case
+    size = sum(len(t) * len(f or [None]) for t, f in pieces)
+    chunk = min(chunk, size - 1)
+    ranged = []
+    merge_ranges = _packed._merge_ranges
+
+    def spy(pieces, dtype):
+        ranged.append(len(pieces))
+        return merge_ranges(pieces, dtype)
+
+    with mock.patch.object(_packed, "_MERGE_CHUNK", chunk), \
+            mock.patch.object(_packed, "_merge_ranges", spy):
+        check_products(case, data)
+    assert ranged == [len(pieces)]
+
+
+def check_products(case, data):
+    """``merge_products`` of the drawn pieces against the reference sum."""
     packer, dtype, pieces = case
     expected = {}
     arrays = []
@@ -83,3 +127,17 @@ def test_merge_matches_reference(packer, pairs):
     keys = packer.encode([e for e, _ in pairs])
     coeffs = np.array([c for _, c in pairs], dtype=np.int64)
     check_merged(packer, *_packed.merge(keys, coeffs), np.int64, refpoly._collect(pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([NARROW, WIDE]), st.integers(1, 40), st.data())
+def test_chunked_rekey_matches_whole(src, chunk, data):
+    terms = data.draw(st.dictionaries(EXPONENTS, SMALL, max_size=60))
+    keys, _ = packed(src, terms, np.int64)
+    dst = src.tight(keys)
+    whole = src.rekey(keys, dst)
+    with mock.patch.object(_packed, "_MERGE_CHUNK", chunk):
+        chunked = src.rekey(keys, dst)
+    assert chunked.dtype == whole.dtype == dst.key_dtype
+    assert np.array_equal(chunked, whole)
+    assert decode(dst, chunked, np.ones(len(keys))) == decode(src, keys, np.ones(len(keys)))

@@ -1,10 +1,14 @@
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpd import _packed
+import refpoly
+from gpd import _packed, poly
 from gpd.poly import (
     ContextMismatchError,
     ExactDivisionError,
@@ -226,6 +230,44 @@ def test_format_matches_reference_across_chunks():
     # compared term by term: a failing diff of two long strings is very slow
     assert text.split(" ") == _reference_format(f).split(" ")
     assert parse(text, 1, 11) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 3) | st.sampled_from([300, 2**64])] * 4),
+        st.integers(-9, 9).filter(bool),
+        max_size=40,
+    ),
+    st.integers(1, 6),
+)
+def test_canonical_chunks_match_the_argsort_order(terms, chunk):
+    # terms of many degrees, whose sums need uint8, uint16 or Python ints
+    f = Polynomial(1, 1, terms)
+    with mock.patch.object(poly, "_FORMAT_CHUNK", chunk):
+        chunks = list(f._canonical_chunks())
+    assert all(len(c) == chunk for c in chunks[:-1]) and all(0 < len(c) <= chunk for c in chunks)
+    order = np.concatenate([np.empty(0, np.intp), *chunks])
+    assert np.array_equal(order, refpoly.canonical_order(f))
+
+
+def test_product_multiplies_the_longest_factor_first(monkeypatch):
+    # each merge's runs are the shorter factor's terms, and a one-term
+    # factor only shifts the keys
+    a, b, (x1,), (y1,) = alphabet(1, 1)
+    f = (a + x1 - y1) ** 3
+    expected = refpoly.mul(refpoly.mul(refpoly.terms(x1), refpoly.terms(f)), refpoly.terms(a + b))
+    seen = []
+    merge_products = _packed.merge_products
+
+    def spy(pieces, dtype):
+        seen.append((len(pieces[0][0]), len(pieces[0][2][0])))
+        return merge_products(pieces, dtype)
+
+    ab = a + b
+    monkeypatch.setattr(_packed, "merge_products", spy)
+    assert refpoly.terms(poly.product(1, 1, [x1, f, ab])) == expected
+    assert seen == [(len(f), 2), (2 * len(f), 1)]
 
 
 def _check_format(f: Polynomial) -> str:

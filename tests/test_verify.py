@@ -12,6 +12,7 @@ import json
 import pytest
 
 from gpd import cli, flux, grid, schubert, yangbaxter
+from gpd import verify as checks
 from gpd.poly import Var, parse
 from gpd.schubert import ORIGIN, all_hybridizations, all_partial_perms, reduced_weight_sums
 from gpd.verify import _plan, _targets, check_flux, check_recurrence
@@ -323,6 +324,52 @@ def test_each_reduced_sweep_runs_once(capsys, monkeypatch, check, per_batch):
     assert cli.main(["verify", check, "--m", "3", "--n", "3"]) == 0
     assert len(calls) == len(set(calls)) == per_batch * 3
     assert {len(pis) for _, _, pis in calls} <= {2, 3}  # 2 words per batch, or 3 with a parent
+
+
+class _LazyPool:
+    """Stands in for ProcessPoolExecutor: a submitted sweep runs when its
+    result is read, and ``in_flight`` records how many were submitted and
+    not yet read at each submission."""
+
+    def __init__(self, max_workers):
+        self.open = 0
+        self.in_flight = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        pool = self
+        self.open += 1
+        self.in_flight.append(self.open)
+
+        class Pending:
+            def result(self):
+                pool.open -= 1
+                return fn(*args)
+
+        return Pending()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_jobs_submit_at_most_one_sweep_per_worker_ahead(monkeypatch, jobs):
+    # 3 batches of 2^2 + 1 sweeps: the pool holds the sweep being read and
+    # at most one more per worker, never the whole plan
+    pools = []
+
+    def pool(max_workers):
+        pools.append(_LazyPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", pool)
+    reports = checks.g_checks(2, 3, jobs=jobs)
+    assert [r.failures for r in reports] == [[]] * 4
+    assert len(pools) == 1 and len(pools[0].in_flight) == len(_plan(2, 3)) == 15
+    assert max(pools[0].in_flight) == jobs + 1 and pools[0].open == 0
 
 
 def test_recurrence_check_reaches_a_parent_in_another_batch(monkeypatch):
