@@ -13,10 +13,12 @@ them.  Either way the arithmetic is exact and the code path is the same.
 
 Memory contract: a pass over a whole polynomial holds at most
 ``_MERGE_CHUNK`` terms of transient arrays besides its inputs and its
-output.  A re-key of more keys goes one chunk at a time.  A merge of more
+output, while a merge's products come in at most ``_MERGE_RUNS`` sorted
+runs.  A re-key of more keys goes one chunk at a time.  A merge of more
 input terms goes one key range at a time (``_merge_ranges``); its merged
 ranges are the output in pieces, joined into one array at the end, so for
-that moment it holds the output twice.
+that moment it holds the output twice.  A merge of more runs writes its
+whole input into one buffer, as a small merge does.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ INT64_HEADROOM = 2**62
 # Input terms above which merge_products merges one key range at a time, and
 # keys per chunk of a large re-key: the transient arrays of either pass.
 _MERGE_CHUNK = 1 << 16
+# Most runs (factor terms, summed over the pieces) of a merge by key range.
+# A range costs two ufunc calls per run, about 4 * runs / _MERGE_CHUNK calls
+# per input term: 1/64 at this bound.  A merge of more runs keeps one buffer.
+_MERGE_RUNS = _MERGE_CHUNK >> 8
 
 
 def coeff_dtype(bound: int):
@@ -159,7 +165,8 @@ def merge_products(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     gets the only reference to it, so it owns and frees it.  A lone piece
     with no factor is the sum as it is; times a monomial, its keys shift
     and its coefficients scale, still ascending, distinct and nonzero.
-    Above ``_MERGE_CHUNK`` input terms the merge goes by key range.
+    Above ``_MERGE_CHUNK`` input terms in at most ``_MERGE_RUNS`` runs
+    (one per factor term) the merge goes by key range.
     """
     if len(pieces) == 1:
         keys, coeffs, factor = pieces[0][:3]
@@ -168,7 +175,8 @@ def merge_products(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
             return keys, coeffs
         if len(factor[0]) == 1:
             return keys + int(factor[0][0]), coeffs * int(factor[1][0])
-    if sum(len(p[0]) * (1 if p[2] is None else len(p[2][0])) for p in pieces) > _MERGE_CHUNK:
+    runs = [1 if p[2] is None else len(p[2][0]) for p in pieces]
+    if sum(len(p[0]) * r for p, r in zip(pieces, runs)) > _MERGE_CHUNK and sum(runs) <= _MERGE_RUNS:
         return _merge_ranges(pieces, dtype)
     return merge(_column(pieces, 0, pieces[0][0].dtype), _column(pieces, 1, dtype))
 
@@ -193,7 +201,7 @@ def _column(pieces: list, col: int, dtype) -> np.ndarray:
 
 def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     """``merge_products`` one key range at a time, for more than
-    ``_MERGE_CHUNK`` input terms.
+    ``_MERGE_CHUNK`` input terms in at most ``_MERGE_RUNS`` runs.
 
     The products are sorted runs: a piece's keys plus one factor term's key
     each.  Range bounds are taken from a sorted sample of the runs, every
@@ -202,10 +210,9 @@ def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     ranges are disjoint, so no duplicate key straddles two.  A piece finds
     every run's start in every range with one ``searchsorted``; a range
     writes each run's slice into one buffer, shifted and scaled, and merges
-    it.  That is two ufunc calls per run and range, and ``poly.product``
-    keeps the runs few: it multiplies the longest factor first, so the runs
-    are the shorter factor's terms.  The merged ranges are joined at the
-    end.
+    it: two ufunc calls per run and range.  ``poly.product`` keeps the runs
+    few: it multiplies the longest factor first, so the runs are the
+    shorter factor's terms.  The merged ranges are joined at the end.
     """
     one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     runs = [(p[0], p[1], *(one if p[2] is None else p[2])) for p in pieces]

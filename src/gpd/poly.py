@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from collections import Counter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -279,41 +278,19 @@ class Polynomial:
         Read backwards, the keys descend lexicographically in (A, B, x.., y..),
         so the terms of one degree in canonical order are its indices read
         backwards: a homogeneous polynomial's order is the keys read
-        backwards.  The distinct degrees are walked in descending order, in
-        bands of adjacent degrees of at most ``_FORMAT_CHUNK`` terms, or one
-        degree.  Each band is found by a backwards scan of the degrees, one
-        chunk at a time; a band of several degrees is then stably sorted by
-        descending degree.
+        backwards.  The distinct degrees are walked in descending order, each
+        found by a backwards scan of the degrees, one chunk at a time.
         """
         degrees = self._degrees()
-        counts: Counter = Counter()
+        distinct: set = set()
         for start in range(0, len(self), _FORMAT_CHUNK):
-            values, number = np.unique(degrees[start:start + _FORMAT_CHUNK], return_counts=True)
-            counts.update(dict(zip(values.tolist(), number.tolist())))
-        bands, band, held = [], [], 0
-        for d in sorted(counts, reverse=True):
-            if band and held + counts[d] > _FORMAT_CHUNK:
-                bands.append(band)
-                band, held = [], 0
-            band.append(d)
-            held += counts[d]
-        if band:
-            bands.append(band)
-        ends = range(len(self), 0, -_FORMAT_CHUNK)
-
-        def scan(band):
-            for end in ends:
-                start = max(0, end - _FORMAT_CHUNK)
-                block = degrees[start:end]
-                yield np.flatnonzero((block <= band[0]) & (block >= band[-1]))[::-1] + start
+            distinct.update(np.unique(degrees[start:start + _FORMAT_CHUNK]).tolist())
 
         def parts():
-            for band in bands:
-                if len(band) == 1:
-                    yield from scan(band)
-                else:
-                    index = np.concatenate(list(scan(band)))
-                    yield index[np.argsort(band[0] - degrees[index], kind="stable")]
+            for d in sorted(distinct, reverse=True):
+                for end in range(len(self), 0, -_FORMAT_CHUNK):
+                    start = max(0, end - _FORMAT_CHUNK)
+                    yield np.flatnonzero(degrees[start:end] == d)[::-1] + start
 
         return _rechunk(parts(), _FORMAT_CHUNK)
 

@@ -6,13 +6,17 @@ polynomial times a factor, or times 1) and merges them once;
 compared with ``refpoly`` over pieces that share keys, cancel, or are
 empty, factors of one to three terms, int64 and Python-int coefficients,
 and keys of 12 and of 69 bits.  With ``_MERGE_CHUNK`` cut to a few terms,
-every merge of more input terms goes by key range (``_merge_ranges``),
-its range bounds falling on duplicated and cancelling keys.
+every merge of more input terms in at most ``_MERGE_RUNS`` runs goes by
+key range (``_merge_ranges``), its range bounds falling on duplicated and
+cancelling keys; a merge of more runs keeps one buffer.
 """
 
+import random
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,11 +66,13 @@ def products(draw):
 @st.composite
 def ranged_products(draw):
     """Like ``products``, with factors of up to eight terms and at least
-    two input terms, so a ``_MERGE_CHUNK`` below their count applies."""
+    two input terms, so a ``_MERGE_CHUNK`` below their count applies.  The
+    pieces are short, or long enough that a range samples every few keys."""
     packer = draw(st.sampled_from([NARROW, WIDE]))
     big = draw(st.booleans())
     coeff = BIG if big else SMALL
-    terms = st.dictionaries(EXPONENTS, coeff, min_size=1, max_size=8)
+    low, high = draw(st.sampled_from([(1, 8), (40, 80)]))
+    terms = st.dictionaries(EXPONENTS, coeff, min_size=low, max_size=high)
     factor = st.none() | st.dictionaries(EXPONENTS, coeff, min_size=2, max_size=8)
     pieces = draw(st.lists(st.tuples(terms, factor), min_size=2, max_size=4))
     if draw(st.booleans()):  # every piece twice, once negated: duplicates that cancel
@@ -81,12 +87,10 @@ def test_merge_products_matches_reference(case, data):
     check_products(case, data)
 
 
-@settings(max_examples=300, deadline=None)
-@given(ranged_products(), st.integers(2, 8), st.data())
-def test_ranged_merge_matches_reference(case, chunk, data):
-    _, _, pieces = case
-    size = sum(len(t) * len(f or [None]) for t, f in pieces)
-    chunk = min(chunk, size - 1)
+@contextmanager
+def merge_limits(chunk, runs):
+    """``_MERGE_CHUNK`` and ``_MERGE_RUNS`` patched; yields the list that
+    records each ``_merge_ranges`` call's number of pieces."""
     ranged = []
     merge_ranges = _packed._merge_ranges
 
@@ -95,9 +99,55 @@ def test_ranged_merge_matches_reference(case, chunk, data):
         return merge_ranges(pieces, dtype)
 
     with mock.patch.object(_packed, "_MERGE_CHUNK", chunk), \
+            mock.patch.object(_packed, "_MERGE_RUNS", runs), \
             mock.patch.object(_packed, "_merge_ranges", spy):
+        yield ranged
+
+
+def sizes(pieces):
+    """(input terms, runs) of drawn pieces."""
+    runs = [len(f or [None]) for _, f in pieces]
+    return sum(len(t) * r for (t, _), r in zip(pieces, runs)), sum(runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranged_products(), st.data())
+def test_ranged_merge_matches_reference(case, data):
+    size, runs = sizes(case[2])
+    with merge_limits(data.draw(st.integers(1, size - 1)), runs) as ranged:
         check_products(case, data)
-    assert ranged == [len(pieces)]
+    assert ranged == [len(case[2])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranged_products(), st.data())
+def test_merge_of_too_many_runs_keeps_one_buffer(case, data):
+    size, runs = sizes(case[2])
+    with merge_limits(data.draw(st.integers(1, size - 1)), runs - 1) as ranged:
+        check_products(case, data)
+    assert ranged == []
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_merge_products_takes_ranges_up_to_the_run_bound(extra):
+    # the module's own bounds: a piece of 300 terms times a factor of
+    # _MERGE_RUNS (+1) terms is more than _MERGE_CHUNK input terms
+    packer = _packed.layout((8, 8, 8, 8))
+    rng = random.Random(extra)
+
+    def terms(count):
+        out = {}
+        while len(out) < count:
+            out[tuple(rng.randrange(100) for _ in range(4))] = rng.choice((-2, -1, 1, 3))
+        return out
+
+    piece, factor = terms(300), terms(_packed._MERGE_RUNS + extra)
+    assert len(piece) * len(factor) > _packed._MERGE_CHUNK
+    with merge_limits(_packed._MERGE_CHUNK, _packed._MERGE_RUNS) as ranged:
+        keys, coeffs = _packed.merge_products(
+            [(*packed(packer, piece, np.int64), packed(packer, factor, np.int64))], np.int64)
+    assert ranged == ([] if extra else [1])
+    check_merged(packer, keys, coeffs, np.int64, refpoly.mul(piece, factor))
 
 
 def check_products(case, data):
