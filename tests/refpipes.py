@@ -1,13 +1,18 @@
-"""Pipe paths traced tile by tile: the reference for label routing.
+"""Per-dream references: pipe paths traced tile by tile, B-degrees.
 
 ``trace_pipes`` follows each pipe through the grid by its own rules, not
 through ``grid.ROUTES``, so the label-carrying walk and ``edge_labels`` can
-be checked against it.
+be checked against it.  ``_weight_b_degree`` and ``_is_nongeneric`` read
+one dream at a time what ``verify`` counts on the transfer, and
+``leading_degree_faults`` replays the leading form's per-dream claim over
+every dream with them.
 """
 
 from __future__ import annotations
 
+from gpd import grid
 from gpd.grid import InvalidDreamError, PipeDream, Tile, pipe_numbering
+from gpd.schubert import all_hybridizations, inversions, min_extension
 
 
 def trace_pipes(d: PipeDream) -> dict[int, list[tuple[str, int, int]]]:
@@ -50,3 +55,39 @@ def trace_pipes(d: PipeDream) -> dict[int, list[tuple[str, int, int]]]:
                 entry = "W" if out == "E" else "E"
         paths[pipe] = path
     return paths
+
+
+# Per row type, the tiles whose weight has a B term.
+B_TILES = {"W": grid.ELBOWS | {Tile.BLANK}, "E": grid.ELBOWS | grid.STRAIGHTS}
+
+
+def _weight_b_degree(d: PipeDream, b_tiles=B_TILES) -> int:
+    """B-degree of a dream weight: its elbows, W-row blanks and E-row straights."""
+    return sum(
+        t in b_tiles[row_type] for row_type, row in zip(d.beta, d.tiles) for t in row
+    )
+
+
+def _is_nongeneric(d: PipeDream, crossings: tuple | None = None) -> bool:
+    """No banned tile, no pair crossing twice (``grid.connectivity``'s record)."""
+    for i in range(1, d.m + 1):
+        if grid.NONGENERIC_BAN[d.row_type(i)] in d.tiles[i - 1]:
+            return False
+    if crossings is None:
+        _, crossings = grid.connectivity(d)
+    return len(set(crossings)) == len(crossings)
+
+
+def leading_degree_faults(m: int, n: int, b_tiles=B_TILES) -> dict[tuple, int]:
+    """(pi, beta) -> top = mn - inv(w), for each word and row type with a
+    nongeneric dream off B-degree top or a generic-only dream at or above
+    it, dream by dream."""
+    faults = {}
+    for beta in all_hybridizations(m):
+        for d in grid.enumerate_dreams(m, n, beta):
+            pi, crossings = grid.connectivity(d)
+            top = m * n - inversions(min_extension(pi, n))
+            bdeg = _weight_b_degree(d, b_tiles)
+            if (bdeg != top) if _is_nongeneric(d, crossings) else (bdeg >= top):
+                faults[pi, beta] = top
+    return faults

@@ -15,7 +15,7 @@ import time
 
 from gpd import flux as fluxmod
 from gpd import grid, verify, yangbaxter
-from gpd.verify import _is_nongeneric, _weight_b_degree, check_crossing
+from gpd.verify import check_crossing
 from gpd.flux import EdgeId
 from gpd.grid import count_dreams, enumerate_dreams, parse_dream
 from gpd.poly import Polynomial, Var, parse
@@ -35,6 +35,7 @@ from gpd.schubert import (
 )
 
 from conftest import random_point, random_poly
+from refpipes import _is_nongeneric, _weight_b_degree
 
 SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 SAMPLED_45 = [(1, 2, 5, 3), (5, 4, 3, 2), (1, 2, 3, 4), (2, 4, 1, 5), (3, 1, 5, 2)]

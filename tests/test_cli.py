@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -82,6 +83,22 @@ def test_traced_run_smoke(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "PASS yang-baxter" in done.stdout.splitlines()
     assert json.loads(metrics.read_text())["yangbaxter.cluster_sums"] == 32
+
+
+def test_tracer_inner_names_resolve():
+    # the tracer looks every undotted INNER name up in its gpd module at
+    # install time, so a refactor that deletes one crashes every traced
+    # run; a method it names is wrapped only if its class still has it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for short, names in tracer.INNER.items():
+        module = importlib.import_module(f"gpd.{short}")
+        for name in names:
+            if "." not in name:
+                assert callable(getattr(module, name, None)), f"{short}.{name}"
 
 
 def test_import_builds_no_pool_and_no_layouts():

@@ -482,7 +482,7 @@ def test_positivity_specialization():
 
 
 def test_b_degree_bound_over_dreams():
-    from gpd.verify import _weight_b_degree, _is_nongeneric
+    from refpipes import _is_nongeneric, _weight_b_degree
 
     for pi in all_partial_perms(2, 3):
         bound = 2 * 3 - inversions(min_extension(pi, 3))

@@ -8,14 +8,18 @@ Messages are tested by membership, not position.
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
 from gpd import cli, flux, grid, schubert, yangbaxter
 from gpd import verify as checks
+from gpd.grid import Tile
 from gpd.poly import Var, parse
 from gpd.schubert import ORIGIN, all_hybridizations, all_partial_perms, reduced_weight_sums
 from gpd.verify import _plan, _targets, check_flux, check_recurrence
+
+from refpipes import _weight_b_degree, leading_degree_faults
 
 SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
@@ -203,6 +207,57 @@ def test_leading_check_fails_on_a_broken_leading_coefficient(capsys, monkeypatch
         ("leading", "--m", "2", "--n", "2"),
         "pi=(1, 2) beta=WE: leading coefficient mismatch",
     )
+
+
+@pytest.mark.parametrize("row_type, tile", [("W", Tile.STRAIGHT_H), ("E", Tile.BLANK)])
+def test_leading_check_fails_on_a_tile_with_a_broken_b_degree(monkeypatch, row_type, tile):
+    # counting one more tile as a B tile breaks the per-dream claim, and the
+    # counts flag exactly the words the dream-by-dream reference loop flags
+    b_tiles = {**checks._B_TILES, row_type: checks._B_TILES[row_type] | {tile}}
+    monkeypatch.setattr(checks, "_B_TILES", b_tiles)
+    faults = leading_degree_faults(2, 3, b_tiles)
+    report = checks.check_leading(2, 3)
+    assert faults and not report.ok
+    assert sorted(report.failures) == sorted(
+        f"pi={pi} beta={beta}: the dreams of B-degree {top} are not exactly the "
+        "nongeneric ones, or some dream exceeds it"
+        for (pi, beta), top in faults.items()
+    )
+
+
+@pytest.mark.parametrize("m, n", SMALL_SHAPES)
+def test_b_degree_counts_match_the_dreams(m, n):
+    # digit d of a word's count, mn + 1 bits wide, is its number of dreams
+    # of B-degree d, in both modes
+    bits = m * n + 1
+    for beta in all_hybridizations(m):
+        for mode, counts in zip(["generic", "nongeneric"], checks._b_degree_counts(m, n, beta)):
+            walked: dict = {}
+            for pi, d in grid.walk(m, n, beta, mode):
+                walked.setdefault(pi, Counter())[_weight_b_degree(d)] += 1
+            decoded = {}
+            for pi, count in counts.items():
+                assert count >> bits * (m * n + 1) == 0, (beta, mode, pi)
+                digits = {deg: count >> bits * deg & (1 << bits) - 1 for deg in range(m * n + 1)}
+                decoded[pi] = +Counter(digits)
+            assert decoded == walked, (beta, mode)
+
+
+def test_b_tiles_are_the_tiles_whose_weight_has_a_b_term():
+    for row_type in "WE":
+        for tile in Tile:
+            b_degree = grid.tile_weight(row_type, tile, 1, 1, 1, 1).leading_form(Var("B"))[0]
+            assert (tile in checks._B_TILES[row_type]) == (b_degree == 1), (row_type, tile)
+
+
+def test_g_checks_walk_no_dream(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("dream walked")
+
+    for name in ("walk", "enumerate_dreams", "connectivity"):
+        monkeypatch.setattr(grid, name, refused)
+    for report in checks.g_checks(3, 4):
+        assert report.ok, (report.name, report.failures)
 
 
 def test_mirror_check_fails_on_a_broken_g(capsys, monkeypatch):
