@@ -15,10 +15,10 @@ Memory contract: a pass over a whole polynomial holds at most
 ``_MERGE_CHUNK`` terms of transient arrays besides its inputs and its
 output, while a merge's products come in at most ``_MERGE_RUNS`` sorted
 runs.  A re-key of more keys goes one chunk at a time.  A merge of more
-input terms goes one key range at a time (``_merge_ranges``); its merged
-ranges are the output in pieces, joined into one array at the end, so for
-that moment it holds the output twice.  A merge of more runs writes its
-whole input into one buffer, as a small merge does.
+input terms goes one key range at a time (``_merge_ranges``): it counts
+each range's distinct keys first, then merges every range into one output
+allocated once at that size, so it holds its output once.  A merge of more
+runs writes its whole input into one buffer, as a small merge does.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ INT64_HEADROOM = 2**62
 # keys per chunk of a large re-key: the transient arrays of either pass.
 _MERGE_CHUNK = 1 << 16
 # Most runs (factor terms, summed over the pieces) of a merge by key range.
-# A range costs two ufunc calls per run, about 4 * runs / _MERGE_CHUNK calls
-# per input term: 1/64 at this bound.  A merge of more runs keeps one buffer.
+# A range costs three ufunc calls per run, about 6 * runs / _MERGE_CHUNK calls
+# per input term: 3/128 at this bound.  A merge of more runs keeps one buffer.
 _MERGE_RUNS = _MERGE_CHUNK >> 8
 
 
@@ -91,9 +91,11 @@ class Packer:
         return [self.field(keys, k).tolist() for k in range(len(self.widths))]
 
     def encode(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """Keys of exponent vectors that fit this layout."""
+        """Keys of exponent vectors that fit this layout (0 in empty slots,
+        whose shift may be 63 in a 63-bit layout)."""
         exps = np.array(rows, dtype=self.key_dtype).reshape(len(rows), len(self.widths))
-        return exps @ np.array([1 << s for s in self.shifts], dtype=self.key_dtype)
+        units = [1 << s if w else 0 for s, w in zip(self.shifts, self.widths)]
+        return exps @ np.array(units, dtype=self.key_dtype)
 
     def rekey(self, keys: np.ndarray, dst: "Packer") -> np.ndarray:
         """The same exponent vectors as keys of ``dst``, which must hold them."""
@@ -107,11 +109,9 @@ class Packer:
         if dst.key_dtype is object:
             keys = keys.astype(object)
         out = np.zeros(len(keys), dtype=keys.dtype)
-        for k, w in enumerate(self.widths):
-            if w:
-                src, to = self.shifts[k], dst.shifts[k]
-                part = keys & (self.masks[k] << src)
-                out |= part << (to - src) if to >= src else part >> (src - to)
+        for mask, up in _moves(self, dst):
+            part = keys & mask
+            out |= part << up if up >= 0 else part >> -up
         return out.astype(dst.key_dtype, copy=False)
 
     def tight(self, keys: np.ndarray) -> "Packer":
@@ -132,14 +132,30 @@ def layout(widths: tuple[int, ...]) -> Packer:
     return Packer(widths)
 
 
-def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4096)
+def _moves(src: Packer, dst: Packer) -> tuple[tuple[int, int], ...]:
+    """``rekey``'s (bit mask, shift up) per run of adjacent live slots of
+    ``src`` that move by the same shift into ``dst``: one move each."""
+    moves: list[list[int]] = []
+    for k, w in enumerate(src.widths):
+        if w:
+            bits, up = src.masks[k] << src.shifts[k], dst.shifts[k] - src.shifts[k]
+            if moves and moves[-1][1] == up:
+                moves[-1][0] |= bits
+            else:
+                moves.append([bits, up])
+    return tuple(map(tuple, moves))
+
+
+def merge(keys: np.ndarray, coeffs: np.ndarray, unsorted: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Combine duplicate keys, drop zero coefficients; keys come out ascending.
 
     The merge owns its arguments: it drops each array once the next is
     made, so a buffer no caller holds is freed as it goes.  Ascending keys
-    skip the sort, distinct keys the sum, nonzero coefficients the filter.
+    skip the sort, distinct keys the sum, nonzero coefficients the filter;
+    ``unsorted`` keys skip the test for ascending keys.
     """
-    if not (keys[1:] > keys[:-1]).all():
+    if unsorted or not (keys[1:] > keys[:-1]).all():
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         coeffs = coeffs[order]
@@ -208,11 +224,16 @@ def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     ``step``-th key of each, so a range holds fewer than ``_MERGE_CHUNK``
     input terms while there are at most ``_MERGE_CHUNK // 8`` runs.  The
     ranges are disjoint, so no duplicate key straddles two.  A piece finds
-    every run's start in every range with one ``searchsorted``; a range
-    writes each run's slice into one buffer, shifted and scaled, and merges
-    it: two ufunc calls per run and range.  ``poly.product`` keeps the runs
-    few: it multiplies the longest factor first, so the runs are the
-    shorter factor's terms.  The merged ranges are joined at the end.
+    every run's start in every range with one ``searchsorted``.  A first
+    pass writes each range's keys, run by run, sorts them and counts the
+    distinct ones; their sum bounds the output, which cancellation only
+    shrinks.  So the output is allocated once.  Then a range writes each
+    run's slice of keys and coefficients, shifted and scaled, and merges
+    them into the output at a running offset; a cancelled tail is cut off
+    in place.  That is three ufunc calls per run and range.  There are at
+    least two runs, so a range's merge sorts without testing for order.
+    ``poly.product`` keeps the runs few: it multiplies the longest factor
+    first, so the runs are the shorter factor's terms.
     """
     one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     runs = [(p[0], p[1], *(one if p[2] is None else p[2])) for p in pieces]
@@ -221,25 +242,38 @@ def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
         [(keys[::step] + shifts[:, None]).ravel() for keys, _, shifts, _ in runs]))
     every = max(1, _MERGE_CHUNK // (2 * step))
     bounds = sample[every::every]
-    # starts[p][k][r]: the first index of run k of piece p at or past range
-    # r's lower bound; the last entry is the run's length
-    starts = [
-        [[0, *row, len(keys)] for row in np.searchsorted(keys, bounds - shifts[:, None]).tolist()]
-        for keys, _, shifts, _ in runs
+    # one ((keys, coeffs), (key shift, scale), starts) per run; starts[r] is
+    # the first index at or past range r's lower bound, the last the length
+    flat = [
+        ((keys, values), (shifts[k], scales[k]), [0, *row, len(keys)])
+        for keys, values, shifts, scales in runs
+        for k, row in enumerate(np.searchsorted(keys, bounds - shifts[:, None]).tolist())
     ]
-    key_parts, coeff_parts = [], []
-    for r in range(len(bounds) + 1):
-        size = sum(row[r + 1] - row[r] for s in starts for row in s)
-        keys = np.empty(size, dtype=pieces[0][0].dtype)
-        coeffs = np.empty(size, dtype=dtype)
-        at = 0
-        for (base, values, shifts, scales), s in zip(runs, starts):
-            for k, row in enumerate(s):
-                lo, hi = row[r], row[r + 1]
-                np.add(base[lo:hi], shifts[k], out=keys[at : at + hi - lo], dtype=keys.dtype)
-                np.multiply(values[lo:hi], scales[k], out=coeffs[at : at + hi - lo], dtype=dtype)
-                at += hi - lo
-        keys, coeffs = merge(keys, coeffs)
-        key_parts.append(keys)
-        coeff_parts.append(coeffs)
-    return np.concatenate(key_parts), np.concatenate(coeff_parts)
+    dtypes, ranges = (pieces[0][0].dtype, dtype), range(len(bounds) + 1)
+
+    def products(r: int, col: int) -> np.ndarray:
+        """Range r's product keys (``col`` 0) or coefficients (1), run by run."""
+        out = np.empty(sum(s[r + 1] - s[r] for *_, s in flat), dtype=dtypes[col])
+        op, at = (np.add, np.multiply)[col], 0
+        for arrays, factor, s in flat:
+            lo, hi = s[r], s[r + 1]
+            op(arrays[col][lo:hi], factor[col], out=out[at : at + hi - lo], dtype=dtypes[col])
+            at += hi - lo
+        return out
+
+    size = 0
+    for r in ranges:
+        keys = products(r, 0)
+        keys.sort(kind="stable")
+        size += int(np.count_nonzero(keys[1:] != keys[:-1])) + (len(keys) > 0)
+    out_keys, out_coeffs = np.empty(size, dtype=dtypes[0]), np.empty(size, dtype=dtype)
+    at = 0
+    for r in ranges:
+        keys, coeffs = merge(products(r, 0), products(r, 1), unsorted=True)
+        out_keys[at : at + len(keys)] = keys
+        out_coeffs[at : at + len(keys)] = coeffs
+        at += len(keys)
+    if at < size:
+        out_keys.resize(at, refcheck=False)
+        out_coeffs.resize(at, refcheck=False)
+    return out_keys, out_coeffs

@@ -278,13 +278,16 @@ class Polynomial:
         Read backwards, the keys descend lexicographically in (A, B, x.., y..),
         so the terms of one degree in canonical order are its indices read
         backwards: a homogeneous polynomial's order is the keys read
-        backwards.  The distinct degrees are walked in descending order, each
-        found by a backwards scan of the degrees, one chunk at a time.
+        backwards.  The distinct degrees, read off each sorted chunk (as
+        ``np.unique`` would not: it imports ``numpy.ma``), are walked in
+        descending order, each found by a backwards scan of the degrees, one
+        chunk at a time.
         """
         degrees = self._degrees()
         distinct: set = set()
         for start in range(0, len(self), _FORMAT_CHUNK):
-            distinct.update(np.unique(degrees[start:start + _FORMAT_CHUNK]).tolist())
+            chunk = np.sort(degrees[start:start + _FORMAT_CHUNK])
+            distinct.update(chunk[np.append(chunk[1:] != chunk[:-1], True)].tolist())
 
         def parts():
             for d in sorted(distinct, reverse=True):

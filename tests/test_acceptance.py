@@ -244,6 +244,38 @@ def test_c02_poly_4x5_within_150mb():
     assert peak_mb <= 150, f"peak RSS {peak_mb:.0f} MB"
 
 
+@budget(30)
+def test_c02_poly_4x5_within_110mb():
+    # the same G(1,2,3,4): a merge by key range counts its output's terms
+    # first and merges every range into one array of that size, so it holds
+    # its output once (92-95 MB measured; 125-127 MB when it joined the
+    # merged ranges at the end)
+    code, out, err, peak_mb = gpd_within_1gib(["poly", "--m", "4", "--n", "5", "--pi", "1,2,3,4"], 30)
+    with out:
+        digest = hashlib.file_digest(out, "sha256").hexdigest()
+        size = out.tell()
+    assert code == 0, err
+    assert (size, digest) == (
+        85_895_751, "1d0585315528dc58be663757df5b99984b3270ea52b87a4a94edf1784c7446e9"
+    )
+    assert peak_mb <= 110, f"peak RSS {peak_mb:.0f} MB"
+
+
+@budget(60)
+def test_c02_poly_4x6_within_1gib():
+    # G(1,2,3,4) at (4,6): 1,034,557,889 bytes of text, pinned by hash
+    # (the output of the merge that joined its ranges, run under 3 GiB);
+    # 654 MB measured, where that merge ran out of 1 GiB
+    code, out, err, _ = gpd_within_1gib(["poly", "--m", "4", "--n", "6", "--pi", "1,2,3,4"], 60)
+    with out:
+        digest = hashlib.file_digest(out, "sha256").hexdigest()
+        size = out.tell()
+    assert code == 0, err
+    assert (size, digest) == (
+        1_034_557_889, "191fb8a6b54cc39362542ef36fe4e285660e145de0e91fd2d4554fc81fe7cb6a"
+    )
+
+
 @budget(60)
 def test_c05_recurrence():
     for m, n in SMALL_SHAPES:

@@ -119,6 +119,27 @@ def test_import_builds_no_pool_and_no_layouts():
     assert done.stdout.split() == ["False", "0"]
 
 
+def test_poly_leaves_numpy_ma_unloaded():
+    # np.unique without return_inverse asks numpy.ma whether its argument
+    # is masked, which imports numpy.ma; the text order finds its distinct
+    # degrees without it, so poly and schubert never load numpy.ma
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    probe = (
+        "import contextlib, io, sys, gpd.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert gpd.cli.main(['poly', '--m', '3', '--n', '3', '--pi', '1,2,3']) == 0\n"
+        "    assert gpd.cli.main(['schubert', '--m', '3', '--n', '3', '--pi', '2,1,3']) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_commands_load_only_the_modules_they_run():
     # import gpd.cli loads NumPy (the benchmark's setup child reads its
     # version) but none of the modules that only some commands run

@@ -8,10 +8,13 @@ empty, factors of one to three terms, int64 and Python-int coefficients,
 and keys of 12 and of 69 bits.  With ``_MERGE_CHUNK`` cut to a few terms,
 every merge of more input terms in at most ``_MERGE_RUNS`` runs goes by
 key range (``_merge_ranges``), its range bounds falling on duplicated and
-cancelling keys; a merge of more runs keeps one buffer.
+cancelling keys, whole ranges cancelling; a merge of more runs keeps one
+buffer.  A ranged merge holds its output once, and the re-key moves runs
+of slots as the slot-by-slot loop moves each slot.
 """
 
 import random
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -75,8 +78,10 @@ def ranged_products(draw):
     terms = st.dictionaries(EXPONENTS, coeff, min_size=low, max_size=high)
     factor = st.none() | st.dictionaries(EXPONENTS, coeff, min_size=2, max_size=8)
     pieces = draw(st.lists(st.tuples(terms, factor), min_size=2, max_size=4))
-    if draw(st.booleans()):  # every piece twice, once negated: duplicates that cancel
-        pieces += [({e: -c for e, c in t.items()}, f) for t, f in pieces]
+    # some pieces (or all) twice, once negated: duplicates that cancel, in
+    # ranges that merge to nothing and across range bounds
+    twice = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    pieces += [({e: -c for e, c in t.items()}, f) for (t, f), neg in zip(pieces, twice) if neg]
     dtype = object if big or draw(st.booleans()) else np.int64
     return packer, dtype, pieces
 
@@ -150,6 +155,45 @@ def test_merge_products_takes_ranges_up_to_the_run_bound(extra):
     check_merged(packer, keys, coeffs, np.int64, refpoly.mul(piece, factor))
 
 
+def test_ranged_merge_drops_ranges_that_cancel():
+    # the lower half of the products cancels: its ranges merge to nothing
+    # and the output, sized by distinct keys, is cut to the upper half
+    packer = _packed.layout((8, 8, 8, 8))
+    piece = {(a, b, 0, 0): 1 + a % 3 for a in range(100) for b in range(3)}
+    low = {e: -c for e, c in piece.items() if e[0] < 50}
+    factor = {(0, 0, 0, 0): 2, (0, 0, 1, 0): -1, (1, 0, 0, 0): 1}
+    pieces = [(*packed(packer, t, np.int64), packed(packer, factor, np.int64)) for t in (piece, low)]
+    with merge_limits(8, 6) as ranged:
+        keys, coeffs = _packed.merge_products(pieces, np.int64)
+    assert ranged == [2]
+    expected = refpoly.add(refpoly.mul(piece, factor), refpoly.mul(low, factor))
+    assert 0 < len(expected) < len(piece) * len(factor) // 2
+    check_merged(packer, keys, coeffs, np.int64, expected)
+
+
+def test_ranged_merge_holds_its_output_once():
+    # 8 * _MERGE_CHUNK distinct products, merged by key range under the
+    # module's own bounds: besides the inputs (made before tracing) the
+    # merge holds its output and a few _MERGE_CHUNK-term buffers at a time,
+    # not the merged ranges and their join
+    chunk = _packed._MERGE_CHUNK
+    keys = np.arange(2 * chunk, dtype=np.int64) * 4
+    coeffs = np.arange(2 * chunk, dtype=np.int64) % 7 + 1
+    factor = np.arange(4, dtype=np.int64), np.array([1, -2, 3, 5], dtype=np.int64)
+    with merge_limits(chunk, _packed._MERGE_RUNS) as ranged:
+        tracemalloc.start()
+        try:
+            out_keys, out_coeffs = _packed.merge_products([(keys, coeffs, factor)], np.int64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert ranged == [1] and len(out_keys) == 8 * chunk
+    assert np.array_equal(out_keys, (keys[None, :] + factor[0][:, None]).T.ravel())
+    assert np.array_equal(out_coeffs, (coeffs[None, :] * factor[1][:, None]).T.ravel())
+    output = out_keys.nbytes + out_coeffs.nbytes
+    assert peak <= output + 6 * chunk * 8, (peak, output)
+
+
 def check_products(case, data):
     """``merge_products`` of the drawn pieces against the reference sum."""
     packer, dtype, pieces = case
@@ -191,3 +235,42 @@ def test_chunked_rekey_matches_whole(src, chunk, data):
     assert chunked.dtype == whole.dtype == dst.key_dtype
     assert np.array_equal(chunked, whole)
     assert decode(dst, chunked, np.ones(len(keys))) == decode(src, keys, np.ones(len(keys)))
+
+
+def rekey_by_slot(src, keys, dst):
+    """The re-key one slot at a time: a mask and a shift per live slot."""
+    if dst.key_dtype is object:
+        keys = keys.astype(object)
+    out = np.zeros(len(keys), dtype=keys.dtype)
+    for k, w in enumerate(src.widths):
+        if w:
+            part = keys & (src.masks[k] << src.shifts[k])
+            up = dst.shifts[k] - src.shifts[k]
+            out |= part << up if up >= 0 else part >> -up
+    return out.astype(dst.key_dtype, copy=False)
+
+
+@st.composite
+def layout_pairs(draw):
+    """(source layout, destination layout, exponent rows that fit both):
+    slot widths of 0 to 24 bits, so either layout may need Python-int keys;
+    the destination widens, keeps or narrows each slot to its widest row."""
+    slots = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.sampled_from([0, 1, 2, 3, 7, 24, 24]), min_size=slots, max_size=slots))
+    tops = [draw(st.integers(0, w)) for w in widths]  # rows may leave a slot's top bits 0
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, (1 << t) - 1) for t in tops]), min_size=1, max_size=20))
+    need = [max(r[k] for r in rows).bit_length() for k in range(slots)]
+    dst = [draw(st.sampled_from([n, w, n + 1, n + 30])) for n, w in zip(need, widths)]
+    return _packed.layout(tuple(widths)), _packed.layout(tuple(dst)), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_pairs())
+def test_rekey_by_runs_of_slots_matches_slot_by_slot(case):
+    src, dst, rows = case
+    keys = src.encode(rows)
+    moved = src.rekey(keys, dst)
+    expected = rekey_by_slot(src, keys, dst)
+    assert moved.dtype == expected.dtype == dst.key_dtype
+    assert moved.tolist() == expected.tolist() == dst.encode(rows).tolist()
