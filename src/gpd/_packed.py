@@ -108,8 +108,18 @@ class Packer:
             return out
         if dst.key_dtype is object:
             keys = keys.astype(object)
+        # one (bit mask, shift up) per run of adjacent live slots that move
+        # by the same shift: one mask and one shift each
+        moves: list[list[int]] = []
+        for k, w in enumerate(self.widths):
+            if w:
+                bits, up = self.masks[k] << self.shifts[k], dst.shifts[k] - self.shifts[k]
+                if moves and moves[-1][1] == up:
+                    moves[-1][0] |= bits
+                else:
+                    moves.append([bits, up])
         out = np.zeros(len(keys), dtype=keys.dtype)
-        for mask, up in _moves(self, dst):
+        for mask, up in moves:
             part = keys & mask
             out |= part << up if up >= 0 else part >> -up
         return out.astype(dst.key_dtype, copy=False)
@@ -132,30 +142,14 @@ def layout(widths: tuple[int, ...]) -> Packer:
     return Packer(widths)
 
 
-@lru_cache(maxsize=4096)
-def _moves(src: Packer, dst: Packer) -> tuple[tuple[int, int], ...]:
-    """``rekey``'s (bit mask, shift up) per run of adjacent live slots of
-    ``src`` that move by the same shift into ``dst``: one move each."""
-    moves: list[list[int]] = []
-    for k, w in enumerate(src.widths):
-        if w:
-            bits, up = src.masks[k] << src.shifts[k], dst.shifts[k] - src.shifts[k]
-            if moves and moves[-1][1] == up:
-                moves[-1][0] |= bits
-            else:
-                moves.append([bits, up])
-    return tuple(map(tuple, moves))
-
-
-def merge(keys: np.ndarray, coeffs: np.ndarray, unsorted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Combine duplicate keys, drop zero coefficients; keys come out ascending.
 
     The merge owns its arguments: it drops each array once the next is
     made, so a buffer no caller holds is freed as it goes.  Ascending keys
-    skip the sort, distinct keys the sum, nonzero coefficients the filter;
-    ``unsorted`` keys skip the test for ascending keys.
+    skip the sort, distinct keys the sum, nonzero coefficients the filter.
     """
-    if unsorted or not (keys[1:] > keys[:-1]).all():
+    if not (keys[1:] > keys[:-1]).all():
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         coeffs = coeffs[order]
@@ -230,8 +224,7 @@ def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     shrinks.  So the output is allocated once.  Then a range writes each
     run's slice of keys and coefficients, shifted and scaled, and merges
     them into the output at a running offset; a cancelled tail is cut off
-    in place.  That is three ufunc calls per run and range.  There are at
-    least two runs, so a range's merge sorts without testing for order.
+    in place.  That is three ufunc calls per run and range.
     ``poly.product`` keeps the runs few: it multiplies the longest factor
     first, so the runs are the shorter factor's terms.
     """
@@ -269,7 +262,7 @@ def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     out_keys, out_coeffs = np.empty(size, dtype=dtypes[0]), np.empty(size, dtype=dtype)
     at = 0
     for r in ranges:
-        keys, coeffs = merge(products(r, 0), products(r, 1), unsorted=True)
+        keys, coeffs = merge(products(r, 0), products(r, 1))
         out_keys[at : at + len(keys)] = keys
         out_coeffs[at : at + len(keys)] = coeffs
         at += len(keys)
