@@ -12,13 +12,12 @@ import argparse
 import itertools
 import json
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import grid
 
 if TYPE_CHECKING:
     from .flux import EdgeId
-    from .verify import CheckReport
 
 USAGE_ERROR = 2
 
@@ -114,39 +113,17 @@ def _cmd_poly(args) -> int:
 # verify: the checks of gpd.verify by name, and the rendering of their reports
 # ---------------------------------------------------------------------------
 
-
-def _checker(name: str, *fields: str) -> Callable[[argparse.Namespace], CheckReport]:
-    """Run ``verify.<name>`` on the named fields of the arguments; ``verify``
-    is imported when a check runs."""
-
-    def run(args: argparse.Namespace) -> CheckReport:
-        from . import verify
-
-        return getattr(verify, name)(*(getattr(args, f) for f in fields))
-
-    return run
-
-
-# The global G checks, run together by ``verify.g_checks`` on one sweep plan.
-_G_CHECKS = ("beta", "recurrence", "leading", "mirror")
-_CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
-    "ybe": _checker("verify_ybe", "mode"),
-    "crossing": _checker("check_crossing"),
-    "flux": _checker("check_flux", "m", "n"),
-}
+# ``verify.CHECKS``, spelled out so that building the parser imports no ``verify``
+_CHECK_NAMES = ("beta", "recurrence", "leading", "mirror", "ybe", "crossing", "flux")
 _SHOWN_FAILURES = 5  # per failing check, in both output formats
 
 
 def _cmd_verify(args) -> int:
     _guard_work(args.m, args.n, args.max_work)
-    names = (*_G_CHECKS, *_CHECKS) if args.check == "all" else (args.check,)
-    reports = []
-    g_names = [name for name in names if name in _G_CHECKS]
-    if g_names:
-        from . import verify
+    from . import verify
 
-        reports += verify.g_checks(args.m, args.n, g_names, args.jobs)
-    reports += [_CHECKS[name](args) for name in names if name in _CHECKS]
+    names = _CHECK_NAMES if args.check == "all" else (args.check,)
+    reports = verify.run_checks(names, args.m, args.n, args.mode, args.jobs)
     if args.format == "json":
         payload = {
             "checks": [
@@ -302,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_poly, compute="schubert_sum")
 
     sp = sub.add_parser("verify", help="run identity checks; exit 1 on failure")
-    sp.add_argument("check", choices=("all", *_G_CHECKS, *_CHECKS))
+    sp.add_argument("check", choices=("all", *_CHECK_NAMES))
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--mode", choices=("ww", "we"), default=None)

@@ -119,22 +119,19 @@ class EquationSet:
 def variety_equations(d: PipeDream) -> EquationSet:
     """Equations of the component attached to a dream.
 
-    Straight tiles in W rows and blank tiles in E rows kill an X entry;
-    blank tiles in W rows and straight tiles in E rows kill a Y entry;
-    every edge's flux is asserted equal to its pipe label.
+    The tiles of ``grid.X_TILES`` kill an X entry, every other non-elbow
+    tile a Y entry; every edge's flux is asserted equal to its pipe label.
     """
     phi = pipe_numbering(d.beta)
     zero_x: set[tuple[int, int]] = set()
     zero_y: set[tuple[int, int]] = set()
     for i in range(1, d.m + 1):
         p = phi[i - 1]
-        west_row = d.row_type(i) == "W"
         for j in range(1, d.n + 1):
             t = d.tile(i, j)
             if t in grid.ELBOWS:
                 continue
-            x_vanishes = (t in grid.STRAIGHTS) == west_row
-            if x_vanishes:
+            if t in grid.X_TILES[d.row_type(i)]:
                 zero_x.add((p, j))
             else:
                 zero_y.add((j, p))

@@ -54,6 +54,10 @@ class Tile(IntEnum):
 ELBOWS = frozenset({Tile.ELBOW_IN, Tile.ELBOW_OUT, Tile.DOUBLE_ELBOW})
 STRAIGHTS = frozenset({Tile.STRAIGHT_H, Tile.STRAIGHT_V, Tile.CROSS})
 
+# Per row type, the tiles that kill an X entry and weigh A + x - y; every
+# other non-elbow tile kills a Y entry and weighs B - x + y, an elbow A + B.
+X_TILES = {"W": STRAIGHTS, "E": frozenset({Tile.BLANK})}
+
 TILE_CHARS = ".-|+neb"
 _CHAR_TO_TILE = {c: Tile(i) for i, c in enumerate(TILE_CHARS)}
 
@@ -233,8 +237,7 @@ def tile_weight(row_type: str, t: Tile, x_index: int, j: int, m: int, n: int) ->
     Tiles of equal weight share one Polynomial, built once."""
     if t in ELBOWS:
         return _ab_power(m, n, 1)
-    # W straight / E blank: A + x - y; W blank / E straight: B - x + y
-    return _linear_weight((row_type == "W") == (t in STRAIGHTS), x_index, j, m, n)
+    return _linear_weight(t in X_TILES[row_type], x_index, j, m, n)
 
 
 @lru_cache(maxsize=None)

@@ -9,16 +9,17 @@ exactly divisible by (A+B)^m, the quotient being the equivariant class of
 the matching lower-upper component.
 
 Summation over dreams is exact integer arithmetic throughout.  One packed
-numpy sweep over the merged frontier states of ``grid.transfer`` runs
-every sum, generic weight sums, their values at A = y1 = 0 and nongeneric
-(Schubert) sums alike: each tile multiplies its state's value by the tile
-weight, and the values reaching one state are merged once per cell.  Its
+numpy sweep, ``_sweep``, over the merged frontier states of ``grid.transfer``
+runs every sum, at a point (some variables set to 0) and in a mode: generic,
+or nongeneric with the Schubert weight x - y on ``grid.X_TILES`` and 1 on
+the other tiles.  Each tile multiplies its state's value by one cached
+factor, and the values reaching one state are merged once per cell.  Its
 coefficients are int64 while an L1-norm bound certifies them and become
-Python ints from the cell where the bound runs out.  Its (keys, coefficients) arrays become
-``Polynomial`` values as they are, so G(pi) never leaves the packed
-representation.  Hybridization independence, the recurrence, the
-B-leading form and the mirror identity (``gpd verify beta``,
-``recurrence``, ``leading``, ``mirror``) are decided on G(pi) at
+Python ints from the cell where the bound runs out.  Its (keys,
+coefficients) arrays become ``Polynomial`` values as they are, so G(pi)
+never leaves the packed representation.  Hybridization independence, the
+recurrence, the B-leading form and the mirror identity (``gpd verify
+beta``, ``recurrence``, ``leading``, ``mirror``) are decided on G(pi) at
 A = y1 = 0, which has far fewer terms and, being injective on the sums
 (see ``reduced_weight_sums``), loses nothing; the flux check, ``gpd poly``
 and ``gpd schubert`` keep the full alphabet.  The recurrence is plain
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,30 +66,34 @@ def min_extension(pi: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _factor(weight: Callable[..., Polynomial], args: tuple, packer: _packed.Packer):
-    """``weight(*args)``, a cached tile weight, re-keyed into ``packer`` with
-    its L1 norm: the factor a sweep multiplies by, made once per layout."""
-    w = weight(*args)
+def _factor(row_type: str, t: Tile, pipe: int, j: int, m: int, n: int,
+            zero: tuple[Var, ...], nongeneric: bool):
+    """The factor a sweep multiplies by at tile ``t`` in column ``j`` of a
+    row carrying ``pipe``, with its L1 norm, re-keyed into the
+    ``Packer.alphabet`` layout once: the tile weight with the variables
+    ``zero`` set to 0; nongeneric, at A = 0 too (x_pipe - y_j) on the tiles
+    of ``grid.X_TILES``, and 1, ``(None, 1)``, on every other tile."""
+    if nongeneric:
+        if t not in grid.X_TILES[row_type]:
+            return None, 1
+        zero = (*zero, Var("A"))
+    w = grid.tile_weight(row_type, t, pipe, j, m, n).at_zero(*zero)
     # coefficients +-1, so int64 whatever the headroom the weight was made under
     fc = w.coeffs.astype(np.int64, copy=False)
-    return (w.packer.rekey(w.keys, packer), fc), w.l1_norm()
+    return (w.packer.rekey(w.keys, _packed.Packer.alphabet(m, n)), fc), w.l1_norm()
 
 
 def _sweep(
-    m: int,
-    n: int,
-    beta: str,
-    pis: Iterable[Sequence[int]] | None,
-    weight: Callable[[int, int, Tile], tuple[Callable[..., Polynomial], tuple] | None],
-    mode: str = "generic",
+    m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None,
+    zero: tuple[Var, ...] = (), mode: str = "generic",
 ) -> dict[tuple[int, ...], Polynomial]:
-    """Dream weight sums by connectivity, on ``grid.transfer``.
+    """Dream weight sums by connectivity on ``grid.transfer``, generic or
+    nongeneric (``mode``), with the variables ``zero`` set to 0: the one
+    packed driver of every sum.
 
-    A tile multiplies its state's value by the tile weight that
-    ``weight(i, j, tile)`` names as (cached weight function, arguments), or
-    by 1 for None, all in the ``Packer.alphabet`` layout (``_factor``).
-    ``step`` returns a pending product, the parent's arrays uncopied and
-    the tile's factor; each state is reduced once per cell by one
+    A tile multiplies its state's value by its ``_factor``.  ``step``
+    returns a pending product, the parent's arrays uncopied and the tile's
+    factor; each state is reduced once per cell by one
     ``_packed.merge_products`` over the products reaching it, in a buffer
     the merge owns.  Each value carries an L1 bound: the parent's bound
     times the weight's L1, summed when values merge, so the running total
@@ -100,11 +105,12 @@ def _sweep(
     grid.check_beta(beta, m)
     targets = None if pis is None else {check_partial_perm(p, m, n) for p in pis}
     packer = _packed.Packer.alphabet(m, n)
-    headroom = _packed.INT64_HEADROOM
-    table = {}
-    for cell in itertools.product(range(1, m + 1), range(1, n + 1), Tile):
-        named = weight(*cell)
-        table[cell] = (None, 1) if named is None else _factor(*named, packer)
+    phi = pipe_numbering(beta)
+    zero, nongeneric = tuple(zero), mode == "nongeneric"
+    table = {
+        (i, j, t): _factor(beta[i - 1], t, phi[i - 1], j, m, n, zero, nongeneric)
+        for i, j, t in itertools.product(range(1, m + 1), range(1, n + 1), Tile)
+    }
     total = 0
 
     def step(value, i, j, t):
@@ -115,7 +121,7 @@ def _sweep(
         return value[0], value[1], factor, bound
 
     def combine(values):
-        dtype = object if total >= headroom else np.int64
+        dtype = object if total >= _packed.INT64_HEADROOM else np.int64
         bound = sum(v[3] for v in values)
         return (*_packed.merge_products(values, dtype), None, bound)
 
@@ -131,22 +137,10 @@ def weight_sums_by_pi(
     m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None = None
 ) -> dict[tuple[int, ...], Polynomial]:
     """Map connectivity -> sum of dream weights for one hybridization."""
-    phi = pipe_numbering(beta)
-
-    def weight(i, j, t):
-        return grid.tile_weight, (beta[i - 1], t, phi[i - 1], j, m, n)
-
-    return _sweep(m, n, beta, pis, weight)
+    return _sweep(m, n, beta, pis)
 
 
 ORIGIN = (Var("A"), Var("y", 1))  # A = y1 = 0, where the global checks compare G(pi)
-
-
-@lru_cache(maxsize=None)
-def _tile_weight_at_zero(row_type: str, t: Tile, x_index: int, j: int, m: int, n: int,
-                         zero: tuple[Var, ...]) -> Polynomial:
-    """``grid.tile_weight`` with the variables ``zero`` set to 0."""
-    return grid.tile_weight(row_type, t, x_index, j, m, n).at_zero(*zero)
 
 
 def reduced_weight_sums(
@@ -165,12 +159,7 @@ def reduced_weight_sums(
     sweep is the one of ``weight_sums_by_pi``, each tile weight cut to its
     terms free of ``zero``, so the sums carry far fewer terms.
     """
-    phi = pipe_numbering(beta)
-
-    def weight(i, j, t):
-        return _tile_weight_at_zero, (beta[i - 1], t, phi[i - 1], j, m, n, zero)
-
-    return _sweep(m, n, beta, pis, weight)
+    return _sweep(m, n, beta, pis, zero)
 
 
 def _weight_sums_exact(
@@ -207,16 +196,18 @@ def generic_polynomial(m: int, n: int, beta: str, pi: Sequence[int]) -> Polynomi
 
 def base_case(m: int, n: int, pi: Sequence[int], *zero: Var) -> Polynomial:
     """Closed product for a strictly decreasing connectivity word, its
-    factors taken with the variables ``zero`` set to 0."""
+    factors taken with the variables ``zero`` set to 0: the tile weights of
+    the word's one all-W dream, in which pipe p runs straight to its exit
+    column pi[p], turns North on an elbow there and leaves blanks East."""
     word = check_partial_perm(pi, m, n)
     if any(word[i] <= word[i + 1] for i in range(m - 1)):
         raise ValueError(f"{word} is not decreasing")
-    a, b, xs, ys = alphabet(m, n)
-    factors = [a + b] * m
-    for x, col in zip(xs, word):
-        factors += [a + x - ys[j - 1] for j in range(1, col)]
-        factors += [b - x + ys[j - 1] for j in range(col + 1, n + 1)]
-    return product(m, n, [f.at_zero(*zero) for f in factors])
+    tiles = {-1: Tile.STRAIGHT_H, 0: Tile.ELBOW_IN, 1: Tile.BLANK}
+    factors = [
+        grid.tile_weight("W", tiles[(j > col) - (j < col)], p, j, m, n).at_zero(*zero)
+        for p, col in enumerate(word, start=1) for j in range(1, n + 1)
+    ]
+    return product(m, n, factors)
 
 
 def recurrence_step(g: Polynomial, i: int, *zero: Var) -> Polynomial:
@@ -300,24 +291,11 @@ def nongeneric_sums_by_pi(
 ) -> dict[tuple[int, ...], Polynomial]:
     """Map connectivity -> sum over nongeneric dreams of the x,y products.
 
-    Straight tiles in W rows and blank tiles in E rows contribute
-    x_{phi(i)} - y_j; every other tile contributes 1.  One transfer in
-    nongeneric mode sums the products for every word, or for ``pis``.
+    The tiles of ``grid.X_TILES`` (straights in W rows, blanks in E rows)
+    contribute x_{phi(i)} - y_j; every other tile contributes 1.  One
+    nongeneric sweep sums the products for every word, or for ``pis``.
     """
-    phi = pipe_numbering(beta)
-    counted = {"W": grid.STRAIGHTS, "E": {Tile.BLANK}}
-
-    def weight(i, j, t):
-        return (_x_minus_y, (phi[i - 1], j, m, n)) if t in counted[beta[i - 1]] else None
-
-    return _sweep(m, n, beta, pis, weight, "nongeneric")
-
-
-@lru_cache(maxsize=None)
-def _x_minus_y(p: int, j: int, m: int, n: int) -> Polynomial:
-    """x_p - y_j, built once."""
-    _, _, xs, ys = alphabet(m, n)
-    return xs[p - 1] - ys[j - 1]
+    return _sweep(m, n, beta, pis, mode="nongeneric")
 
 
 def schubert_sum(

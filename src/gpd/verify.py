@@ -7,7 +7,7 @@ a generator of failure messages that ``_check`` (or, for the four global
 G checks, ``g_checks``) turns into a ``CheckReport``; an exception inside
 a check (MemoryError aside) becomes its last failure, so one broken check
 hides no other.  Checks compare results as they arrive and require every
-connectivity to be present.
+connectivity to be present.  ``run_checks`` runs checks by name.
 
 The global G checks (beta, recurrence, leading, mirror) read G(pi) at
 A = y1 = 0 one word batch at a time, and no check holds more than one
@@ -205,7 +205,7 @@ def _recurrence_failures(m: int, n: int):
 
 
 # Per row type, the tiles whose weight has a B term: a dream's B-degree counts them.
-_B_TILES = {"W": grid.ELBOWS | {grid.Tile.BLANK}, "E": grid.ELBOWS | grid.STRAIGHTS}
+_B_TILES = {row_type: frozenset(grid.Tile) - x for row_type, x in grid.X_TILES.items()}
 
 
 def _b_degree_counts(m: int, n: int, beta: str) -> list[dict[tuple[int, ...], int]]:
@@ -280,7 +280,8 @@ def _mirror_failures(m: int, n: int):
     A = y1 = 0 is compared with the mirror of G(gamma.pi.gamma) at
     B = yn = 0, swept for the conjugates of the batch.  The mirror keeps
     the ring on which both evaluations are injective, so the comparison is
-    exact.  Each pair is dropped once compared.
+    exact.  Each pair is dropped once compared; a word missing from
+    either sweep is reported and its pair skipped.
     """
     for k in range(1, n + 1):
         batch = _batch(m, n, k)
@@ -288,7 +289,10 @@ def _mirror_failures(m: int, n: int):
         mirrored = yield Sweep("W" * m, _mirror_point(n), k)
         for pi in batch:
             conj = schubert.gamma_conjugate(pi, m, n)
-            if sums.pop(pi) != schubert.mirror_substitution(mirrored[conj]):
+            g = sums.pop(pi, None)
+            if g is None or conj not in mirrored:
+                yield f"pi={pi if g is None else conj}: no dream enumerated"
+            elif g != schubert.mirror_substitution(mirrored[conj]):
                 yield f"pi={pi}: mirror identity fails against {conj}"
 
 
@@ -469,3 +473,18 @@ def check_flux(m: int, n: int):
         for pi, total in classes.items():
             if ab_m * total != table[pi]:
                 yield f"beta={beta} pi={pi}: component classes do not sum to G"
+
+
+# Every check by name, in report order: the G checks, then the others.
+CHECKS = (*G_CHECKS, "ybe", "crossing", "flux")
+
+
+def run_checks(names, m: int, n: int, mode: str | None = None, jobs: int = 1):
+    """The reports of the named checks: the G checks together on one sweep
+    plan (``g_checks``, with ``jobs``), then the others in ``names`` order;
+    ``mode`` is the Yang-Baxter check's."""
+    others = {"ybe": lambda: verify_ybe(mode), "crossing": check_crossing,
+              "flux": lambda: check_flux(m, n)}
+    g_names = [name for name in names if name in G_CHECKS]
+    reports = g_checks(m, n, g_names, jobs) if g_names else []
+    return reports + [others[name]() for name in names if name in others]

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -88,7 +89,9 @@ def test_traced_run_smoke(tmp_path):
 def test_tracer_inner_names_resolve():
     # the tracer looks every undotted INNER name up in its gpd module at
     # install time, so a refactor that deletes one crashes every traced
-    # run; a method it names is wrapped only if its class still has it
+    # run; any other name it spans (a method, a GROUPS or CALLS member) is
+    # wrapped only if it still resolves, and a metric of names that do not
+    # silently reads 0
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
@@ -99,6 +102,24 @@ def test_tracer_inner_names_resolve():
         for name in names:
             if "." not in name:
                 assert callable(getattr(module, name, None)), f"{short}.{name}"
+    spanned = {f"{short}.{name}" for short, names in tracer.INNER.items() for name in names}
+    for table in (tracer.GROUPS, tracer.CALLS):
+        spanned.update(name for names in table.values() for name in names)
+    unresolved = set()
+    for name in spanned:
+        short, attr = name.split(".", 1)
+        try:
+            operator.attrgetter(attr)(importlib.import_module(f"gpd.{short}"))
+        except AttributeError:
+            unresolved.add(name)
+    # pinned: three names the tracer still spans left _packed earlier, so
+    # packed.unpack_*, packed.pack_s and packed.product_calls read 0
+    assert unresolved == {"_packed.Packer.unpack", "_packed.Packer.pack_poly", "_packed.product"}
+
+
+def test_verify_check_names_are_the_parsers():
+    # argparse reads cli's own tuple, since import gpd.cli loads no verify
+    assert cli._CHECK_NAMES == verify.CHECKS
 
 
 def test_import_builds_no_pool_and_no_layouts():
@@ -389,13 +410,13 @@ def test_verify_json_carries_failures(capsys, monkeypatch):
     from gpd import cli
     from gpd.verify import CheckReport
 
-    def failing(args):
+    def failing(n_max=5):
         report = CheckReport("crossing-flip (n<=5)")
         for k in range(7):
             report.fail(f"broken flip {k}")
         return report
 
-    monkeypatch.setitem(cli._CHECKS, "crossing", failing)
+    monkeypatch.setattr(verify, "check_crossing", failing)
     code, out, _ = run(capsys, "verify", "crossing", "--format", "json")
     assert code == 1
     assert json.loads(out) == {

@@ -32,6 +32,8 @@ from gpd.verify import check_leading, check_mirror
 
 from conftest import random_poly
 
+SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+
 
 def inverse_step(g: Polynomial, i: int) -> Polynomial:
     """((A+B) d_i - r_i) applied to g; sends G(pi) to G(pi.r_i) one step longer."""
@@ -158,14 +160,18 @@ def test_base_case_examples():
 
 
 def test_base_case_unique_dream():
-    for m, n in [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]:
+    # every row type has one dream of a decreasing word, of weight the base
+    # case, in the full alphabet and at A = y1 = 0
+    for m, n in SMALL_SHAPES:
         for pi in all_partial_perms(m, n):
             if any(pi[i] <= pi[i + 1] for i in range(m - 1)):
                 continue
             for beta in all_hybridizations(m):
                 dreams = list(grid.enumerate_dreams(m, n, beta, pi))
                 assert len(dreams) == 1, (m, n, beta, pi)
-                assert grid.weight(dreams[0]) == base_case(m, n, pi)
+                for zero in [(), schubert.ORIGIN]:
+                    weight = grid.weight(dreams[0]).at_zero(*zero)
+                    assert weight == base_case(m, n, pi, *zero), (m, n, beta, pi, zero)
 
 
 def test_recurrence_step_2x2():

@@ -268,6 +268,27 @@ def test_mirror_check_fails_on_a_broken_g(capsys, monkeypatch):
     assert "pi=(2, 3): mirror identity fails against (1, 2)" in check["failures"]
 
 
+def test_mirror_check_reports_a_missing_word_and_goes_on(capsys, monkeypatch):
+    # (2,1), the whole of batch 1, has no dream in either sweep; batch 2 is
+    # still checked, and its self-conjugate pair (1,2) broken
+    original = schubert.reduced_weight_sums
+
+    def broken(m, n, beta, pis, zero):
+        sums = original(m, n, beta, pis, zero)
+        sums.pop((2, 1), None)
+        if (1, 2) in sums:
+            sums[(1, 2)] = sums[(1, 2)] + parse("B", m, n)
+        return sums
+
+    monkeypatch.setattr(schubert, "reduced_weight_sums", broken)
+    code, check = only_check(capsys, "mirror", "--m", "2", "--n", "2")
+    assert code == 1
+    assert check["failures"] == [
+        "pi=(2, 1): no dream enumerated",
+        "pi=(1, 2): mirror identity fails against (1, 2)",
+    ]
+
+
 def test_ybe_check_fails_on_a_broken_table_weight(capsys, monkeypatch):
     layout = yangbaxter.LAYOUTS["ww-left"]
     diamond = tuple(
