@@ -492,9 +492,10 @@ def transfer(
             value = layer.pop(frontier)
             for t, key in _children(cell, frontier):
                 nxt.setdefault(key, []).append(value if step is None else step(value, i, j, t))
+            del value
         layer = nxt
-        for key, values in layer.items():
-            layer[key] = combine(values)
+        for key in layer:
+            layer[key] = combine(layer[key])
     by_word: dict[tuple[int, ...], list] = {}
     for state in list(layer):
         word = _exit_word(state[1], m)

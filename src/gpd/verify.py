@@ -1,17 +1,22 @@
-"""The identity checks behind ``gpd verify``, each written once.
+"""The identity checks behind ``gpd verify``: one table, one driver.
 
 Hybridization independence, the divided-difference recurrence, the
 Schubert leading form in B, the mirror identity, Yang-Baxter, the crossing
 flip, and the flux components with their conservation law.  Each check is
-a generator of failure messages that ``_check`` (or, for the four global
-G checks, ``g_checks``) turns into a ``CheckReport``; an exception inside
-a check (MemoryError aside) becomes its last failure, so one broken check
-hides no other.  Checks compare results as they arrive and require every
-connectivity to be present.  ``run_checks`` runs checks by name.
+a generator of failure messages with one entry in ``CHECKS``: its report
+title, the generator, and the sweeps of the plan it reads.  ``run_checks``
+is the one driver: it runs checks by name and turns each into a
+``CheckReport`` through ``_advance``, where an exception inside a check
+(MemoryError aside) becomes its last failure, so one broken check hides
+no other.  To add a check, write its generator and add one ``CHECKS``
+entry, and its name to ``cli._CHECK_NAMES``, which a test pins against
+the table.  Checks compare results as they arrive and require every
+connectivity to be present.
 
 The global G checks (beta, recurrence, leading, mirror) read G(pi) at
-A = y1 = 0 one word batch at a time, and no check holds more than one
-batch per sweep:
+A = y1 = 0 one word batch at a time.  A G check asks for a sweep by
+yielding a ``Sweep`` and drops a batch's sums before it asks for a sweep
+of the next batch, so no check holds more than one batch:
 
 - Batch k is the words whose last letter is k.  Exit-reach pruning makes
   a sweep of one batch carry only the states that can end in it.
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import inspect
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -58,33 +62,27 @@ class CheckReport:
         self.failures.append(message)
 
 
-def _check(title: str):
-    """Turn a generator of failure messages into a check returning a report.
+def _advance(report: CheckReport, check, value=None):
+    """Run ``check`` on ``value`` until it asks for a sweep, which is
+    returned, or ends (None).
 
-    The report is named ``title`` formatted with the call's arguments,
-    defaults included.  An exception inside the check, other than
-    MemoryError, ends it with the failure ``<ExceptionType>: <text>``.
+    ``value`` is sent, or thrown in if it is an exception, and each failure
+    the check yields goes to ``report``.  An exception inside the check,
+    other than MemoryError, ends it with the failure ``<ExceptionType>: <text>``.
     """
-
-    def wrap(failures):
-        signature = inspect.signature(failures)
-
-        @functools.wraps(failures)
-        def check(*args, **kwargs) -> CheckReport:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            report = CheckReport(title.format(**bound.arguments))
-            try:
-                report.failures.extend(failures(*args, **kwargs))
-            except MemoryError:
-                raise
-            except Exception as exc:
-                report.fail(f"{type(exc).__name__}: {exc}")
-            return report
-
-        return check
-
-    return wrap
+    try:
+        item = check.throw(value) if isinstance(value, Exception) else check.send(value)
+        while isinstance(item, str):
+            report.fail(item)
+            item = next(check)
+        return item
+    except StopIteration:
+        return None
+    except MemoryError:
+        raise
+    except Exception as exc:
+        report.fail(f"{type(exc).__name__}: {exc}")
+        return None
 
 
 def _missing(words, beta: str, sums: dict):
@@ -166,7 +164,7 @@ def _restrict(sums: dict, words) -> dict:
     return {pi: sums[pi] for pi in words if pi in sums}
 
 
-def _beta_failures(m: int, n: int):
+def _beta_failures(m: int, n: int, mode: str | None):
     """All hybridizations give the same per-connectivity weight sums.
 
     Per batch, the first row type's sums must cover the batch, and each
@@ -181,9 +179,10 @@ def _beta_failures(m: int, n: int):
             if (yield Sweep(beta, ORIGIN, k)) != reference and beta not in disagree:
                 disagree.add(beta)
                 yield f"beta={beta} disagrees with beta={betas[0]}"
+        del reference
 
 
-def _recurrence_failures(m: int, n: int):
+def _recurrence_failures(m: int, n: int, mode: str | None):
     """The recurrence in local form: each decreasing word's G is its base
     case, and every other word's G is one ``recurrence_step`` from its
     parent's swept G, at the walk's first ascent (``recurrence_parent``)."""
@@ -202,6 +201,7 @@ def _recurrence_failures(m: int, n: int):
                 continue  # a parent with no dream fails in its own batch
             if expected != sums[pi]:
                 yield f"pi={pi}: recurrence disagrees with enumeration"
+        del sums
 
 
 # Per row type, the tiles whose weight has a B term: a dream's B-degree counts them.
@@ -221,7 +221,7 @@ def _b_degree_counts(m: int, n: int, beta: str) -> list[dict[tuple[int, ...], in
     return [grid.transfer(m, n, beta, step, 1, sum, mode) for mode in ("generic", "nongeneric")]
 
 
-def _leading_failures(m: int, n: int):
+def _leading_failures(m: int, n: int, mode: str | None):
     """The B-leading form of every G(pi), for every hybridization.
 
     Per (pi, beta): the nongeneric sum matches the independent double
@@ -259,6 +259,7 @@ def _leading_failures(m: int, n: int):
                     yield f"pi={pi} beta={beta}: B-degree {deg} != {top}"
                 if coeff != at_origin:
                     yield f"pi={pi} beta={beta}: leading coefficient mismatch"
+            del sums
     bits = m * n + 1
     for beta in betas:
         nongeneric_sums = schubert.nongeneric_sums_by_pi(m, n, beta)
@@ -273,7 +274,7 @@ def _leading_failures(m: int, n: int):
                        "exactly the nongeneric ones, or some dream exceeds it")
 
 
-def _mirror_failures(m: int, n: int):
+def _mirror_failures(m: int, n: int, mode: str | None):
     """G(pi) is the mirror image of G(gamma.pi.gamma), batch by batch.
 
     The mirror takes the point A = y1 = 0 to B = yn = 0, so G(pi) at
@@ -294,107 +295,15 @@ def _mirror_failures(m: int, n: int):
                 yield f"pi={pi if g is None else conj}: no dream enumerated"
             elif g != schubert.mirror_substitution(mirrored[conj]):
                 yield f"pi={pi}: mirror identity fails against {conj}"
+        del sums, mirrored, g
 
 
-# name: (report title, failures, the sweeps of the plan it reads)
-G_CHECKS: dict[str, tuple[str, Callable, Callable[[Sweep], bool]]] = {
-    "beta": ("beta-independence ({m},{n})", _beta_failures, lambda s: s.zero == ORIGIN),
-    "recurrence": ("recurrence ({m},{n})", _recurrence_failures,
-                   lambda s: s.zero == ORIGIN and "E" not in s.beta),
-    "leading": ("leading-form ({m},{n})", _leading_failures, lambda s: s.zero == ORIGIN),
-    "mirror": ("mirror ({m},{n})", _mirror_failures, lambda s: "E" not in s.beta),
-}
+# ---------------------------------------------------------------------------
+# the checks that read no sweep
+# ---------------------------------------------------------------------------
 
 
-def g_checks(m: int, n: int, names=tuple(G_CHECKS), jobs: int = 1) -> list[CheckReport]:
-    """Run the named G checks together, each sweep of the plan once.
-
-    A check is a generator that yields its failures and asks for the
-    sweeps it reads by yielding a ``Sweep``, in plan order; it is sent the
-    sums, or thrown the sweep's exception.  Every sweep that some check
-    reads runs once, and each check waiting for it is fed before the next
-    runs, so no sweep's sums outlive the checks that hold them.  An
-    exception inside a check (MemoryError aside) ends it with the failure
-    ``<ExceptionType>: <text>``.  ``jobs`` > 1 runs the sweeps in a pool of
-    at most that many processes, capped by the CPUs and the row types; the
-    results are read in plan order, with at most one sweep per worker
-    submitted past the one the checks read (``_ahead``).
-    """
-    reports = [CheckReport(G_CHECKS[name][0].format(m=m, n=n)) for name in names]
-    checks = [G_CHECKS[name][1](m, n) for name in names]
-    waiting: dict[int, Sweep] = {}
-
-    def advance(c: int, value=None) -> None:
-        """Run check c on ``value`` until it asks for a sweep or ends."""
-        waiting.pop(c, None)
-        check = checks[c]
-        try:
-            item = check.throw(value) if isinstance(value, Exception) else check.send(value)
-            while isinstance(item, str):
-                reports[c].fail(item)
-                item = next(check)
-            waiting[c] = item
-        except StopIteration:
-            pass
-        except MemoryError:
-            raise
-        except Exception as exc:
-            reports[c].fail(f"{type(exc).__name__}: {exc}")
-
-    for c in range(len(checks)):
-        advance(c)
-    plan = [s for s in _plan(m, n) if any(G_CHECKS[name][2](s) for name in names)]
-    workers = min(jobs, os.cpu_count() or 1, 2**m)
-    pooled = workers > 1
-    pool = ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext()
-    with pool:
-        sweep = functools.partial(_swept, m, n)
-        results = _ahead(pool, sweep, plan, workers) if pooled else map(sweep, plan)
-        for s in plan:
-            value = next(results)
-            for c in [c for c, asked in waiting.items() if asked == s]:
-                advance(c, value)
-            del value
-    for c, asked in waiting.items():
-        reports[c].fail(f"RuntimeError: {asked} is not in the sweep plan")
-    return reports
-
-
-def _ahead(pool, fn, items, depth: int):
-    """``fn`` over ``items`` in ``pool``, results in order, with at most
-    ``depth`` calls submitted past the one whose result is read, so finished
-    results never pile up beyond that."""
-    pending: deque = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) > depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
-def check_beta_independence(m: int, n: int, jobs: int = 1) -> CheckReport:
-    """Hybridization independence (``_beta_failures``); ``jobs`` as in ``g_checks``."""
-    return g_checks(m, n, ["beta"], jobs)[0]
-
-
-def check_recurrence(m: int, n: int) -> CheckReport:
-    """The divided-difference recurrence (``_recurrence_failures``)."""
-    return g_checks(m, n, ["recurrence"])[0]
-
-
-def check_leading(m: int, n: int) -> CheckReport:
-    """The Schubert leading form in B (``_leading_failures``)."""
-    return g_checks(m, n, ["leading"])[0]
-
-
-def check_mirror(m: int, n: int) -> CheckReport:
-    """The mirror identity (``_mirror_failures``)."""
-    return g_checks(m, n, ["mirror"])[0]
-
-
-@_check("yang-baxter")
-def verify_ybe(mode: str | None = None):
+def _ybe_failures(m: int, n: int, mode: str | None):
     """Class-by-class symbolic equality of the west and east cluster sums.
 
     ``mode`` is 'ww' (two W rows, rightward diamond), 'we' (a W row over an
@@ -411,12 +320,19 @@ def verify_ybe(mode: str | None = None):
                 )
 
 
-@_check("crossing-flip (n<={n_max})")
-def check_crossing(n_max: int = 5):
-    """crossing_flip is a weight-preserving involution on single-pipe rows."""
-    for n in range(1, n_max + 1):
+def verify_ybe(mode: str | None = None) -> CheckReport:
+    """The Yang-Baxter check (``_ybe_failures``) for ``mode``."""
+    report = CheckReport("yang-baxter")
+    _advance(report, _ybe_failures(0, 0, mode))
+    return report
+
+
+def _crossing_failures(m: int, n: int, mode: str | None):
+    """crossing_flip is a weight-preserving involution on single-pipe rows
+    of width at most 5."""
+    for width in range(1, 6):
         for beta in ("W", "E"):
-            for d in grid.enumerate_dreams(1, n, beta):
+            for d in grid.enumerate_dreams(1, width, beta):
                 flipped = grid.crossing_flip(d)
                 if flipped.beta == d.beta:
                     yield f"{grid.serialize(d)!r}: row type did not flip"
@@ -426,8 +342,7 @@ def check_crossing(n_max: int = 5):
                     yield f"{grid.serialize(d)!r}: flip changed the weight"
 
 
-@_check("flux conservation ({m},{n},{beta})")
-def conservation_check(m: int, n: int, beta: str):
+def _conservation_failures(m: int, n: int, beta: str):
     """Flux conservation at every square, as Z-linear combinations.
 
     W rows satisfy West + South = East + North and E rows the mirror
@@ -450,8 +365,14 @@ def conservation_check(m: int, n: int, beta: str):
                 yield f"square ({i},{j}) violates conservation"
 
 
-@_check("flux ({m},{n})")
-def check_flux(m: int, n: int):
+def conservation_check(m: int, n: int, beta: str) -> CheckReport:
+    """Flux conservation for row type ``beta`` (``_conservation_failures``)."""
+    report = CheckReport(f"flux conservation ({m},{n},{beta})")
+    _advance(report, _conservation_failures(m, n, beta))
+    return report
+
+
+def _flux_failures(m: int, n: int, mode: str | None):
     """Flux conservation, and per hybridization: every dream is rebuilt from
     its flux labels, and (A+B)^m times the sum of the component classes is
     G(pi) for every connectivity."""
@@ -475,16 +396,76 @@ def check_flux(m: int, n: int):
                 yield f"beta={beta} pi={pi}: component classes do not sum to G"
 
 
-# Every check by name, in report order: the G checks, then the others.
-CHECKS = (*G_CHECKS, "ybe", "crossing", "flux")
+# ---------------------------------------------------------------------------
+# the table and its driver
+# ---------------------------------------------------------------------------
 
 
-def run_checks(names, m: int, n: int, mode: str | None = None, jobs: int = 1):
-    """The reports of the named checks: the G checks together on one sweep
-    plan (``g_checks``, with ``jobs``), then the others in ``names`` order;
-    ``mode`` is the Yang-Baxter check's."""
-    others = {"ybe": lambda: verify_ybe(mode), "crossing": check_crossing,
-              "flux": lambda: check_flux(m, n)}
-    g_names = [name for name in names if name in G_CHECKS]
-    reports = g_checks(m, n, g_names, jobs) if g_names else []
-    return reports + [others[name]() for name in names if name in others]
+class Check(NamedTuple):
+    """A check's entry in ``CHECKS``."""
+
+    title: str  # the report's name, formatted with m and n
+    failures: Callable  # (m, n, mode) -> failures and, for a G check, Sweep requests
+    reads: Callable[[Sweep], bool]  # whether it reads a sweep of the plan
+
+
+# Every check by name, in report order.
+CHECKS: dict[str, Check] = {
+    "beta": Check("beta-independence ({m},{n})", _beta_failures, lambda s: s.zero == ORIGIN),
+    "recurrence": Check("recurrence ({m},{n})", _recurrence_failures,
+                        lambda s: s.zero == ORIGIN and "E" not in s.beta),
+    "leading": Check("leading-form ({m},{n})", _leading_failures, lambda s: s.zero == ORIGIN),
+    "mirror": Check("mirror ({m},{n})", _mirror_failures, lambda s: "E" not in s.beta),
+    "ybe": Check("yang-baxter", _ybe_failures, lambda s: False),
+    "crossing": Check("crossing-flip (n<=5)", _crossing_failures, lambda s: False),
+    "flux": Check("flux ({m},{n})", _flux_failures, lambda s: False),
+}
+
+
+def run_checks(names, m: int, n: int, mode: str | None = None,
+               jobs: int = 1) -> list[CheckReport]:
+    """The reports of the named checks, in ``names`` order; ``mode`` is the
+    Yang-Baxter check's.
+
+    Each check runs (``_advance``) until it asks for a sweep or ends.  The
+    sweeps of the plan that some check reads then run once each, in plan
+    order, and each check waiting for one is sent its sums, or thrown its
+    exception, before the next runs, so no sweep's sums outlive the checks
+    that hold them.  ``jobs`` > 1 runs the sweeps in a pool of at most that
+    many processes, capped by the CPUs and the row types; the results are
+    read in plan order, with at most one sweep per worker submitted past
+    the one the checks read (``_ahead``).
+    """
+    entries = [CHECKS[name] for name in names]
+    reports = [CheckReport(e.title.format(m=m, n=n)) for e in entries]
+    checks = [e.failures(m, n, mode) for e in entries]
+    asked = [_advance(report, check) for report, check in zip(reports, checks)]
+    plan = [s for s in _plan(m, n) if any(e.reads(s) for e in entries)]
+    workers = min(jobs, os.cpu_count() or 1, 2**m) if plan else 1
+    pooled = workers > 1
+    pool = ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext()
+    with pool:
+        sweep = functools.partial(_swept, m, n)
+        results = _ahead(pool, sweep, plan, workers) if pooled else map(sweep, plan)
+        for s in plan:
+            value = next(results)
+            for c in [c for c, a in enumerate(asked) if a == s]:
+                asked[c] = _advance(reports[c], checks[c], value)
+            del value
+    for report, a in zip(reports, asked):
+        if a is not None:
+            report.fail(f"RuntimeError: {a} is not in the sweep plan")
+    return reports
+
+
+def _ahead(pool, fn, items, depth: int):
+    """``fn`` over ``items`` in ``pool``, results in order, with at most
+    ``depth`` calls submitted past the one whose result is read, so finished
+    results never pile up beyond that."""
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()

@@ -15,7 +15,6 @@ import time
 
 from gpd import flux as fluxmod
 from gpd import grid, verify, yangbaxter
-from gpd.verify import check_crossing
 from gpd.flux import EdgeId
 from gpd.grid import count_dreams, enumerate_dreams, parse_dream
 from gpd.poly import Polynomial, Var, parse
@@ -352,7 +351,7 @@ def test_c07_leading_form():
 
 @budget(5)
 def test_c07_check_leading_4x4():
-    report = verify.check_leading(4, 4)
+    report = verify.run_checks(["leading"], 4, 4)[0]
     assert report.ok, report.failures[:3]
 
 
@@ -410,7 +409,7 @@ def test_c09_yang_baxter():
 
 @budget(5)
 def test_c10_crossing_symmetry():
-    report = check_crossing(5)
+    report = verify.run_checks(["crossing"], 1, 1)[0]
     assert report.ok, report.failures[:3]
 
 

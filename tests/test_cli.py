@@ -119,7 +119,7 @@ def test_tracer_inner_names_resolve():
 
 def test_verify_check_names_are_the_parsers():
     # argparse reads cli's own tuple, since import gpd.cli loads no verify
-    assert cli._CHECK_NAMES == verify.CHECKS
+    assert cli._CHECK_NAMES == tuple(verify.CHECKS)
 
 
 def test_import_builds_no_pool_and_no_layouts():
@@ -291,7 +291,7 @@ def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
 def test_beta_check_caps_workers(monkeypatch, jobs, cpus, m, workers):
     seen = _record_pools(monkeypatch)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    assert verify.check_beta_independence(m, 3, jobs).ok
+    assert verify.run_checks(["beta"], m, 3, jobs=jobs)[0].ok
     assert seen == workers
 
 
@@ -408,15 +408,13 @@ def test_render_flux_lattice_dimensions():
 
 def test_verify_json_carries_failures(capsys, monkeypatch):
     from gpd import cli
-    from gpd.verify import CheckReport
 
-    def failing(n_max=5):
-        report = CheckReport("crossing-flip (n<=5)")
+    def failing(m, n, mode):
         for k in range(7):
-            report.fail(f"broken flip {k}")
-        return report
+            yield f"broken flip {k}"
 
-    monkeypatch.setattr(verify, "check_crossing", failing)
+    crossing = verify.CHECKS["crossing"]._replace(failures=failing)
+    monkeypatch.setitem(verify.CHECKS, "crossing", crossing)
     code, out, _ = run(capsys, "verify", "crossing", "--format", "json")
     assert code == 1
     assert json.loads(out) == {

@@ -26,7 +26,7 @@ from gpd.schubert import (
     shift_x_by_a,
     weight_sums_by_pi,
 )
-from gpd.verify import check_mirror, check_recurrence
+from gpd.verify import run_checks
 
 SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
@@ -96,13 +96,13 @@ def _flipped_step(g, i, *zero):
 def test_a_flipped_recurrence_factor_fails_both_comparisons(monkeypatch):
     monkeypatch.setattr(schubert, "recurrence_step", _flipped_step)
     assert recurrence_table(3, 3) != weight_sums_by_pi(3, 3, "WWW")
-    report = check_recurrence(3, 3)
+    report = run_checks(["recurrence"], 3, 3)[0]
     assert not report.ok
     assert "pi=(1, 2, 3): recurrence disagrees with enumeration" in report.failures
 
 
 def test_mirroring_against_pi_itself_fails_the_mirror_check(monkeypatch):
     monkeypatch.setattr(schubert, "gamma_conjugate", lambda pi, m, n: tuple(pi))
-    report = check_mirror(2, 3)
+    report = run_checks(["mirror"], 2, 3)[0]
     assert not report.ok
     assert "pi=(1, 2): mirror identity fails against (1, 2)" in report.failures

@@ -28,7 +28,7 @@ from gpd.schubert import (
     weight_sums_by_pi,
     _weight_sums_exact,
 )
-from gpd.verify import check_leading, check_mirror
+from gpd.verify import run_checks
 
 from conftest import random_poly
 
@@ -414,7 +414,7 @@ def test_b_leading_312():
     deg, coeff = g.leading_form(Var("B"))
     assert deg == 7
     assert coeff == product(3, 3, ["A+x1-y1", "A+x1-y2"])
-    report = check_leading(3, 3)
+    report = run_checks(["leading"], 3, 3)[0]
     assert report.ok, report.failures
 
 
@@ -424,7 +424,7 @@ def test_b_leading_1x1():
 
 
 def test_b_leading_sweep_2x3():
-    report = check_leading(2, 3)
+    report = run_checks(["leading"], 2, 3)[0]
     assert report.ok, report.failures
 
 
@@ -434,13 +434,13 @@ def test_shift_x_by_a():
 
 
 def test_mirror_checks():
-    assert check_mirror(1, 1).ok
-    assert check_mirror(3, 3).ok
-    assert check_mirror(2, 3).ok
+    assert run_checks(["mirror"], 1, 1)[0].ok
+    assert run_checks(["mirror"], 3, 3)[0].ok
+    assert run_checks(["mirror"], 2, 3)[0].ok
 
 
 def test_mirror_failures_name_both_words_of_a_broken_pair(monkeypatch):
-    assert check_mirror(2, 3).failures == []
+    assert run_checks(["mirror"], 2, 3)[0].failures == []
     original = schubert.reduced_weight_sums
 
     def broken(*args, **kwargs):
@@ -450,7 +450,7 @@ def test_mirror_failures_name_both_words_of_a_broken_pair(monkeypatch):
         return sums
 
     monkeypatch.setattr(schubert, "reduced_weight_sums", broken)
-    assert check_mirror(2, 3).failures == [
+    assert run_checks(["mirror"], 2, 3)[0].failures == [
         "pi=(1, 2): mirror identity fails against (2, 3)",
         "pi=(2, 3): mirror identity fails against (1, 2)",
     ]

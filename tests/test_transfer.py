@@ -6,6 +6,10 @@ enumeration stream, over every small shape, row type, mode and target set.
 The merged-state counts pin that equal frontiers really share one value.
 """
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
 from gpd import _packed, grid
@@ -218,3 +222,53 @@ def test_promoted_sums_are_python_ints(monkeypatch):
     sums = weight_sums_by_pi(2, 3, "EW")
     assert all(g.coeffs.dtype == object for g in sums.values())
     assert all(isinstance(c, int) for g in sums.values() for c in g.coeffs)
+
+
+class _Count:
+    """A dream count that a weak reference can watch."""
+
+    def __init__(self, count):
+        self.count = count
+
+
+@pytest.mark.parametrize("mode", ["generic", "nongeneric"])
+def test_transfer_keeps_no_value_of_the_layer_before(mode):
+    # step builds a child from its parent's count alone, so once a cell's
+    # children are stepped no child of an earlier cell is alive, and once
+    # they are combined no value of an earlier layer is alive either
+    m, n = 3, 3
+    stepped, combined, leaks = [], [], []  # per cell, weak references to its values
+    state = {"cell": None, "combining": False}
+
+    def alive(*refs):
+        gc.collect()
+        return sum(ref() is not None for ref in itertools.chain(*refs))
+
+    def step(value, i, j, t):
+        if (i, j) != state["cell"]:
+            state.update(cell=(i, j), combining=False)
+            leaks.append(((i, j), "stepped", alive(*stepped)))
+            stepped.append([])
+            combined.append([])
+        child = _Count(value.count)
+        stepped[-1].append(weakref.ref(child))
+        return child
+
+    def combine(values):
+        if not state["combining"]:
+            state["combining"] = True
+            leaks.append((state["cell"], "combined", alive(*stepped[:-1], *combined[:-1])))
+        total = _Count(sum(v.count for v in values))
+        combined[-1].append(weakref.ref(total))
+        return total
+
+    for beta in all_hybridizations(m):
+        stepped.clear()
+        combined.clear()
+        state["cell"] = None
+        counts = grid.transfer(m, n, beta, step, _Count(1), combine, mode)
+        assert {w: c.count for w, c in counts.items()} == grid.transfer(
+            m, n, beta, None, 1, sum, mode
+        )
+    assert len(leaks) == 2 * m * n * 2**m
+    assert [leak for leak in leaks if leak[2]] == []

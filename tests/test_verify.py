@@ -7,7 +7,9 @@ Messages are tested by membership, not position.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -15,13 +17,14 @@ import pytest
 from gpd import cli, flux, grid, schubert, yangbaxter
 from gpd import verify as checks
 from gpd.grid import Tile
-from gpd.poly import Var, parse
+from gpd.poly import Polynomial, Var, parse
 from gpd.schubert import ORIGIN, all_hybridizations, all_partial_perms, reduced_weight_sums
-from gpd.verify import _plan, _targets, check_flux, check_recurrence
+from gpd.verify import _plan, _targets, run_checks
 
 from refpipes import _weight_b_degree, leading_degree_faults
 
 SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+G_CHECKS = ("beta", "recurrence", "leading", "mirror")
 
 
 def verify(capsys, *argv):
@@ -216,7 +219,7 @@ def test_leading_check_fails_on_a_tile_with_a_broken_b_degree(monkeypatch, row_t
     b_tiles = {**checks._B_TILES, row_type: checks._B_TILES[row_type] | {tile}}
     monkeypatch.setattr(checks, "_B_TILES", b_tiles)
     faults = leading_degree_faults(2, 3, b_tiles)
-    report = checks.check_leading(2, 3)
+    report = run_checks(["leading"], 2, 3)[0]
     assert faults and not report.ok
     assert sorted(report.failures) == sorted(
         f"pi={pi} beta={beta}: the dreams of B-degree {top} are not exactly the "
@@ -256,7 +259,7 @@ def test_g_checks_walk_no_dream(monkeypatch):
 
     for name in ("walk", "enumerate_dreams", "connectivity"):
         monkeypatch.setattr(grid, name, refused)
-    for report in checks.g_checks(3, 4):
+    for report in run_checks(G_CHECKS, 3, 4):
         assert report.ok, (report.name, report.failures)
 
 
@@ -442,10 +445,40 @@ def test_jobs_submit_at_most_one_sweep_per_worker_ahead(monkeypatch, jobs):
 
     monkeypatch.setattr(checks.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(checks, "ProcessPoolExecutor", pool)
-    reports = checks.g_checks(2, 3, jobs=jobs)
+    reports = run_checks(G_CHECKS, 2, 3, jobs=jobs)
     assert [r.failures for r in reports] == [[]] * 4
     assert len(pools) == 1 and len(pools[0].in_flight) == len(_plan(2, 3)) == 15
     assert max(pools[0].in_flight) == jobs + 1 and pools[0].open == 0
+
+
+class _Swept(Polynomial):
+    """A swept G that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("names", [[name] for name in G_CHECKS] + [G_CHECKS])
+def test_g_checks_hold_one_batch(monkeypatch, names):
+    # at the first sweep of batch k + 1, no swept G of batches <= k is alive
+    swept = []  # (batch, weak reference) per swept G
+    leaks = {}
+    original = checks._swept
+
+    def watched(m, n, sweep):
+        if sweep.k not in leaks:
+            gc.collect()
+            leaks[sweep.k] = sorted({k for k, ref in swept if ref() is not None})
+        sums = {
+            pi: _Swept._wrap(g.m, g.n, g.packer, g.keys, g.coeffs)
+            for pi, g in original(m, n, sweep).items()
+        }
+        swept.extend((sweep.k, weakref.ref(g)) for g in sums.values())
+        return sums
+
+    monkeypatch.setattr(checks, "_swept", watched)
+    reports = run_checks(names, 3, 4)
+    assert [r.failures for r in reports] == [[]] * len(names)
+    assert leaks == {k: [] for k in range(1, 5)}
 
 
 def test_recurrence_check_reaches_a_parent_in_another_batch(monkeypatch):
@@ -453,7 +486,7 @@ def test_recurrence_check_reaches_a_parent_in_another_batch(monkeypatch):
     # in another letter and is swept with the batch of (1, 3)
     assert schubert.recurrence_parent((1, 3)) == (1, (3, 1))
     _break_weight_sums(monkeypatch, "WW", (1, 3), "B")
-    report = check_recurrence(2, 3)
+    report = run_checks(["recurrence"], 2, 3)[0]
     assert report.failures == ["pi=(1, 3): recurrence disagrees with enumeration"]
 
 
@@ -518,6 +551,26 @@ def test_a_check_that_raises_reports_fail(capsys, monkeypatch, exc, text):
     assert checks[-1] == {"name": "flux (2,2)", "status": "FAIL", "failures": [text]}
 
 
+@pytest.mark.parametrize("name", list(checks.CHECKS))
+def test_every_check_reports_its_failures_then_the_exception(capsys, monkeypatch, name):
+    # one exception policy for all seven: the failure yielded before the
+    # raise is kept, the exception is the last failure, the others still run
+    def failing(m, n, mode):
+        yield "broken before the raise"
+        raise ValueError("boom")
+
+    monkeypatch.setitem(checks.CHECKS, name, checks.CHECKS[name]._replace(failures=failing))
+    failures = ["broken before the raise", "ValueError: boom"]
+    pinned = json.loads(_ALL_2_3_JSON)["checks"]
+    position = list(checks.CHECKS).index(name)
+    code, check = only_check(capsys, name, "--m", "2", "--n", "3")
+    assert code == 1
+    assert check == {"name": pinned[position]["name"], "status": "FAIL", "failures": failures}
+    code, reports = verify(capsys, "all", "--m", "2", "--n", "3")
+    assert code == 1
+    assert reports == pinned[:position] + [check] + pinned[position + 1:]
+
+
 def test_memory_error_in_a_check_propagates(capsys, monkeypatch):
     # no FAIL line: the error leaves the check, and the command line ends
     # with exit 2 and one stderr line naming it
@@ -526,7 +579,7 @@ def test_memory_error_in_a_check_propagates(capsys, monkeypatch):
 
     monkeypatch.setattr(flux, "reconstruct_dream", failing)
     with pytest.raises(MemoryError):
-        check_flux(2, 2)
+        run_checks(["flux"], 2, 2)
     assert cli.main(["verify", "flux", "--m", "2", "--n", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: out of memory (MemoryError)\n"
