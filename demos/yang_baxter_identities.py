@@ -23,8 +23,8 @@ for boundary, cls, west, east in class_identities("ww"):
         print(f"  pipes in {sorted(b[3:] for b in boundary) or 'none'}; {route}")
         print(f"    {west.format()}")
 
-# Insertion scenarios with a single admissible diamond tile calibrate the
-# parameter placement:
+# The diamonds are tiles with pipe x2 at y1 = A + x1, so an insertion
+# scenario with a single admissible diamond tile has that tile's weight:
 entry = forced_tile("ww", "east", {"tr": 0, "br": 0})
 print("\nrightward diamond east of a WW stack, empty exits ->",
       entry.label, "of weight", entry.weight.format())

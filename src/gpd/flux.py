@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from . import grid
-from .grid import PipeDream, Tile, pipe_numbering, tile_weight
+from .grid import PipeDream, Tile, pipe_numbering
 from .poly import Polynomial, product
 
 
@@ -216,54 +216,29 @@ def component_class(eqs: EquationSet) -> Polynomial:
     m, n = eqs.m, eqs.n
     quadratics = eqs.independent_count() - len(eqs.zero_x) - len(eqs.zero_y)
     factors = [grid._ab_power(m, n, quadratics)]
-    # tile_weight of a W-row straight is A + x - y, of a W-row blank B - x + y
-    factors += [tile_weight("W", Tile.STRAIGHT_H, r, j, m, n) for r, j in eqs.zero_x]
-    factors += [tile_weight("W", Tile.BLANK, r, j, m, n) for j, r in eqs.zero_y]
+    factors += [grid._linear_weight(True, r, j, m, n) for r, j in eqs.zero_x]
+    factors += [grid._linear_weight(False, r, j, m, n) for j, r in eqs.zero_y]
     return product(m, n, factors)
-
-
-def _tile_pairs(side: str, far: str) -> dict[Tile, tuple[frozenset[str], ...]]:
-    """Tile -> the pairs of square sides its pipes join, read off grid.ROUTES."""
-    source = {grid.SIDE: side, grid.SOUTH: "S"}
-    return {
-        t: tuple(
-            frozenset((source[src], out)) for out, src in zip("N" + far, route) if src
-        )
-        for t, route in grid.ROUTES.items()
-    }
-
-
-_W_TILE_PAIRS = _tile_pairs("W", "E")
-_E_TILE_PAIRS = _tile_pairs("E", "W")
 
 
 def _tiles_from_labels(
     m: int, n: int, beta: str, labels: Mapping[EdgeId, object]
 ) -> PipeDream:
-    """Join, per square, the edges carrying equal nonzero labels; pick tiles.
+    """Per square, the one tile (grid.routing_tiles) routing the side and
+    South labels to the North and far-side ones.
 
     Labels may be any hashable values (pipe numbers, or reduced flux values
     when rebuilding from a table); 0, None and empty sets count as zero.
     """
     tiles: list[tuple[Tile, ...]] = []
     for i in range(1, m + 1):
-        pair_table = _W_TILE_PAIRS if beta[i - 1] == "W" else _E_TILE_PAIRS
+        west_going = beta[i - 1] == "W"
         row: list[Tile] = []
         for j in range(1, n + 1):
-            at = {
-                "W": labels[EdgeId("V", i, j - 1)],
-                "E": labels[EdgeId("V", i, j)],
-                "S": labels[EdgeId("H", i, j)],
-                "N": labels[EdgeId("H", i - 1, j)],
-            }
-            occupied = frozenset(dir_ for dir_, v in at.items() if v)
-            matches = []
-            for tile, pairs in pair_table.items():
-                edge_set = frozenset().union(*pairs) if pairs else frozenset()
-                if edge_set != occupied:
-                    continue
-                if all(len({at[d] for d in pair}) == 1 for pair in pairs):
-                    matches.append(tile)
+            west, east = labels[EdgeId("V", i, j - 1)], labels[EdgeId("V", i, j)]
+            side, far = (west, east) if west_going else (east, west)
+            south, north = labels[EdgeId("H", i, j)], labels[EdgeId("H", i - 1, j)]
+            matches = grid.routing_tiles(side or 0, south or 0, north or 0, far or 0)
             if len(matches) != 1:
                 raise ValueError(
                     f"square ({i},{j}): labels admit {len(matches)} tiles"

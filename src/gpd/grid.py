@@ -65,7 +65,9 @@ _CHAR_TO_TILE = {c: Tile(i) for i, c in enumerate(TILE_CHARS)}
 # each source EMPTY, SIDE (the pipe entering from the row's side) or SOUTH;
 # the sources index the tuple (0, side label, South label).
 # Every reader of a tile's routing (label routing and so validation, the
-# dream walk, flux pairs, the Yang-Baxter row squares) derives it from here.
+# dream walk, the inverse router ``routing_tiles`` and through it flux
+# reconstruction and the crossing flip, the Yang-Baxter row squares and
+# diamonds) derives it from here.
 EMPTY, SIDE, SOUTH = 0, 1, 2
 ROUTES: dict[Tile, tuple[int, int]] = {
     Tile.BLANK: (EMPTY, EMPTY),
@@ -88,6 +90,18 @@ _TILE_CHOICES: dict[tuple[bool, bool], tuple[Tile, ...]] = {
     for side in (False, True)
     for south in (False, True)
 }
+
+
+def routing_tiles(side: Any, south: Any, north: Any, far: Any) -> tuple[Tile, ...]:
+    """The tiles, in Tile order, that route the side and South labels to
+    the North and far-side labels; a label is any value, 0 for no pipe."""
+    ins = (0, side, south)
+    return tuple(
+        t
+        for t in _TILE_CHOICES[side != 0, south != 0]
+        if (ins[ROUTES[t][0]], ins[ROUTES[t][1]]) == (north, far)
+    )
+
 
 # The tile a nongeneric dream never uses, per row type.
 NONGENERIC_BAN = {"W": Tile.STRAIGHT_V, "E": Tile.DOUBLE_ELBOW}
@@ -288,16 +302,15 @@ def crossing_flip(d: PipeDream) -> PipeDream:
         raise ValueError("crossing_flip applies to single-row dreams")
     validate(d)
     labels = edge_labels(d)
-    flipped_v = [not labels[("V", 1, j)] for j in range(d.n + 1)]
+    flipped_v = [int(not labels[("V", 1, j)]) for j in range(d.n + 1)]
     new_type = "E" if d.beta == "W" else "W"
     tiles = []
     for j in range(1, d.n + 1):
         if new_type == "W":
-            side_in, side_out = flipped_v[j - 1], flipped_v[j]
+            side, far = flipped_v[j - 1], flipped_v[j]
         else:
-            side_in, side_out = flipped_v[j], flipped_v[j - 1]
-        edges = (side_in, False, side_out, labels[("H", 0, j)] != 0)
-        fits = [t for t in Tile if _TILE_EDGES[t] == edges]
+            side, far = flipped_v[j], flipped_v[j - 1]
+        fits = routing_tiles(side, 0, labels[("H", 0, j)], far)
         if not fits:
             raise InvalidDreamError(f"no tile fits flipped edges at (1,{j})")
         tiles.append(fits[0])

@@ -596,7 +596,8 @@ class Polynomial:
         rest = keys - replaced
         powers: dict[tuple[int, int], Polynomial] = {}
         pieces = []
-        for u in np.unique(replaced).tolist():
+        # sorted(set(...)), not np.unique, which imports numpy.ma
+        for u in sorted(set(replaced.tolist())):
             group = replaced == u
             piece = [Polynomial.from_packed(self.m, self.n, packer, rest[group], self.coeffs[group])]
             for s, p in slots.items():

@@ -16,10 +16,14 @@ in-to-out matching, the sums of weight products over internal states agree.
 W rows, rightward diamond) and the WE mode (a W row over an E row, upward
 diamond); ``gpd.verify.verify_ybe`` checks that they are equal.
 
-Parameter placement is calibrated so the single-admissible-tile scenarios
-come out right: the rightward diamond east of a WW stack with empty row
-exits is forced to its blank tile of weight A+B+x-x', and the upward
-diamond west of a WE stack fed by one pipe is forced to its vertical
+Every table is the grid's tile table: routes from ``grid.ROUTES``, weights
+by ``grid.tile_weight``.  A row square is a tile at y = y1; a diamond is a
+tile with pipe x' at y1 = A + x, the rightward diamond a W tile and the
+upward diamond an E tile, so ``verify ybe`` checks the one table every
+sweep uses.  At y1 = A + x a W tile's A + x' - y is x' - x and its
+B - x' + y is A + B + x - x'; the rightward diamond east of a WW stack with
+empty row exits is therefore forced to its blank tile of weight A+B+x-x',
+and the upward diamond west of a WE stack fed by one pipe to its vertical
 straight, of the same weight.
 """
 
@@ -29,8 +33,8 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .grid import ROUTES, SIDE, SOUTH, tile_weight
-from .poly import Polynomial, alphabet
+from .grid import _TILE_EDGES, ROUTES, SIDE, SOUTH, tile_weight
+from .poly import Polynomial, Var, alphabet
 
 _A, _B, _XS, _YS = alphabet(2, 1)
 X, XP, Y = _XS[0], _XS[1], _YS[0]
@@ -48,70 +52,47 @@ class TableEntry(NamedTuple):
     weight: Polynomial
 
 
-def _entries(spec: list[tuple[str, tuple[tuple[int, int], ...], Polynomial]]):
-    table = []
-    for label, route, w in spec:
-        inputs = (any(s == 0 for s, _ in route), any(s == 1 for s, _ in route))
-        table.append(TableEntry(label, inputs, route, w))
-    return tuple(table)
-
-
-def _square(row_type: str, x: Polynomial) -> tuple[TableEntry, ...]:
-    """Row square, one entry per tile: routes from grid.ROUTES, weights by
-    grid.tile_weight with pipe variable x (X or XP) and y = y1."""
+def _table(
+    row_type: str, x: Polynomial, north_slot: int, y1: Polynomial
+) -> tuple[TableEntry, ...]:
+    """One entry per tile, in grid.ROUTES order: in slots (side, South),
+    North to out slot ``north_slot`` and the far side to the other; weights
+    by grid.tile_weight with pipe variable x (X or XP) and y1 set to ``y1``."""
     pipe = _XS.index(x) + 1
     in_slot = {SIDE: 0, SOUTH: 1}
-    return _entries(
-        [
-            (
-                t.name.lower(),
-                # route is (North source, far-side source): out slots 1 and 0
-                tuple((in_slot[src], out) for out, src in zip((1, 0), route) if src),
-                tile_weight(row_type, t, pipe, 1, 2, 1),
-            )
-            for t, route in ROUTES.items()
-        ]
+    out_slots = (north_slot, 1 - north_slot)
+    at_y1 = {Var("y", 1): y1}
+    return tuple(
+        TableEntry(
+            t.name.lower(),
+            (SIDE in route, SOUTH in route),
+            tuple((in_slot[src], out) for out, src in zip(out_slots, route) if src),
+            tile_weight(row_type, t, pipe, 1, 2, 1).substitute(at_y1),
+        )
+        for t, route in ROUTES.items()
     )
 
 
 def w_square(x: Polynomial) -> tuple[TableEntry, ...]:
     """Row square of a W row; in slots (side, South), out slots (side, North)."""
-    return _square("W", x)
+    return _table("W", x, 1, Y)
 
 
 def e_square(x: Polynomial) -> tuple[TableEntry, ...]:
     """Row square of an E row; same routing shape, blank and straight swapped."""
-    return _square("E", x)
+    return _table("E", x, 1, Y)
 
 
 def right_diamond() -> tuple[TableEntry, ...]:
-    """Rightward diamond; in slots (tl, bl), out slots (tr, br)."""
-    return _entries(
-        [
-            ("blank", (), _A + _B + X - XP),
-            ("straight_h", ((0, 1),), XP - X),  # tl -> br
-            ("elbow_j", ((0, 0),), _A + _B),  # tl -> tr
-            ("straight_v", ((1, 0),), XP - X),  # bl -> tr
-            ("elbow_r", ((1, 1),), _A + _B),  # bl -> br
-            ("cross", ((0, 1), (1, 0)), XP - X),
-            ("double_elbow", ((0, 0), (1, 1)), _A + _B),
-        ]
-    )
+    """Rightward diamond, a W tile at y1 = A + x; in slots (tl, bl) = (side,
+    South), out slots (tr, br) = (North, far side)."""
+    return _table("W", XP, 0, _A + X)
 
 
 def up_diamond() -> tuple[TableEntry, ...]:
-    """Upward diamond; in slots (br, bl), out slots (tl, tr)."""
-    return _entries(
-        [
-            ("blank", (), XP - X),
-            ("straight_h", ((0, 0),), _A + _B + X - XP),  # br -> tl
-            ("elbow_i", ((0, 1),), _A + _B),  # br -> tr
-            ("straight_v", ((1, 1),), _A + _B + X - XP),  # bl -> tr
-            ("elbow_k", ((1, 0),), _A + _B),  # bl -> tl
-            ("cross", ((0, 0), (1, 1)), _A + _B + X - XP),
-            ("double_elbow", ((0, 1), (1, 0)), _A + _B),
-        ]
-    )
+    """Upward diamond, an E tile at y1 = A + x; in slots (br, bl) = (side,
+    South), out slots (tl, tr) = (far side, North)."""
+    return _table("E", XP, 1, _A + X)
 
 
 @dataclass(frozen=True)
@@ -323,13 +304,15 @@ def class_identities(
     return out
 
 
-# diamond channel names per (mode, end); the remaining two channels face the
-# row stack and are constrained only through occupancy conservation
+# Per (mode, end), each external diamond channel's index into a tile's
+# (side in, South in, far out, North out) occupancies, grid._TILE_EDGES; the
+# remaining two channels face the row stack and are constrained only through
+# occupancy conservation
 _EXTERNAL_DIAMOND_CHANNELS = {
-    ("ww", "west"): {"tl": ("in", 0), "bl": ("in", 1)},
-    ("ww", "east"): {"tr": ("out", 0), "br": ("out", 1)},
-    ("we", "west"): {"tl": ("out", 0), "bl": ("in", 1)},
-    ("we", "east"): {"tr": ("out", 1), "br": ("in", 0)},
+    ("ww", "west"): {"tl": 0, "bl": 1},
+    ("ww", "east"): {"tr": 3, "br": 2},
+    ("we", "west"): {"tl": 2, "bl": 1},
+    ("we", "east"): {"tr": 3, "br": 0},
 }
 
 
@@ -351,21 +334,11 @@ def forced_tile_options(
     if unknown:
         raise ValueError(f"boundary names unknown channels {sorted(unknown)}")
     table = right_diamond() if mode == "ww" else up_diamond()
-    admissible = []
-    for entry in table:
-        ok = True
-        for ch, (direction, slot) in externals.items():
-            want = boundary.get(ch, 0) != 0
-            if direction == "in":
-                have = entry.inputs[slot]
-            else:
-                have = any(out_slot == slot for _, out_slot in entry.route)
-            if have != want:
-                ok = False
-                break
-        if ok:
-            admissible.append(entry)
-    return admissible
+    return [
+        entry
+        for t, entry in zip(ROUTES, table)
+        if all(_TILE_EDGES[t][k] == (boundary.get(ch, 0) != 0) for ch, k in externals.items())
+    ]
 
 
 def forced_tile(mode: str, end: str, boundary: Mapping[str, int]) -> TableEntry:

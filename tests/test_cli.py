@@ -143,7 +143,8 @@ def test_import_builds_no_pool_and_no_layouts():
 def test_poly_leaves_numpy_ma_unloaded():
     # np.unique without return_inverse asks numpy.ma whether its argument
     # is masked, which imports numpy.ma; the text order finds its distinct
-    # degrees without it, so poly and schubert never load numpy.ma
+    # degrees and substitute its groups without it, so poly, schubert and
+    # verify ybe (whose diamonds substitute y1) never load numpy.ma
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
     probe = (
@@ -151,6 +152,7 @@ def test_poly_leaves_numpy_ma_unloaded():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert gpd.cli.main(['poly', '--m', '3', '--n', '3', '--pi', '1,2,3']) == 0\n"
         "    assert gpd.cli.main(['schubert', '--m', '3', '--n', '3', '--pi', '2,1,3']) == 0\n"
+        "    assert gpd.cli.main(['verify', 'ybe']) == 0\n"
         "print('numpy.ma' in sys.modules)"
     )
     done = subprocess.run(

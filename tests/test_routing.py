@@ -3,10 +3,11 @@
 The reference enumerates row by row over hand-written transition tables
 and reads connectivity, flux labels and exit elbows off ``trace_pipes``,
 which routes pipes by its own rules.  The literal flux pair tables and
-Yang-Baxter row squares below are the hand-written ones the table-derived
-versions replace.
+Yang-Baxter row squares and diamonds below are the hand-written ones the
+table-derived versions replace.
 """
 
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from gpd.flux import EdgeId, dream_flux_labels, exit_elbow_columns
 from gpd.grid import PipeDream, Tile, connectivity, count_dreams, enumerate_dreams
 from gpd.poly import parse
 from gpd.schubert import all_hybridizations, all_partial_perms
-from gpd.yangbaxter import XP, X, e_square, w_square
+from gpd.yangbaxter import XP, X, e_square, right_diamond, up_diamond, w_square
 
 from refpipes import trace_pipes
 
@@ -177,9 +178,31 @@ def test_flux_pair_tables_match_literals():
         Tile.ELBOW_OUT: pairs("SW"),
         Tile.DOUBLE_ELBOW: pairs("EN", "SW"),
     }
-    for derived, literal in ((flux._W_TILE_PAIRS, w_pairs), (flux._E_TILE_PAIRS, e_pairs)):
-        assert {t: frozenset(p) for t, p in derived.items()} == literal
-        assert all(len(set(p)) == len(p) for p in derived.values())
+    # a square admits the tiles whose pairs join exactly its occupied edges,
+    # each pair carrying one label; the inverse router must admit the same
+    two_fit = set()
+    for row_type, literal in (("W", w_pairs), ("E", e_pairs)):
+        side, far = ("W", "E") if row_type == "W" else ("E", "W")
+        for values in itertools.product((0, 1, 2), repeat=4):
+            at = dict(zip("WESN", values))
+            occupied = frozenset(e for e, v in at.items() if v)
+            want = tuple(
+                t
+                for t, ps in literal.items()
+                if frozenset().union(*ps) == occupied
+                and all(len({at[e] for e in p}) == 1 for p in ps)
+            )
+            got = grid.routing_tiles(at[side], at["S"], at["N"], at[far])
+            assert got == want, (row_type, at)
+            if len(want) == 2:
+                two_fit.add((row_type, values))
+    # equal side and South labels: the cross and the double elbow both fit
+    assert two_fit == {
+        (r, v)
+        for r in "WE"
+        for v in itertools.product((1, 2), repeat=4)
+        if len(set(v)) == 1
+    }
 
 
 @pytest.mark.parametrize("square,row_type", [(w_square, "W"), (e_square, "E")])
@@ -211,3 +234,36 @@ def test_row_squares_match_literals(square, row_type, x, xname):
     entries = square(x)
     assert len(entries) == len(literal)
     assert {e.label: (frozenset(e.route), e.weight) for e in entries} == literal
+
+
+def test_diamonds_match_literals():
+    # the hand-written diamonds, elbows named as the tiles they are
+    right = {
+        "blank": ((), "A + B + x1 - x2"),
+        "straight_h": (((0, 1),), "x2 - x1"),  # tl -> br
+        "elbow_in": (((0, 0),), "A + B"),  # tl -> tr
+        "straight_v": (((1, 0),), "x2 - x1"),  # bl -> tr
+        "elbow_out": (((1, 1),), "A + B"),  # bl -> br
+        "cross": (((0, 1), (1, 0)), "x2 - x1"),
+        "double_elbow": (((0, 0), (1, 1)), "A + B"),
+    }
+    up = {
+        "blank": ((), "x2 - x1"),
+        "straight_h": (((0, 0),), "A + B + x1 - x2"),  # br -> tl
+        "elbow_in": (((0, 1),), "A + B"),  # br -> tr
+        "straight_v": (((1, 1),), "A + B + x1 - x2"),  # bl -> tr
+        "elbow_out": (((1, 0),), "A + B"),  # bl -> tl
+        "cross": (((0, 0), (1, 1)), "A + B + x1 - x2"),
+        "double_elbow": (((0, 1), (1, 0)), "A + B"),
+    }
+    for table, literal in ((right_diamond(), right), (up_diamond(), up)):
+        assert [e.label for e in table] == [t.name.lower() for t in grid.ROUTES]
+        want = {
+            label: (
+                frozenset(route),
+                (any(s == 0 for s, _ in route), any(s == 1 for s, _ in route)),
+                parse(w, 2, 1),
+            )
+            for label, (route, w) in literal.items()
+        }
+        assert {e.label: (frozenset(e.route), e.inputs, e.weight) for e in table} == want

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from gpd import grid, yangbaxter
+from gpd.grid import Tile
 from gpd.poly import Polynomial, parse
 from gpd.verify import verify_ybe
 from gpd.yangbaxter import (
@@ -50,6 +52,31 @@ def test_verify_ybe_both_modes():
     for mode in ("ww", "we"):
         report = verify_ybe(mode)
         assert report.ok, report.failures[:3]
+
+
+@pytest.mark.parametrize(
+    "row_type,x_tiles,failing",
+    [
+        ("E", grid.X_TILES["E"] | {Tile.STRAIGHT_H}, {"we"}),
+        ("W", grid.X_TILES["W"] - {Tile.STRAIGHT_V}, {"ww", "we"}),
+    ],
+)
+def test_verify_ybe_fails_on_a_mutated_x_tile_set(row_type, x_tiles, failing):
+    # squares and diamonds both read grid.X_TILES, so one wrong tile breaks
+    # the identities in every mode with a row of that type
+    caches = (grid.tile_weight.cache_clear, grid._linear_weight.cache_clear,
+              yangbaxter._layouts.cache_clear)
+    original = grid.X_TILES[row_type]
+    grid.X_TILES[row_type] = x_tiles
+    try:
+        for clear in caches:
+            clear()
+        assert {mode for mode in ("ww", "we") if not verify_ybe(mode).ok} == failing
+    finally:
+        grid.X_TILES[row_type] = original
+        for clear in caches:
+            clear()
+    assert verify_ybe().ok
 
 
 def test_ybe_specializes_at_random_integer_points():
