@@ -192,18 +192,6 @@ def flux_system_rank(eqs: EquationSet) -> int:
     return rank
 
 
-def exit_elbow_columns(d: PipeDream) -> dict[int, int]:
-    """Column, per row, of the elbow where that row's entering pipe turns North."""
-    labels = grid.edge_labels(d)
-    phi = pipe_numbering(d.beta)
-    return {
-        i: j
-        for i in range(1, d.m + 1)
-        for j in range(1, d.n + 1)
-        if labels[("H", i - 1, j)] == phi[i - 1]
-    }
-
-
 def component_class(eqs: EquationSet) -> Polynomial:
     """Equivariant class of a dream's component, read off its equation set.
 

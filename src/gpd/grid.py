@@ -477,7 +477,7 @@ def transfer(
     m: int,
     n: int,
     beta: str,
-    step: Callable[[Any, int, int, Tile], Any] | None,
+    step: Callable[[Any, int, int, Tile, int], Any] | None,
     root: Any,
     combine: Callable[[list], Any],
     mode: str = "generic",
@@ -490,8 +490,10 @@ def transfer(
     North: a layer holds one value per frontier state that can still end
     in a target, keyed by (side label, North labels) and, nongeneric, the
     frozenset of crossed pairs, so prefixes ending in one state share it.
-    ``step(value, i, j, tile)`` (None: identity) carries a value across a
-    tile.  Each state is reduced once per cell: ``combine(values)`` turns
+    ``step(value, i, j, tile, side)`` (None: identity) carries a value
+    across a tile, where ``side`` is the label entering the cell from the
+    row's side (0 for none): at the row's first cell, the row's own pipe.
+    Each state is reduced once per cell: ``combine(values)`` turns
     the list of values reaching it into its value (``sum`` counts), and
     groups the last layer's states by word.  A parent is popped once its
     children are taken, so its value lives on only in them.
@@ -499,12 +501,14 @@ def transfer(
     cells = _cells(m, n, beta, mode, targets)
     layer: dict[tuple, Any] = {(0, (0,) * n, frozenset()): root}
     for cell in cells:
-        i, j = cell[0], cell[1]
+        i, j, enter = cell[:3]
         nxt: dict[tuple, list] = {}
         for frontier in list(layer):
             value = layer.pop(frontier)
+            side = enter or frontier[0]
             for t, key in _children(cell, frontier):
-                nxt.setdefault(key, []).append(value if step is None else step(value, i, j, t))
+                nxt.setdefault(key, []).append(
+                    value if step is None else step(value, i, j, t, side))
             del value
         layer = nxt
         for key in layer:

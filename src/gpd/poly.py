@@ -114,7 +114,8 @@ def _canonical_sort_key(exps: Exponents):
 
 # Terms per rendered chunk of Polynomial.format_chunks: only one chunk's byte
 # matrices and text are alive at a time, not one per term of a large polynomial.
-_FORMAT_CHUNK = 8192
+# At 8192, rendering was the peak of `gpd poly --m 4 --n 4`, 2 MB above it at 2048.
+_FORMAT_CHUNK = 2048
 
 # Adjacent exponent slots whose fields together span at most this many bits
 # are rendered together, as one block of the text.
@@ -309,10 +310,6 @@ class Polynomial:
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
         return int(self._degrees().max()) if self else -1
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = set(self._degrees().tolist())
-        return not degs or (len(degs) == 1 and degree in (None, *degs))
 
     def l1_norm(self) -> int:
         return _packed.l1(self.coeffs)

@@ -12,10 +12,14 @@ Summation over dreams is exact integer arithmetic throughout.  One packed
 numpy sweep, ``_sweep``, over the merged frontier states of ``grid.transfer``
 runs every sum, at a point (some variables set to 0) and in a mode: generic,
 or nongeneric with the Schubert weight x - y on ``grid.X_TILES`` and 1 on
-the other tiles.  Each tile multiplies its state's value by one cached
-factor, and the values reaching one state are merged once per cell.  Its
+the other tiles.  It sums the class C(pi) = G(pi) / (A+B)^m: each tile
+multiplies its state's value by one cached factor, except the elbow where
+a row's own pipe turns North, which weighs 1 (every generic dream has one
+per row), and the values reaching one state are merged once per cell.
+Each word's C is multiplied by (A+B)^m once, at the end; nongeneric, where
+every elbow weighs 1, that factor is 1.  ``class_of_e`` reads C itself.  Its
 coefficients are int64 while an L1-norm bound certifies them and become
-Python ints from the cell where the bound runs out.  Its (keys,
+Python ints from the product where the bound runs out.  Its (keys,
 coefficients) arrays become ``Polynomial`` values as they are, so G(pi)
 never leaves the packed representation.  Hybridization independence, the
 recurrence, the B-leading form and the mirror identity (``gpd verify
@@ -65,42 +69,68 @@ def min_extension(pi: Sequence[int], n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _factor(row_type: str, t: Tile, pipe: int, j: int, m: int, n: int,
-            zero: tuple[Var, ...], nongeneric: bool):
-    """The factor a sweep multiplies by at tile ``t`` in column ``j`` of a
-    row carrying ``pipe``, with its L1 norm, re-keyed into the
-    ``Packer.alphabet`` layout once: the tile weight with the variables
-    ``zero`` set to 0; nongeneric, at A = 0 too (x_pipe - y_j) on the tiles
-    of ``grid.X_TILES``, and 1, ``(None, 1)``, on every other tile."""
-    if nongeneric:
-        if t not in grid.X_TILES[row_type]:
-            return None, 1
-        zero = (*zero, Var("A"))
-    w = grid.tile_weight(row_type, t, pipe, j, m, n).at_zero(*zero)
-    # coefficients +-1, so int64 whatever the headroom the weight was made under
+def _rekeyed(w: Polynomial, m: int, n: int):
+    """``w`` as a sweep factor: its keys in the ``Packer.alphabet`` layout
+    and its coefficients as int64 (a tile weight's are +-1, (A+B)^m's
+    binomials, whatever the headroom ``w`` was made under), with its L1
+    norm."""
     fc = w.coeffs.astype(np.int64, copy=False)
     return (w.packer.rekey(w.keys, _packed.Packer.alphabet(m, n)), fc), w.l1_norm()
 
 
+@lru_cache(maxsize=None)
+def _factor(row_type: str, t: Tile, pipe: int, j: int, m: int, n: int,
+            zero: tuple[Var, ...], nongeneric: bool):
+    """The factor a sweep multiplies by at tile ``t`` in column ``j`` of a
+    row carrying ``pipe``, with its L1 norm (``_rekeyed``): the tile weight
+    with the variables ``zero`` set to 0; nongeneric, at A = 0 too
+    (x_pipe - y_j) on the tiles of ``grid.X_TILES``, and 1, ``(None, 1)``,
+    on every other tile."""
+    if nongeneric:
+        if t not in grid.X_TILES[row_type]:
+            return None, 1
+        zero = (*zero, Var("A"))
+    return _rekeyed(grid.tile_weight(row_type, t, pipe, j, m, n).at_zero(*zero), m, n)
+
+
+# The tiles that route the side pipe North, read off ``grid.ROUTES``.
+_TURNS = frozenset(t for t, (north, _) in grid.ROUTES.items() if north == grid.SIDE)
+
+
+def _own_turn(t: Tile, side: int, pipe: int) -> bool:
+    """Whether tile ``t``, entered from the side by the label ``side``, turns
+    the row's own pipe ``pipe`` North: one tile per row and dream, the
+    elbow that weighs 1 in the class sum."""
+    return side == pipe and t in _TURNS
+
+
 def _sweep(
     m: int, n: int, beta: str, pis: Iterable[Sequence[int]] | None,
-    zero: tuple[Var, ...] = (), mode: str = "generic",
+    zero: tuple[Var, ...] = (), mode: str = "generic", classes: bool = False,
 ) -> dict[tuple[int, ...], Polynomial]:
     """Dream weight sums by connectivity on ``grid.transfer``, generic or
     nongeneric (``mode``), with the variables ``zero`` set to 0: the one
     packed driver of every sum.
 
-    A tile multiplies its state's value by its ``_factor``.  ``step``
-    returns a pending product, the parent's arrays uncopied and the tile's
-    factor; each state is reduced once per cell by one
+    The transfer sums the class C(pi) = G(pi) / (A+B)^m.  A tile
+    multiplies its state's value by its ``_factor``, except the one tile per
+    row that turns the row's own pipe North (``_own_turn``), which weighs
+    1.  Each word's C is then multiplied once by (A+B)^m with ``zero`` set
+    to 0, a monomial at A = y1 = 0 and at B = yn = 0; by 1 with
+    ``classes``, and nongeneric, where every elbow weighs 1 already.  So
+    every sum runs one step rule and one final multiply.
+
+    ``step`` returns a pending product, the parent's arrays uncopied and
+    the tile's factor; each state is reduced once per cell by one
     ``_packed.merge_products`` over the products reaching it, in a buffer
-    the merge owns.  Each value carries an L1 bound: the parent's bound
-    times the weight's L1, summed when values merge, so the running total
-    of the tiles' bounds caps every coefficient the sweep holds.
-    Coefficients are int64 while that total stays below
-    ``_packed.INT64_HEADROOM`` and Python ints from the cell that reaches
-    it.
+    the merge owns, and so is each word's final product.  A word's C is
+    dropped once that product is made, before the re-key into the value's
+    own layout.  Each value carries an L1 bound: the parent's bound times
+    the factor's L1, summed when values merge, so the running total of the
+    products' bounds, the tiles' and then the final ones, caps every
+    coefficient the sweep holds.  Coefficients are int64 while that total
+    stays below ``_packed.INT64_HEADROOM`` and Python ints from the product
+    that reaches it.
     """
     grid.check_beta(beta, m)
     targets = None if pis is None else {check_partial_perm(p, m, n) for p in pis}
@@ -113,24 +143,30 @@ def _sweep(
     }
     total = 0
 
-    def step(value, i, j, t):
+    def step(value, i, j, t, side):
         nonlocal total
-        factor, fl1 = table[i, j, t]
+        factor, fl1 = (None, 1) if _own_turn(t, side, phi[i - 1]) else table[i, j, t]
         bound = value[3] * fl1
         total += bound
         return value[0], value[1], factor, bound
 
     def combine(values):
-        dtype = object if total >= _packed.INT64_HEADROOM else np.int64
         bound = sum(v[3] for v in values)
-        return (*_packed.merge_products(values, dtype), None, bound)
+        return (*_packed.merge_products(values, _packed.coeff_dtype(total)), None, bound)
 
     root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), None, 1)
     sums = grid.transfer(m, n, beta, step, root, combine, mode, targets)
-    return {
-        word: Polynomial.from_packed(m, n, packer, keys, coeffs)
-        for word, (keys, coeffs, _, _) in sums.items()
-    }
+    if classes or nongeneric:
+        factor, fl1 = None, 1
+    else:
+        factor, fl1 = _rekeyed(grid._ab_power(m, n, m).at_zero(*zero), m, n)
+    out = {}
+    for word in list(sums):
+        keys, coeffs, _, bound = sums.pop(word)
+        total += bound * fl1
+        keys, coeffs = _packed.merge_products([(keys, coeffs, factor)], _packed.coeff_dtype(total))
+        out[word] = Polynomial.from_packed(m, n, packer, keys, coeffs)
+    return out
 
 
 def weight_sums_by_pi(
@@ -368,11 +404,10 @@ def mirror_substitution(f: Polynomial) -> Polynomial:
 
 
 def class_of_e(m: int, n: int, pi: Sequence[int]) -> Polynomial:
-    """Equivariant class of the component: G(pi) / (A+B)^m, exactly."""
+    """Equivariant class of the component, G(pi) / (A+B)^m: the class sum
+    of the all-W sweep, read before its multiply by (A+B)^m."""
     word = check_partial_perm(pi, m, n)
-    g = generic_polynomial(m, n, "W" * m, word)
-    a, b, _, _ = alphabet(m, n)
-    return g.divide_exact((a + b) ** m)
+    return _sweep(m, n, "W" * m, [word], classes=True)[word]
 
 
 def all_partial_perms(m: int, n: int) -> list[tuple[int, ...]]:

@@ -215,7 +215,7 @@ def _b_degree_counts(m: int, n: int, beta: str) -> list[dict[tuple[int, ...], in
     bits = m * n + 1
     b_tiles = [_B_TILES[row_type] for row_type in beta]
 
-    def step(count, i, j, t):
+    def step(count, i, j, t, side):
         return count << bits if t in b_tiles[i - 1] else count
 
     return [grid.transfer(m, n, beta, step, 1, sum, mode) for mode in ("generic", "nongeneric")]

@@ -1,11 +1,12 @@
-"""Per-dream references: pipe paths traced tile by tile, B-degrees.
+"""Per-dream references: pipe paths traced tile by tile, exit elbows, B-degrees.
 
 ``trace_pipes`` follows each pipe through the grid by its own rules, not
 through ``grid.ROUTES``, so the label-carrying walk and ``edge_labels`` can
-be checked against it.  ``_weight_b_degree`` and ``_is_nongeneric`` read
-one dream at a time what ``verify`` counts on the transfer, and
-``leading_degree_faults`` replays the leading form's per-dream claim over
-every dream with them.
+be checked against it; ``exit_elbow_columns`` reads off the labels where
+each row's own pipe turns North.  ``_weight_b_degree`` and
+``_is_nongeneric`` read one dream at a time what ``verify`` counts on the
+transfer, and ``leading_degree_faults`` replays the leading form's
+per-dream claim over every dream with them.
 """
 
 from __future__ import annotations
@@ -55,6 +56,18 @@ def trace_pipes(d: PipeDream) -> dict[int, list[tuple[str, int, int]]]:
                 entry = "W" if out == "E" else "E"
         paths[pipe] = path
     return paths
+
+
+def exit_elbow_columns(d: PipeDream) -> dict[int, int]:
+    """Column, per row, of the elbow where that row's entering pipe turns North."""
+    labels = grid.edge_labels(d)
+    phi = pipe_numbering(d.beta)
+    return {
+        i: j
+        for i in range(1, d.m + 1)
+        for j in range(1, d.n + 1)
+        if labels[("H", i - 1, j)] == phi[i - 1]
+    }
 
 
 # Per row type, the tiles whose weight has a B term.

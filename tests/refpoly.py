@@ -17,6 +17,13 @@ def terms(p) -> Terms:
     return dict(p.items())
 
 
+def is_homogeneous(p, degree: int | None = None) -> bool:
+    """Whether every term of a ``Polynomial`` has one total degree, and that
+    degree is ``degree`` when given; the zero polynomial is homogeneous."""
+    degrees = {sum(exps) for exps, _ in p.items()}
+    return not degrees or (len(degrees) == 1 and degree in (None, *degrees))
+
+
 def canonical_order(p) -> np.ndarray:
     """Term indices of a ``Polynomial`` in canonical order by one stable
     argsort: its keys read backwards, sorted by descending total degree."""

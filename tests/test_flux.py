@@ -1,13 +1,12 @@
 import pytest
 
-from gpd import grid
+from gpd import grid, schubert
 from gpd.flux import (
     EdgeId,
     EquationSet,
     all_edges,
     component_class,
     dream_flux_labels,
-    exit_elbow_columns,
     flux_grid,
     flux_system_rank,
     format_flux,
@@ -15,12 +14,12 @@ from gpd.flux import (
     reduced_flux_table,
     variety_equations,
 )
-from gpd.grid import enumerate_dreams, parse_dream, pipe_numbering, tile_weight
+from gpd.grid import Tile, enumerate_dreams, parse_dream, pipe_numbering, tile_weight
 from gpd.poly import parse, product
 from gpd.schubert import all_hybridizations, recurrence_table
 from gpd.verify import conservation_check
 
-from refpipes import trace_pipes
+from refpipes import exit_elbow_columns, trace_pipes
 
 SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
@@ -198,6 +197,43 @@ def test_component_classes_sum_to_g():
                 piece = ab * component_class(variety_equations(d))
                 sums[pi] = sums[pi] + piece if pi in sums else piece
             assert sums == table, (m, n, beta)
+
+
+def class_sum_faults(m, n, table):
+    """(row type, word) pairs, over every row type, whose swept class sum is
+    not the sum of the word's dreams' component classes, or whose (A+B)^m
+    times it is not the recurrence's G (``table``)."""
+    ab_m = grid._ab_power(m, n, m)
+    faults = []
+    for beta in all_hybridizations(m):
+        swept = schubert._sweep(m, n, beta, None, classes=True)
+        classes: dict = {}
+        for d in enumerate_dreams(m, n, beta):
+            eqs = variety_equations(d)
+            cls = component_class(eqs)
+            classes[eqs.pi] = classes[eqs.pi] + cls if eqs.pi in classes else cls
+        for pi in sorted(set(swept) | set(classes) | set(table)):
+            cls = swept.get(pi)
+            if cls is None or cls != classes.get(pi) or ab_m * cls != table[pi]:
+                faults.append((beta, pi))
+    return faults
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_class_sums_are_component_classes(m, n):
+    assert class_sum_faults(m, n, recurrence_table(m, n)) == []
+
+
+@pytest.mark.parametrize("rule", ["counts_elbow_out", "any_side_label"])
+def test_class_sums_fail_on_a_mutated_turn_rule(monkeypatch, rule):
+    own_turn = schubert._own_turn
+    mutated = {
+        "counts_elbow_out": lambda t, side, pipe: t is Tile.ELBOW_OUT or own_turn(t, side, pipe),
+        "any_side_label": lambda t, side, pipe: t in schubert._TURNS,
+    }
+    monkeypatch.setattr(schubert, "_own_turn", mutated[rule])
+    for m, n in [(2, 3), (3, 3)]:
+        assert class_sum_faults(m, n, recurrence_table(m, n)), (m, n)
 
 
 @pytest.mark.parametrize("m,n", SMALL_SHAPES)

@@ -12,14 +12,14 @@ import math
 
 import pytest
 
-from gpd import flux, grid
-from gpd.flux import EdgeId, dream_flux_labels, exit_elbow_columns
+from gpd import flux, grid, schubert
+from gpd.flux import EdgeId, dream_flux_labels
 from gpd.grid import PipeDream, Tile, connectivity, count_dreams, enumerate_dreams
 from gpd.poly import parse
 from gpd.schubert import all_hybridizations, all_partial_perms
 from gpd.yangbaxter import XP, X, e_square, right_diamond, up_diamond, w_square
 
-from refpipes import trace_pipes
+from refpipes import exit_elbow_columns, trace_pipes
 
 SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
@@ -154,6 +154,30 @@ def test_label_routing_matches_traced_paths(m, n):
                 first_h = next(e for e in path if e[0] == "H")
                 elbows[first_h[1] + 1] = first_h[2]
             assert exit_elbow_columns(d) == elbows
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_one_own_turn_per_row(m, n):
+    # the class sweep weighs 1 at the one tile per row whose side label is
+    # the row's own pipe and whose North source is SIDE: an ELBOW_IN or
+    # DOUBLE_ELBOW in the exit elbow's column, and schubert._own_turn is
+    # true there and nowhere else
+    for beta in all_hybridizations(m):
+        phi = grid.pipe_numbering(beta)
+        for d in enumerate_dreams(m, n, beta):
+            labels = grid.edge_labels(d)
+            turns = {}
+            for i in range(1, m + 1):
+                west_going = beta[i - 1] == "W"
+                for j in range(1, n + 1):
+                    t = d.tile(i, j)
+                    side = labels["V", i, j - 1 if west_going else j]
+                    own = side == phi[i - 1] and grid.ROUTES[t][0] == grid.SIDE
+                    assert schubert._own_turn(t, side, phi[i - 1]) == own
+                    if own:
+                        assert t in (Tile.ELBOW_IN, Tile.DOUBLE_ELBOW)
+                        turns.setdefault(i, []).append(j)
+            assert turns == {i: [j] for i, j in exit_elbow_columns(d).items()}
 
 
 def test_flux_pair_tables_match_literals():

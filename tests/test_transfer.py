@@ -154,7 +154,7 @@ def layer_sizes(m, n, beta, mode="generic", targets=None):
         if values[0] is not None:
             sizes[values[0]] = sizes.get(values[0], 0) + 1
 
-    grid.transfer(m, n, beta, lambda value, i, j, t: (i, j), None, combine, mode, targets)
+    grid.transfer(m, n, beta, lambda value, i, j, t, side: (i, j), None, combine, mode, targets)
     return list(sizes.values())
 
 
@@ -244,7 +244,7 @@ def test_transfer_keeps_no_value_of_the_layer_before(mode):
         gc.collect()
         return sum(ref() is not None for ref in itertools.chain(*refs))
 
-    def step(value, i, j, t):
+    def step(value, i, j, t, side):
         if (i, j) != state["cell"]:
             state.update(cell=(i, j), combining=False)
             leaks.append(((i, j), "stepped", alive(*stepped)))
