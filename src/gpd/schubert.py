@@ -22,15 +22,15 @@ coefficients are int64 while an L1-norm bound certifies them and become
 Python ints from the product where the bound runs out.  Its (keys,
 coefficients) arrays become ``Polynomial`` values as they are, so G(pi)
 never leaves the packed representation.  Hybridization independence, the
-recurrence, the B-leading form and the mirror identity (``gpd verify
-beta``, ``recurrence``, ``leading``, ``mirror``) are decided on G(pi) at
-A = y1 = 0, which has far fewer terms and, being injective on the sums
-(see ``reduced_weight_sums``), loses nothing; the flux check, ``gpd poly``
-and ``gpd schubert`` keep the full alphabet.  The recurrence is plain
-``Polynomial`` arithmetic, at that point (A+B set to B alike) or in the
-full alphabet: each step is (A+B) d_i g - r_i g, the divided difference
-d_i checking that its remainder vanishes, and every operation certifies
-its own coefficients (L1(next) <= (4n + 1) L1(g) over a step).
+recurrence, the B-leading form, the mirror identity and the class sums
+(``gpd verify beta``, ``recurrence``, ``leading``, ``mirror``, ``flux``)
+are decided at A = y1 = 0, where G(pi) has far fewer terms and, the
+evaluation being injective on the sums (see ``reduced_weight_sums``),
+loses nothing; ``gpd poly`` and ``gpd schubert`` keep the full alphabet.
+The recurrence is plain ``Polynomial`` arithmetic, at that point (A+B set
+to B alike) or in the full alphabet: each step is (A+B) d_i g - r_i g, the
+divided difference d_i checking that its remainder vanishes, and every
+operation certifies its own coefficients (L1(next) <= (4n + 1) L1(g)).
 ``gpd.verify`` checks these identities.
 """
 

@@ -34,6 +34,9 @@ of the next batch, so no check holds more than one batch:
   then the all-W row type at B = yn = 0; 2^m + 1 sweeps per batch.  Run
   together, as ``verify all`` runs them, the checks share each sweep of
   the plan, which runs once.  No G check walks a dream.
+
+The flux check reads the class sum C(pi) = G(pi) / (A+B)^m at A = y1 = 0,
+losing nothing either, in one class sweep per row type outside the plan.
 """
 
 from __future__ import annotations
@@ -374,25 +377,22 @@ def conservation_check(m: int, n: int, beta: str) -> CheckReport:
 
 def _flux_failures(m: int, n: int, mode: str | None):
     """Flux conservation, and per hybridization: every dream is rebuilt from
-    its flux labels, and (A+B)^m times the sum of the component classes is
-    G(pi) for every connectivity."""
+    its flux labels, and (A+B)^m times each word's class sum is G(pi) at
+    A = y1 = 0.  One class sweep sums the classes; no dream's class is read
+    off its equation set, as ``flux.component_class`` reads it."""
     from . import flux
 
-    table = schubert.recurrence_table(m, n)
-    ab_m = grid._ab_power(m, n, m)
+    table = schubert.recurrence_table(m, n, ORIGIN)
+    ab_m = grid._ab_power(m, n, m).at_zero(*ORIGIN)
     for beta in schubert.all_hybridizations(m):
-        yield from conservation_check(m, n, beta).failures
-        classes = {}
+        yield from _conservation_failures(m, n, beta)
         for d in grid.enumerate_dreams(m, n, beta):
-            eqs = flux.variety_equations(d)
-            if flux.reconstruct_dream(eqs) != d:
+            if flux.reconstruct_dream(flux.variety_equations(d)) != d:
                 yield f"beta={beta}: reconstruction failed for a dream"
-                continue
-            cls = flux.component_class(eqs)
-            classes[eqs.pi] = classes[eqs.pi] + cls if eqs.pi in classes else cls
+        classes = schubert._sweep(m, n, beta, None, ORIGIN, classes=True)
         yield from _missing(schubert.all_partial_perms(m, n), beta, classes)
-        for pi, total in classes.items():
-            if ab_m * total != table[pi]:
+        for pi, cls in classes.items():
+            if ab_m * cls != table[pi]:
                 yield f"beta={beta} pi={pi}: component classes do not sum to G"
 
 

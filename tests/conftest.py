@@ -2,6 +2,9 @@ import random
 
 from gpd.poly import Polynomial
 
+# Every shape (m, n) with m <= n <= 4 but (4, 4), the tests' default sweep.
+SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+
 
 def random_poly(rng: random.Random, m: int, n: int, max_terms: int = 5, max_deg: int = 3,
                 max_coeff: int = 9) -> Polynomial:

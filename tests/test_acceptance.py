@@ -33,10 +33,9 @@ from gpd.schubert import (
     weight_sums_by_pi,
 )
 
-from conftest import random_point, random_poly
+from conftest import SMALL_SHAPES, random_point, random_poly
 from refpipes import _is_nongeneric, _weight_b_degree
 
-SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 SAMPLED_45 = [(1, 2, 5, 3), (5, 4, 3, 2), (1, 2, 3, 4), (2, 4, 1, 5), (3, 1, 5, 2)]
 
 
@@ -450,6 +449,17 @@ def test_c11_flux_suite():
     assert fluxmod.dream_from_flux_table(2, 2, "WE", red2) == parse_dream(
         "2 2\nWE\nbn\nn-\n"
     )
+
+
+@budget(20)
+def test_c11_verify_flux_4x4_within_1gib():
+    # conservation, every dream of (4,4) rebuilt from its flux labels, and
+    # one class sweep per row type at A = y1 = 0 (2.2-2.4 s at 40 MB
+    # measured; 40-45 s at 143-145 MB when each dream's class was
+    # multiplied out)
+    code, out, err = verify_within_1gib("flux", 4, 4, timeout=20)
+    assert code == 0, err
+    assert "PASS flux (4,4)" in out.splitlines()
 
 
 @budget(10)

@@ -28,7 +28,7 @@ from gpd.schubert import (
 )
 from gpd.verify import run_checks
 
-SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+from conftest import SMALL_SHAPES
 
 A, B, Y1 = Var("A"), Var("B"), Var("y", 1)
 

@@ -19,9 +19,8 @@ from gpd.poly import parse, product
 from gpd.schubert import all_hybridizations, recurrence_table
 from gpd.verify import conservation_check
 
+from conftest import SMALL_SHAPES
 from refpipes import exit_elbow_columns, trace_pipes
-
-SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
 DREAM1 = "2 2\nWE\nn|\n.n\n"  # components <x21, x12>
 DREAM2 = "2 2\nWE\nbn\nn-\n"  # component <y22, x21 y12 - x12 y21>

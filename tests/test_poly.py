@@ -319,7 +319,9 @@ def test_format_unit_coefficients_and_constants(text):
 
 
 @pytest.mark.parametrize("big", [False, True])
-@pytest.mark.parametrize("size", [1, _FORMAT_CHUNK, _FORMAT_CHUNK + 1])
+@pytest.mark.parametrize(
+    "size", [1, _FORMAT_CHUNK, _FORMAT_CHUNK + 1], ids=["1", "chunk", "chunk+1"]
+)
 def test_format_chunk_boundaries(size, big):
     # the first term and the first term of the second chunk are negative,
     # and the constant term is -1

@@ -19,9 +19,8 @@ from gpd.poly import parse
 from gpd.schubert import all_hybridizations, all_partial_perms
 from gpd.yangbaxter import XP, X, e_square, right_diamond, up_diamond, w_square
 
+from conftest import SMALL_SHAPES
 from refpipes import exit_elbow_columns, trace_pipes
-
-SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 
 # (side_in, south_in) -> admissible tiles, in Tile order
 REF_CHOICES = {

@@ -30,9 +30,7 @@ from gpd.schubert import (
 )
 from gpd.verify import run_checks
 
-from conftest import random_poly
-
-SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+from conftest import SMALL_SHAPES, random_poly
 
 
 def inverse_step(g: Polynomial, i: int) -> Polynomial:

@@ -24,7 +24,7 @@ from gpd.schubert import (
     _weight_sums_exact,
 )
 
-SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
+from conftest import SMALL_SHAPES
 
 
 def target_sets(m, n):

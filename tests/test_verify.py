@@ -21,9 +21,9 @@ from gpd.poly import Polynomial, Var, parse
 from gpd.schubert import ORIGIN, all_hybridizations, all_partial_perms, reduced_weight_sums
 from gpd.verify import _plan, _targets, run_checks
 
+from conftest import SMALL_SHAPES
 from refpipes import _weight_b_degree, leading_degree_faults
 
-SMALL_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
 G_CHECKS = ("beta", "recurrence", "leading", "mirror")
 
 
@@ -332,13 +332,35 @@ def test_flux_check_fails_on_a_broken_g(capsys, monkeypatch):
     )
 
 
+def test_flux_check_fails_when_a_dream_is_not_rebuilt(capsys, monkeypatch):
+    # one dream of (2,2) is rebuilt as another from its flux labels
+    dream, other, *_ = grid.enumerate_dreams(2, 2, "WE")
+    original = flux.reconstruct_dream
+    monkeypatch.setattr(flux, "reconstruct_dream",
+                        lambda eqs: other if original(eqs) == dream else original(eqs))
+    code, check = only_check(capsys, "flux", "--m", "2", "--n", "2")
+    assert code == 1 and check["status"] == "FAIL"
+    assert check["failures"] == ["beta=WE: reconstruction failed for a dream"]
+
+
+def test_flux_check_fails_on_a_mutated_turn_rule(capsys, monkeypatch):
+    # the class sweep also skips every ELBOW_OUT, so its classes lose factors
+    own_turn = schubert._own_turn
+    monkeypatch.setattr(schubert, "_own_turn",
+                        lambda t, side, pipe: t is Tile.ELBOW_OUT or own_turn(t, side, pipe))
+    code, check = only_check(capsys, "flux", "--m", "3", "--n", "3")
+    assert code == 1 and check["status"] == "FAIL"
+    assert any(f.endswith(": component classes do not sum to G") for f in check["failures"])
+
+
 # ---------------------------------------------------------------------------
 # the global G checks run at A = y1 = 0
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("check", ["recurrence", "leading", "mirror"])
+@pytest.mark.parametrize("check", ["recurrence", "leading", "mirror", "flux"])
 def test_g_checks_never_build_the_full_alphabet_g(capsys, monkeypatch, check):
+    # nor does any of them multiply out a dream's component class
     original = schubert.recurrence_table
 
     def refused(*args, **kwargs):
@@ -351,6 +373,7 @@ def test_g_checks_never_build_the_full_alphabet_g(capsys, monkeypatch, check):
 
     monkeypatch.setattr(schubert, "weight_sums_by_pi", refused)
     monkeypatch.setattr(schubert, "recurrence_table", evaluated_only)
+    monkeypatch.setattr(flux, "component_class", refused)
     code, report = only_check(capsys, check, "--m", "3", "--n", "4")
     assert code == 0 and report["status"] == "PASS", report["failures"]
 
@@ -496,14 +519,15 @@ def test_recurrence_check_reaches_a_parent_in_another_batch(monkeypatch):
 
 
 def test_flux_check_fails_when_a_connectivity_has_no_dream(capsys, monkeypatch):
-    original = grid.enumerate_dreams
+    original = schubert._sweep
 
-    def dropping(m, n, beta, *rest, **kwargs):
-        for d in original(m, n, beta, *rest, **kwargs):
-            if grid.connectivity(d)[0] != (2, 1):
-                yield d
+    def dropping(*args, **kwargs):
+        sums = original(*args, **kwargs)
+        if kwargs.get("classes"):
+            sums.pop((2, 1), None)
+        return sums
 
-    monkeypatch.setattr(grid, "enumerate_dreams", dropping)
+    monkeypatch.setattr(schubert, "_sweep", dropping)
     code, check = only_check(capsys, "flux", "--m", "2", "--n", "2")
     assert code == 1 and check["status"] == "FAIL"
     assert "beta=WW pi=(2, 1): no dream enumerated" in check["failures"]
