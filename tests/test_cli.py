@@ -13,6 +13,8 @@ from gpd import cli, verify
 from gpd.cli import main, render_flux_lattice
 from gpd import flux as fluxmod
 
+from test_flux import DREAM1, DREAM2
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -377,17 +379,70 @@ def test_flux_lattice_shape(capsys):
     assert "x11y11+x21y12" in lines[0]
 
 
+_DREAM_TEXT = {
+    DREAM1: """\
+connectivity: 1,2
+zero X entries: x12, x21
+zero Y entries: none
+independent equations: 2
+flux labels (nonzero):
+  H(0,1) = t1
+  H(0,2) = t2
+  H(1,2) = t2
+  V(1,0) = t1
+  V(2,2) = t2
+""",
+    DREAM2: """\
+connectivity: 1,2
+zero X entries: none
+zero Y entries: y22
+independent equations: 2
+flux labels (nonzero):
+  H(0,1) = t1
+  H(0,2) = t2
+  H(1,1) = t2
+  V(1,0) = t1
+  V(1,1) = t2
+  V(2,1) = t2
+  V(2,2) = t2
+""",
+}
+
+_DREAM_JSON = {
+    DREAM1: {
+        "beta": "WE",
+        "flux_labels": {"H(0,1)": 1, "H(0,2)": 2, "H(1,2)": 2, "V(1,0)": 1, "V(2,2)": 2},
+        "independent_equations": 2,
+        "m": 2,
+        "n": 2,
+        "pi": [1, 2],
+        "zero_x": [[1, 2], [2, 1]],
+        "zero_y": [],
+    },
+    DREAM2: {
+        "beta": "WE",
+        "flux_labels": {
+            "H(0,1)": 1, "H(0,2)": 2, "H(1,1)": 2, "V(1,0)": 1,
+            "V(1,1)": 2, "V(2,1)": 2, "V(2,2)": 2,
+        },
+        "independent_equations": 2,
+        "m": 2,
+        "n": 2,
+        "pi": [1, 2],
+        "zero_x": [],
+        "zero_y": [[2, 2]],
+    },
+}
+
+
 def test_flux_dream_equations(tmp_path, capsys):
+    # stdout byte for byte: edge names print as V(i,j) / H(i,j)
     dream = tmp_path / "d.txt"
-    dream.write_text("2 2\nWE\nn|\n.n\n")
-    code, out, _ = run(capsys, "flux", "--dream", str(dream))
-    assert code == 0
-    assert "x21" in out and "x12" in out
-    assert "independent equations: 2" in out
-    code, out, _ = run(capsys, "flux", "--dream", str(dream), "--format", "json")
-    payload = json.loads(out)
-    assert payload["zero_x"] == [[1, 2], [2, 1]]
-    assert payload["independent_equations"] == 2
+    for text in (DREAM1, DREAM2):
+        dream.write_text(text)
+        assert run(capsys, "flux", "--dream", str(dream)) == (0, _DREAM_TEXT[text], "")
+        want = json.dumps(_DREAM_JSON[text], sort_keys=True, indent=2) + "\n"
+        assert run(capsys, "flux", "--dream", str(dream), "--format", "json") == (0, want, "")
 
 
 def test_flux_bad_dream_names_the_edge(tmp_path, capsys):
