@@ -12,8 +12,8 @@ _HOMES = {
     "enumerate_dreams mirror parse_dream pipe_numbering serialize validate weight",
     "schubert": "base_case class_of_e compute_by_recurrence double_schubert_oracle "
     "generic_polynomial min_extension schubert_sum",
-    "flux": "component_class dream_flux_labels flux_grid reconstruct_dream "
-    "reduced_flux_table variety_equations",
+    "flux": "component_class flux_grid reconstruct_dream reduced_flux_table "
+    "variety_equations",
     "yangbaxter": "cluster_sum forced_tile",
     "verify": "conservation_check verify_ybe",
 }

@@ -195,7 +195,7 @@ def _cmd_flux(args) -> int:
                 "zero_x": sorted(map(list, eqs.zero_x)),
                 "zero_y": sorted(map(list, eqs.zero_y)),
                 "flux_labels": {
-                    str(e): v for e, v in sorted(eqs.flux.items()) if v
+                    str(fluxmod.EdgeId(*e)): v for e, v in sorted(eqs.flux.items()) if v
                 },
                 "independent_equations": eqs.independent_count(),
             }
@@ -214,7 +214,7 @@ def _cmd_flux(args) -> int:
             lines.append("flux labels (nonzero):")
             for e, v in sorted(eqs.flux.items()):
                 if v:
-                    lines.append(f"  {e} = t{v}")
+                    lines.append(f"  {fluxmod.EdgeId(*e)} = t{v}")
             _emit(args, "\n".join(lines) + "\n")
         return 0
     _guard_work(args.m, args.n, args.max_work)

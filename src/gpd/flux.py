@@ -6,10 +6,12 @@ zero on the outer W/E/S boundary edges and grow by the marker of each
 square they cross, which makes a conservation law hold at every square.
 
 A pipe dream turns the formal fluxes into labels: an edge traversed by the
-pipe labeled i carries t_i, every other edge carries 0.  Together with the
-vanishing X and Y entries read off the straight and blank tiles, these
-labels are the defining data of the dream's degeneration component; the
-labeling is faithful enough that the dream can be rebuilt from it by
+pipe labeled i carries t_i, every other edge carries 0.  The labels are
+``grid.edge_labels``, keyed by grid's ('V'|'H', i, j) edge tuples, which
+hash and compare equal to the EdgeIds naming the same edges.  Together
+with the vanishing X and Y entries read off the straight and blank tiles,
+these labels are the defining data of the dream's degeneration component;
+the labeling is faithful enough that the dream can be rebuilt from it by
 joining, in every square, the edges that carry the same nonzero flux.
 """
 
@@ -39,12 +41,6 @@ class EdgeId(NamedTuple):
 
 Marker = tuple[int, int]  # (r, j) standing for X_rj * Y_jr
 FluxExpr = frozenset[Marker]
-
-
-def all_edges(m: int, n: int) -> list[EdgeId]:
-    edges = [EdgeId("V", i, j) for i in range(1, m + 1) for j in range(n + 1)]
-    edges += [EdgeId("H", i, j) for i in range(m + 1) for j in range(1, n + 1)]
-    return edges
 
 
 def flux_grid(m: int, n: int, beta: str) -> dict[EdgeId, FluxExpr]:
@@ -81,22 +77,13 @@ def format_flux(expr: Iterable[Marker]) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def dream_flux_labels(d: PipeDream) -> dict[EdgeId, int]:
-    """Label every edge with its pipe (t_i as the integer i) or 0.
-
-    North boundary labels realize the connectivity: H(0, j) carries i
-    exactly when pipe i exits at column j.
-    """
-    labels = grid.edge_labels(d)
-    return {e: labels[e] for e in all_edges(d.m, d.n)}
-
-
 @dataclass
 class EquationSet:
     """Defining data of one degeneration component.
 
     zero_x holds pairs (r, j) with X_rj = 0, zero_y pairs (j, r) with
-    Y_jr = 0, and flux maps every edge to its label (0 or the pipe number).
+    Y_jr = 0, and flux maps every edge, by grid's ('V'|'H', i, j) tuple, to
+    its label (0 or the pipe number).
     Exactly n - 1 of the implied equations per row are independent: one per
     column except where the row's own pipe exits North.  The killed entries
     are the linear ones and the rest, one per elbow other than a row's exit
@@ -109,7 +96,7 @@ class EquationSet:
     pi: tuple[int, ...]
     zero_x: frozenset[tuple[int, int]]
     zero_y: frozenset[tuple[int, int]]
-    flux: dict[EdgeId, int]
+    flux: dict[tuple[str, int, int], int]
 
     def independent_count(self) -> int:
         elbows = self.m * self.n - len(self.zero_x) - len(self.zero_y)
@@ -121,6 +108,8 @@ def variety_equations(d: PipeDream) -> EquationSet:
 
     The tiles of ``grid.X_TILES`` kill an X entry, every other non-elbow
     tile a Y entry; every edge's flux is asserted equal to its pipe label.
+    The labels are routed once, and pi is read off their North row: H(0, j)
+    carries i exactly when pipe i exits at column j.
     """
     phi = pipe_numbering(d.beta)
     zero_x: set[tuple[int, int]] = set()
@@ -135,15 +124,15 @@ def variety_equations(d: PipeDream) -> EquationSet:
                 zero_x.add((p, j))
             else:
                 zero_y.add((j, p))
-    pi, _ = grid.connectivity(d)
+    labels = grid.edge_labels(d)
     return EquationSet(
         m=d.m,
         n=d.n,
         beta=d.beta,
-        pi=pi,
+        pi=grid._exit_word([labels[("H", 0, j)] for j in range(1, d.n + 1)], d.m),
         zero_x=frozenset(zero_x),
         zero_y=frozenset(zero_y),
-        flux=dream_flux_labels(d),
+        flux=labels,
     )
 
 
@@ -210,10 +199,11 @@ def component_class(eqs: EquationSet) -> Polynomial:
 
 
 def _tiles_from_labels(
-    m: int, n: int, beta: str, labels: Mapping[EdgeId, object]
+    m: int, n: int, beta: str, labels: Mapping[tuple[str, int, int], object]
 ) -> PipeDream:
     """Per square, the one tile (grid.routing_tiles) routing the side and
-    South labels to the North and far-side ones.
+    South labels to the North and far-side ones; the result is not
+    validated.
 
     Labels may be any hashable values (pipe numbers, or reduced flux values
     when rebuilding from a table); 0, None and empty sets count as zero.
@@ -223,9 +213,9 @@ def _tiles_from_labels(
         west_going = beta[i - 1] == "W"
         row: list[Tile] = []
         for j in range(1, n + 1):
-            west, east = labels[EdgeId("V", i, j - 1)], labels[EdgeId("V", i, j)]
+            west, east = labels[("V", i, j - 1)], labels[("V", i, j)]
             side, far = (west, east) if west_going else (east, west)
-            south, north = labels[EdgeId("H", i, j)], labels[EdgeId("H", i - 1, j)]
+            south, north = labels[("H", i, j)], labels[("H", i - 1, j)]
             matches = grid.routing_tiles(side or 0, south or 0, north or 0, far or 0)
             if len(matches) != 1:
                 raise ValueError(
@@ -233,22 +223,21 @@ def _tiles_from_labels(
                 )
             row.append(matches[0])
         tiles.append(tuple(row))
-    d = PipeDream(m, n, beta, tuple(tiles))
-    grid.validate(d)
-    return d
+    return PipeDream(m, n, beta, tuple(tiles))
 
 
 def reconstruct_dream(eqs: EquationSet) -> PipeDream:
     """Rebuild the dream from its flux labels.
 
     In every square, edges carrying the same nonzero label are joined by a
-    pipe; the unique tile realizing that pairing is selected.  The result
-    must validate and reproduce the recorded connectivity.
+    pipe; the unique tile realizing that pairing is selected.  Routing the
+    result's own labels (``grid.edge_labels``, which raises
+    InvalidDreamError, a ValueError, on a bad tiling) must then reproduce
+    the recorded label of every edge, North row and so pi included.
     """
     d = _tiles_from_labels(eqs.m, eqs.n, eqs.beta, eqs.flux)
-    pi, _ = grid.connectivity(d)
-    if pi != eqs.pi:
-        raise ValueError(f"reconstructed connectivity {pi} != recorded {eqs.pi}")
+    if grid.edge_labels(d) != eqs.flux:
+        raise ValueError("the rebuilt dream's pipes do not carry the recorded labels")
     return d
 
 
@@ -258,10 +247,13 @@ def dream_from_flux_table(
     """Rebuild a dream from a (reduced) flux-value table.
 
     Edges whose entries coincide as nonzero sets are treated as carrying the
-    same pipe; empty entries are empty edges.
+    same pipe; empty entries are empty edges.  With no recorded labels to
+    compare, the result is checked by ``grid.validate``.
     """
     labels = {e: (frozenset(v) if v else 0) for e, v in table.items()}
-    return _tiles_from_labels(m, n, beta, labels)
+    d = _tiles_from_labels(m, n, beta, labels)
+    grid.validate(d)
+    return d
 
 
 def _resolve_rewrites(rewrites: Mapping[Marker, Marker]) -> dict[Marker, Marker]:

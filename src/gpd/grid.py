@@ -164,8 +164,9 @@ class PipeDream:
         return serialize(self)
 
 
-def validate(d: PipeDream) -> None:
-    """Raise InvalidDreamError unless d satisfies every grid invariant."""
+def validate(d: PipeDream) -> dict[tuple[str, int, int], int]:
+    """Raise InvalidDreamError unless d satisfies every grid invariant;
+    return the pipe labels that checked it (``edge_labels``)."""
     if d.m < 1 or d.n < 1:
         raise InvalidDreamError("grid must be at least 1 x 1")
     if d.m > d.n:
@@ -173,7 +174,7 @@ def validate(d: PipeDream) -> None:
     check_beta(d.beta, d.m)
     if len(d.tiles) != d.m or any(len(row) != d.n for row in d.tiles):
         raise InvalidDreamError("tile grid has wrong shape")
-    edge_labels(d)
+    return edge_labels(d)
 
 
 def _exit_word(north: Sequence[int], m: int) -> tuple[int, ...]:
@@ -300,8 +301,7 @@ def crossing_flip(d: PipeDream) -> PipeDream:
     """
     if d.m != 1:
         raise ValueError("crossing_flip applies to single-row dreams")
-    validate(d)
-    labels = edge_labels(d)
+    labels = validate(d)
     flipped_v = [int(not labels[("V", 1, j)]) for j in range(d.n + 1)]
     new_type = "E" if d.beta == "W" else "W"
     tiles = []

@@ -1,12 +1,12 @@
+import dataclasses
+
 import pytest
 
 from gpd import grid, schubert
 from gpd.flux import (
     EdgeId,
     EquationSet,
-    all_edges,
     component_class,
-    dream_flux_labels,
     flux_grid,
     flux_system_rank,
     format_flux,
@@ -71,7 +71,7 @@ def test_conservation_all_betas(m, n):
 
 def test_labels_1x1():
     d = parse_dream("1 1\nW\nn\n")
-    labels = dream_flux_labels(d)
+    labels = grid.edge_labels(d)
     assert labels[EdgeId("V", 1, 0)] == 1
     assert labels[EdgeId("H", 0, 1)] == 1
     assert sum(1 for v in labels.values() if v) == 2
@@ -79,7 +79,7 @@ def test_labels_1x1():
 
 def test_labels_worked_example_dream1():
     d = parse_dream(DREAM1)
-    labels = dream_flux_labels(d)
+    labels = grid.edge_labels(d)
     nonzero = {e: v for e, v in labels.items() if v}
     assert nonzero == {
         EdgeId("V", 1, 0): 1,
@@ -93,7 +93,7 @@ def test_labels_worked_example_dream1():
 def test_labels_path_lengths():
     for beta in all_hybridizations(2):
         for d in enumerate_dreams(2, 3, beta):
-            labels = dream_flux_labels(d)
+            labels = grid.edge_labels(d)
             paths = trace_pipes(d)
             for pipe, path in paths.items():
                 assert sum(1 for v in labels.values() if v == pipe) == len(path)
@@ -102,7 +102,7 @@ def test_labels_path_lengths():
 def test_north_labels_realize_connectivity():
     for beta in all_hybridizations(3):
         for d in enumerate_dreams(3, 3, beta):
-            labels = dream_flux_labels(d)
+            labels = grid.edge_labels(d)
             pi, _ = grid.connectivity(d)
             for j in range(1, 4):
                 expected = next((p for p in range(1, 4) if pi[p - 1] == j), 0)
@@ -281,6 +281,15 @@ def test_reconstruct_detects_inconsistent_labels():
         reconstruct_dream(broken)
 
 
+def test_reconstruct_refuses_labels_naming_the_wrong_pipes():
+    # the same pairing of edges in every square, so the same tiles, but
+    # every edge names the other pipe
+    eqs = variety_equations(parse_dream(DREAM2))
+    swapped = {e: {1: 2, 2: 1}.get(v, v) for e, v in eqs.flux.items()}
+    with pytest.raises(ValueError):
+        reconstruct_dream(dataclasses.replace(eqs, flux=swapped))
+
+
 def test_reduced_flux_tables_worked_example():
     red1 = reduced_flux_table(2, 2, "WE", zeros=[("X", 2, 1), ("X", 1, 2)])
     assert red1[EdgeId("H", 0, 1)] == frozenset({(1, 1)})
@@ -309,9 +318,10 @@ def test_reduced_tables_match_component_dreams():
     ]:
         d = parse_dream(text)
         red = reduced_flux_table(2, 2, "WE", zeros=zeros, rewrites=rewrites or {})
-        labels = dream_flux_labels(d)
-        for edge in all_edges(2, 2):
-            assert bool(red[edge]) == bool(labels[edge]), (text, edge)
+        labels = grid.edge_labels(d)
+        assert red.keys() == labels.keys()
+        for edge, value in red.items():
+            assert bool(value) == bool(labels[edge]), (text, edge)
 
 
 def test_reduced_flux_rejects_bad_input():

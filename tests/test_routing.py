@@ -13,7 +13,6 @@ import math
 import pytest
 
 from gpd import flux, grid, schubert
-from gpd.flux import EdgeId, dream_flux_labels
 from gpd.grid import PipeDream, Tile, connectivity, count_dreams, enumerate_dreams
 from gpd.poly import parse
 from gpd.schubert import all_hybridizations, all_partial_perms
@@ -143,11 +142,11 @@ def test_label_routing_matches_traced_paths(m, n):
         for d, pi, crossings in ref_stream(m, n, beta, "generic"):
             assert connectivity(d) == (pi, crossings)
             paths = trace_pipes(d)
-            labels = {e: 0 for e in flux.all_edges(m, n)}
+            labels = {e: 0 for e in flux.flux_grid(m, n, beta)}
             for pipe, path in paths.items():
                 for edge in path:
-                    labels[EdgeId(*edge)] = pipe
-            assert dream_flux_labels(d) == labels
+                    labels[edge] = pipe
+            assert grid.edge_labels(d) == labels
             elbows = {}
             for path in paths.values():
                 first_h = next(e for e in path if e[0] == "H")

@@ -353,6 +353,36 @@ def test_flux_check_fails_on_a_mutated_turn_rule(capsys, monkeypatch):
     assert any(f.endswith(": component classes do not sum to G") for f in check["failures"])
 
 
+def _count_calls(monkeypatch, module, names):
+    """Patch each named function of ``module`` to count its calls; return
+    the Counter they count into."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_flux_check_routes_labels_twice_per_dream(monkeypatch):
+    # once for the dream's equation set and once for its rebuilt copy;
+    # neither validate nor connectivity routes them again
+    dreams = sum(grid.count_dreams(3, 3, beta) for beta in all_hybridizations(3))
+    calls = _count_calls(monkeypatch, grid, ("edge_labels", "connectivity", "validate"))
+    (report,) = run_checks(["flux"], 3, 3)
+    assert report.ok, report.failures
+    assert calls == Counter(edge_labels=2 * dreams)
+
+
+def test_crossing_flip_routes_labels_once(monkeypatch):
+    calls = _count_calls(monkeypatch, grid, ("edge_labels", "crossing_flip"))
+    (report,) = run_checks(["crossing"], 1, 1)
+    assert report.ok, report.failures
+    assert calls["crossing_flip"] and calls["edge_labels"] == calls["crossing_flip"]
+
+
 # ---------------------------------------------------------------------------
 # the global G checks run at A = y1 = 0
 # ---------------------------------------------------------------------------
