@@ -108,8 +108,7 @@ def variety_equations(d: PipeDream) -> EquationSet:
 
     The tiles of ``grid.X_TILES`` kill an X entry, every other non-elbow
     tile a Y entry; every edge's flux is asserted equal to its pipe label.
-    The labels are routed once, and pi is read off their North row: H(0, j)
-    carries i exactly when pipe i exits at column j.
+    The labels are routed once, and pi is read off their North row.
     """
     phi = pipe_numbering(d.beta)
     zero_x: set[tuple[int, int]] = set()
@@ -129,7 +128,7 @@ def variety_equations(d: PipeDream) -> EquationSet:
         m=d.m,
         n=d.n,
         beta=d.beta,
-        pi=grid._exit_word([labels[("H", 0, j)] for j in range(1, d.n + 1)], d.m),
+        pi=grid._labels_pi(labels, d.m, d.n),
         zero_x=frozenset(zero_x),
         zero_y=frozenset(zero_y),
         flux=labels,
@@ -233,11 +232,12 @@ def reconstruct_dream(eqs: EquationSet) -> PipeDream:
     pipe; the unique tile realizing that pairing is selected.  Routing the
     result's own labels (``grid.edge_labels``, which raises
     InvalidDreamError, a ValueError, on a bad tiling) must then reproduce
-    the recorded label of every edge, North row and so pi included.
+    the recorded label of every edge, and the recorded pi must be the one
+    those labels carry.
     """
     d = _tiles_from_labels(eqs.m, eqs.n, eqs.beta, eqs.flux)
-    if grid.edge_labels(d) != eqs.flux:
-        raise ValueError("the rebuilt dream's pipes do not carry the recorded labels")
+    if grid.edge_labels(d) != eqs.flux or grid._labels_pi(eqs.flux, eqs.m, eqs.n) != eqs.pi:
+        raise ValueError("the rebuilt dream does not carry the recorded labels and pi")
     return d
 
 

@@ -186,6 +186,12 @@ def _exit_word(north: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(pi)
 
 
+def _labels_pi(labels: dict[tuple[str, int, int], int], m: int, n: int) -> tuple[int, ...]:
+    """pi off the North row of a dream's edge labels: H(0, j) carries i
+    exactly when pipe i exits at column j."""
+    return _exit_word([labels[("H", 0, j)] for j in range(1, n + 1)], m)
+
+
 def edge_labels(d: PipeDream) -> dict[tuple[str, int, int], int]:
     """Pipe label of every edge, routed cell by cell through ROUTES.
 
@@ -234,7 +240,7 @@ def connectivity(d: PipeDream) -> tuple[tuple[int, ...], tuple[tuple[int, int], 
     CROSS tile (its side and South pipes).
     """
     labels = edge_labels(d)
-    pi = _exit_word([labels[("H", 0, j)] for j in range(1, d.n + 1)], d.m)
+    pi = _labels_pi(labels, d.m, d.n)
     crossings = []
     for i in range(1, d.m + 1):
         west_going = d.beta[i - 1] == "W"

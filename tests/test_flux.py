@@ -290,6 +290,12 @@ def test_reconstruct_refuses_labels_naming_the_wrong_pipes():
         reconstruct_dream(dataclasses.replace(eqs, flux=swapped))
 
 
+def test_reconstruct_refuses_a_pi_its_labels_do_not_carry():
+    eqs = variety_equations(parse_dream(DREAM2))
+    with pytest.raises(ValueError):
+        reconstruct_dream(dataclasses.replace(eqs, pi=(2, 1)))
+
+
 def test_reduced_flux_tables_worked_example():
     red1 = reduced_flux_table(2, 2, "WE", zeros=[("X", 2, 1), ("X", 1, 2)])
     assert red1[EdgeId("H", 0, 1)] == frozenset({(1, 1)})
