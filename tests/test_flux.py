@@ -277,23 +277,14 @@ def test_reconstruct_detects_inconsistent_labels():
         m=eqs.m, n=eqs.n, beta=eqs.beta, pi=eqs.pi,
         zero_x=eqs.zero_x, zero_y=eqs.zero_y, flux=bad,
     )
-    with pytest.raises(ValueError):
-        reconstruct_dream(broken)
-
-
-def test_reconstruct_refuses_labels_naming_the_wrong_pipes():
-    # the same pairing of edges in every square, so the same tiles, but
-    # every edge names the other pipe
-    eqs = variety_equations(parse_dream(DREAM2))
-    swapped = {e: {1: 2, 2: 1}.get(v, v) for e, v in eqs.flux.items()}
-    with pytest.raises(ValueError):
-        reconstruct_dream(dataclasses.replace(eqs, flux=swapped))
-
-
-def test_reconstruct_refuses_a_pi_its_labels_do_not_carry():
-    eqs = variety_equations(parse_dream(DREAM2))
-    with pytest.raises(ValueError):
-        reconstruct_dream(dataclasses.replace(eqs, pi=(2, 1)))
+    # DREAM2's pairing of edges in every square, so its tiles, with every
+    # edge naming the other pipe; and DREAM2's labels with another pi
+    eqs2 = variety_equations(parse_dream(DREAM2))
+    swapped = {e: {1: 2, 2: 1}.get(v, v) for e, v in eqs2.flux.items()}
+    for wrong in (broken, dataclasses.replace(eqs2, flux=swapped),
+                  dataclasses.replace(eqs2, pi=(2, 1))):
+        with pytest.raises(ValueError):
+            reconstruct_dream(wrong)
 
 
 def test_reduced_flux_tables_worked_example():
