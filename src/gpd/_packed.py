@@ -4,12 +4,13 @@ An exponent vector (A, B, x1..xm, y1..yn) is packed into one integer key,
 each slot given a bit width.  Slot 0 takes the most significant bits, so
 ascending keys list exponent vectors in ascending lexicographic order,
 whatever the widths: re-keying into another layout with the same slots
-keeps the key order and needs no sort.  Keys are int64 when the layout fits
-in 63 bits and Python ints (``dtype=object``) otherwise.  Coefficients are
-int64 while an L1-norm bound (an upper bound for every intermediate
-coefficient) stays below ``INT64_HEADROOM``, and Python ints beyond it;
-numpy promotes int64 operands to Python ints when an object array meets
-them.  Either way the arithmetic is exact and the code path is the same.
+keeps the key order and needs no sort.  Keys are int32 when the layout fits
+in 31 bits, int64 in 63 and Python ints (``dtype=object``) beyond.
+Coefficients take the narrowest of int32, int64 and Python ints that an
+L1-norm bound (an upper bound for every intermediate coefficient) certifies
+(``coeff_dtype``); numpy promotes fixed-width operands to Python ints when
+an object array meets them.  Either way the arithmetic is exact and the
+code path is the same.
 
 Memory contract: a pass over a whole polynomial holds at most
 ``_MERGE_CHUNK`` terms of transient arrays besides its inputs and its
@@ -29,6 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+INT32_HEADROOM = 2**31 - 1
 INT64_HEADROOM = 2**62
 
 # Input terms above which merge_products merges one key range at a time, and
@@ -41,8 +43,11 @@ _MERGE_RUNS = _MERGE_CHUNK >> 8
 
 
 def coeff_dtype(bound: int):
-    """int64 when ``bound`` caps every coefficient sum, Python ints otherwise."""
-    return np.int64 if bound < INT64_HEADROOM else object
+    """int32 or int64 while ``bound``, capping every coefficient sum, is
+    below its headroom (read at call time), Python ints otherwise."""
+    if bound >= INT64_HEADROOM:
+        return object
+    return np.int32 if bound < INT32_HEADROOM else np.int64
 
 
 def l1(coeffs: np.ndarray) -> int:
@@ -62,7 +67,7 @@ class Packer:
         total = sum(widths)
         self.shifts = [total - c for c in accumulate(widths)]
         self.masks = [(1 << w) - 1 for w in widths]
-        self.key_dtype = np.int64 if total <= 63 else object
+        self.key_dtype = np.int32 if total <= 31 else np.int64 if total <= 63 else object
 
     def __reduce__(self):
         """Unpickled layouts are the shared ones."""
@@ -92,13 +97,14 @@ class Packer:
 
     def encode(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
         """Keys of exponent vectors that fit this layout (0 in empty slots,
-        whose shift may be 63 in a 63-bit layout)."""
+        whose shift may be the key dtype's width less its sign bit)."""
         exps = np.array(rows, dtype=self.key_dtype).reshape(len(rows), len(self.widths))
         units = [1 << s if w else 0 for s, w in zip(self.shifts, self.widths)]
         return exps @ np.array(units, dtype=self.key_dtype)
 
     def rekey(self, keys: np.ndarray, dst: "Packer") -> np.ndarray:
-        """The same exponent vectors as keys of ``dst``, which must hold them."""
+        """The same exponent vectors as keys of ``dst``, which must hold
+        them, moved in the wider of the two key dtypes."""
         if dst is self:
             return keys
         if len(keys) > _MERGE_CHUNK:
@@ -106,8 +112,7 @@ class Packer:
             for start in range(0, len(keys), _MERGE_CHUNK):
                 out[start:start + _MERGE_CHUNK] = self.rekey(keys[start:start + _MERGE_CHUNK], dst)
             return out
-        if dst.key_dtype is object:
-            keys = keys.astype(object)
+        keys = keys.astype(_wider(self.key_dtype, dst.key_dtype), copy=False)
         # one (bit mask, shift up) per run of adjacent live slots that move
         # by the same shift: one mask and one shift each
         moves: list[list[int]] = []
@@ -136,6 +141,13 @@ class Packer:
         )
 
 
+def _wider(a, b):
+    """The wider of two key dtypes."""
+    if a is object or b is object:
+        return object
+    return a if np.dtype(a).itemsize >= np.dtype(b).itemsize else b
+
+
 @lru_cache(maxsize=4096)
 def layout(widths: tuple[int, ...]) -> Packer:
     """The shared layout with these slot widths."""
@@ -148,8 +160,11 @@ def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The merge owns its arguments: it drops each array once the next is
     made, so a buffer no caller holds is freed as it goes.  Ascending keys
     skip the sort, distinct keys the sum, nonzero coefficients the filter.
+    Sums stay in the coefficients' dtype.
     """
-    if not (keys[1:] > keys[:-1]).all():
+    # `<=`, not `>`: in NumPy 2.4 the int32 `>` loop lies outside the code
+    # pages the other comparisons load, and costs a small command 64 KB RSS
+    if (keys[1:] <= keys[:-1]).any():
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         coeffs = coeffs[order]
@@ -158,7 +173,7 @@ def merge(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if not starts.all():
             starts = np.flatnonzero(np.concatenate(([True], starts)))
             keys = keys[starts]
-            coeffs = np.add.reduceat(coeffs, starts)
+            coeffs = np.add.reduceat(coeffs, starts, dtype=coeffs.dtype)
     keep = coeffs != 0
     if not keep.all():
         keys, coeffs = keys[keep], coeffs[keep]
@@ -180,11 +195,12 @@ def merge_products(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(pieces) == 1:
         keys, coeffs, factor = pieces[0][:3]
-        coeffs = coeffs.astype(dtype, copy=False)
         if factor is None:
-            return keys, coeffs
+            return keys, coeffs.astype(dtype, copy=False)
         if len(factor[0]) == 1:
-            return keys + int(factor[0][0]), coeffs * int(factor[1][0])
+            return keys + int(factor[0][0]), np.multiply(coeffs, int(factor[1][0]), dtype=dtype)
+        # no reference held here, so the merge frees the piece as it reads it
+        del keys, coeffs
     runs = [1 if p[2] is None else len(p[2][0]) for p in pieces]
     if sum(len(p[0]) * r for p, r in zip(pieces, runs)) > _MERGE_CHUNK and sum(runs) <= _MERGE_RUNS:
         return _merge_ranges(pieces, dtype)
@@ -228,7 +244,7 @@ def _merge_ranges(pieces: list, dtype) -> tuple[np.ndarray, np.ndarray]:
     ``poly.product`` keeps the runs few: it multiplies the longest factor
     first, so the runs are the shorter factor's terms.
     """
-    one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    one = np.zeros(1, dtype=pieces[0][0].dtype), np.ones(1, dtype=dtype)
     runs = [(p[0], p[1], *(one if p[2] is None else p[2])) for p in pieces]
     step = max(1, _MERGE_CHUNK // (8 * sum(len(shifts) for _, _, shifts, _ in runs)))
     sample = np.sort(np.concatenate(

@@ -122,12 +122,13 @@ def check_partial_perm(pi: Sequence[int], m: int, n: int) -> tuple[int, ...]:
     return word
 
 
+@lru_cache(maxsize=None)
 def pipe_numbering(beta: str) -> tuple[int, ...]:
     """Counterclockwise-from-Northwest pipe labels.
 
     W rows take 1, 2, ... from top to bottom, then E rows continue the count
     from bottom to top.  Entry i-1 is the label of the pipe entering
-    physical row i.
+    physical row i.  Built once per row type; a bad one raises every time.
     """
     check_beta(beta, len(beta))
     m = len(beta)

@@ -11,8 +11,8 @@ order A, B, x1..xm, y1..yn, packed into integer keys in ascending order,
 and their nonzero coefficients.  The key layout is the value's own: each
 slot is as wide as its largest exponent needs.  So every value has a single
 canonical form, and two polynomials are equal exactly when their layouts
-and arrays are.  Keys and coefficients are int64 within the limits
-``_packed`` certifies and Python ints beyond them, hence arbitrary
+and arrays are.  Keys and coefficients are int32 or int64 within the
+limits ``_packed`` certifies and Python ints beyond them, hence arbitrary
 precision.  Ring operations, variable permutations, leading forms, setting
 variables to 0 and division by x_i - x_{i+1} run on the arrays, and so does
 the text format; exponent tuples are decoded only by ``items``,
@@ -237,8 +237,9 @@ class Polynomial:
     def const(cls, value: int, m: int, n: int) -> "Polynomial":
         terms = [value] if value else []
         coeffs = np.array(terms, dtype=_packed.coeff_dtype(abs(value)))
-        keys = np.zeros(len(terms), dtype=np.int64)
-        return cls._wrap(m, n, _packed.layout((0,) * (2 + m + n)), keys, coeffs)
+        packer = _packed.layout((0,) * (2 + m + n))
+        keys = np.zeros(len(terms), dtype=packer.key_dtype)
+        return cls._wrap(m, n, packer, keys, coeffs)
 
     @classmethod
     def var(cls, v: Var, m: int, n: int) -> "Polynomial":
@@ -246,8 +247,8 @@ class Polynomial:
         widths = [0] * (2 + m + n)
         widths[slot] = 1
         packer = _packed.layout(tuple(widths))
-        keys = np.array([packer.unit(slot)], dtype=np.int64)
-        return cls._wrap(m, n, packer, keys, np.ones(1, np.int64))
+        keys = np.array([packer.unit(slot)], dtype=packer.key_dtype)
+        return cls._wrap(m, n, packer, keys, np.ones(1, _packed.coeff_dtype(1)))
 
     # -- inspection ---------------------------------------------------------
 
@@ -697,8 +698,8 @@ def product(m: int, n: int, factors: Iterable[Polynomial]) -> Polynomial:
 
     Every factor is re-keyed once into one layout that holds the product
     (slot k as wide as the sum of the factors' largest slot-k values), and
-    the coefficients are int64 when the product of the factors' L1 norms
-    certifies them.
+    the coefficients take the dtype the product of the factors' L1 norms
+    certifies (``_packed.coeff_dtype``).
     """
     fs = _in_context(m, n, factors) or [Polynomial.const(1, m, n)]
     if not all(fs):

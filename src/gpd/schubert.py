@@ -17,12 +17,11 @@ multiplies its state's value by one cached factor, except the elbow where
 a row's own pipe turns North, which weighs 1 (every generic dream has one
 per row), and the values reaching one state are merged once per cell.
 Each word's C is multiplied by (A+B)^m once, at the end; nongeneric, where
-every elbow weighs 1, that factor is 1.  ``class_of_e`` reads C itself.  Its
-coefficients are int64 while an L1-norm bound certifies them and become
-Python ints from the product where the bound runs out.  Its (keys,
-coefficients) arrays become ``Polynomial`` values as they are, so G(pi)
-never leaves the packed representation.  Hybridization independence, the
-recurrence, the B-leading form, the mirror identity and the class sums
+every elbow weighs 1, that factor is 1.  ``class_of_e`` reads C itself.
+Each merge takes the coefficient dtype its own L1-norm bound certifies.
+Its (keys, coefficients) arrays become ``Polynomial`` values as they are,
+so G(pi) never leaves the packed representation.  Hybridization
+independence, the recurrence, the B-leading form, the mirror identity and the class sums
 (``gpd verify beta``, ``recurrence``, ``leading``, ``mirror``, ``flux``)
 are decided at A = y1 = 0, where G(pi) has far fewer terms and, the
 evaluation being injective on the sums (see ``reduced_weight_sums``),
@@ -44,7 +43,7 @@ import numpy as np
 
 from . import _packed, grid
 from .grid import Tile, check_partial_perm, pipe_numbering
-from .poly import ExactDivisionError, Polynomial, Var, alphabet, product
+from .poly import ExactDivisionError, Polynomial, Var, alphabet, product, var_slot
 
 
 def inversions(word: Sequence[int]) -> int:
@@ -69,28 +68,34 @@ def min_extension(pi: Sequence[int], n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _rekeyed(w: Polynomial, m: int, n: int):
-    """``w`` as a sweep factor: its keys in the ``Packer.alphabet`` layout
-    and its coefficients as int64 (a tile weight's are +-1, (A+B)^m's
-    binomials, whatever the headroom ``w`` was made under), with its L1
-    norm."""
-    fc = w.coeffs.astype(np.int64, copy=False)
-    return (w.packer.rekey(w.keys, _packed.Packer.alphabet(m, n)), fc), w.l1_norm()
+@lru_cache(maxsize=None)
+def _layout(m: int, n: int, zero: tuple[Var, ...]) -> _packed.Packer:
+    """``Packer.alphabet`` with no bits for the variables ``zero``: int32
+    keys at A = y1 = 0 up to (4,5)."""
+    widths = list(_packed.Packer.alphabet(m, n).widths)
+    for v in zero:
+        widths[var_slot(v, m, n)] = 0
+    return _packed.layout(tuple(widths))
+
+
+def _rekeyed(w: Polynomial, packer: _packed.Packer, dtype):
+    """``w`` as a sweep factor: its keys in the sweep layout ``packer`` and
+    its coefficients in ``dtype``, with its L1 norm."""
+    return (w.packer.rekey(w.keys, packer), w.coeffs.astype(dtype, copy=False)), w.l1_norm()
 
 
 @lru_cache(maxsize=None)
 def _factor(row_type: str, t: Tile, pipe: int, j: int, m: int, n: int,
-            zero: tuple[Var, ...], nongeneric: bool):
+            zero: tuple[Var, ...], nongeneric: bool, dtype):
     """The factor a sweep multiplies by at tile ``t`` in column ``j`` of a
     row carrying ``pipe``, with its L1 norm (``_rekeyed``): the tile weight
-    with the variables ``zero`` set to 0; nongeneric, at A = 0 too
-    (x_pipe - y_j) on the tiles of ``grid.X_TILES``, and 1, ``(None, 1)``,
-    on every other tile."""
-    if nongeneric:
-        if t not in grid.X_TILES[row_type]:
-            return None, 1
-        zero = (*zero, Var("A"))
-    return _rekeyed(grid.tile_weight(row_type, t, pipe, j, m, n).at_zero(*zero), m, n)
+    with the variables ``zero`` set to 0, which nongeneric include A, so
+    (x_pipe - y_j) on the tiles of ``grid.X_TILES`` and 1, ``(None, 1)``,
+    on every other tile.  Built once per coefficient dtype."""
+    if nongeneric and t not in grid.X_TILES[row_type]:
+        return None, 1
+    w = grid.tile_weight(row_type, t, pipe, j, m, n).at_zero(*zero)
+    return _rekeyed(w, _layout(m, n, zero), dtype)
 
 
 # The tiles that route the side pipe North, read off ``grid.ROUTES``.
@@ -109,8 +114,8 @@ def _sweep(
     zero: tuple[Var, ...] = (), mode: str = "generic", classes: bool = False,
 ) -> dict[tuple[int, ...], Polynomial]:
     """Dream weight sums by connectivity on ``grid.transfer``, generic or
-    nongeneric (``mode``), with the variables ``zero`` set to 0: the one
-    packed driver of every sum.
+    nongeneric (``mode``, which sets A to 0 too), with the variables
+    ``zero`` set to 0: the one packed driver of every sum.
 
     The transfer sums the class C(pi) = G(pi) / (A+B)^m.  A tile
     multiplies its state's value by its ``_factor``, except the one tile per
@@ -125,46 +130,60 @@ def _sweep(
     ``_packed.merge_products`` over the products reaching it, in a buffer
     the merge owns, and so is each word's final product.  A word's C is
     dropped once that product is made, before the re-key into the value's
-    own layout.  Each value carries an L1 bound: the parent's bound times
-    the factor's L1, summed when values merge, so the running total of the
-    products' bounds, the tiles' and then the final ones, caps every
-    coefficient the sweep holds.  Coefficients are int64 while that total
-    stays below ``_packed.INT64_HEADROOM`` and Python ints from the product
-    that reaches it.
+    own layout (keys are in ``_layout``).  Each value carries an L1 bound:
+    the parent's bound times the factor's L1, summed when values merge;
+    times the L1 of (A+B)^m for the final product.  Each merge takes the
+    dtype its own bound certifies and reads its factors in that dtype.
     """
     grid.check_beta(beta, m)
     targets = None if pis is None else {check_partial_perm(p, m, n) for p in pis}
-    packer = _packed.Packer.alphabet(m, n)
     phi = pipe_numbering(beta)
     zero, nongeneric = tuple(zero), mode == "nongeneric"
-    table = {
-        (i, j, t): _factor(beta[i - 1], t, phi[i - 1], j, m, n, zero, nongeneric)
-        for i, j, t in itertools.product(range(1, m + 1), range(1, n + 1), Tile)
-    }
-    total = 0
+    if nongeneric:
+        zero = (*zero, Var("A"))
+    packer = _layout(m, n, zero)
+    tiles = list(itertools.product(range(1, m + 1), range(1, n + 1), Tile))
+    final = None if classes or nongeneric else grid._ab_power(m, n, m).at_zero(*zero)
+    tables: dict = {}
+
+    def table(dtype) -> dict:
+        """(factor, L1) by tile (i, j, t), and the final (A+B)^m's under 0,
+        in coefficient dtype ``dtype``."""
+        if dtype not in tables:
+            tables[dtype] = {
+                (i, j, t): _factor(beta[i - 1], t, phi[i - 1], j, m, n, zero, nongeneric, dtype)
+                for i, j, t in tiles
+            }
+            tables[dtype][0] = (None, 1) if final is None else _rekeyed(final, packer, dtype)
+        return tables[dtype]
+
+    l1 = {key: fl1 for key, (_, fl1) in table(_packed.coeff_dtype(1)).items()}
 
     def step(value, i, j, t, side):
-        nonlocal total
-        factor, fl1 = (None, 1) if _own_turn(t, side, phi[i - 1]) else table[i, j, t]
-        bound = value[3] * fl1
-        total += bound
-        return value[0], value[1], factor, bound
+        if _own_turn(t, side, phi[i - 1]):
+            return value[0], value[1], None, value[3]
+        return value[0], value[1], (i, j, t), value[3] * l1[i, j, t]
+
+    def merged(values, bound):
+        """The merge of pending products by factor key (None for 1) in the
+        dtype ``bound`` certifies; ``values`` is rewritten in place, so the
+        merge still drops each piece as it reads it."""
+        dtype = _packed.coeff_dtype(bound)
+        factors = table(dtype)
+        for k, v in enumerate(values):
+            values[k] = v[0], v[1], None if v[2] is None else factors[v[2]][0]
+        return _packed.merge_products(values, dtype)
 
     def combine(values):
         bound = sum(v[3] for v in values)
-        return (*_packed.merge_products(values, _packed.coeff_dtype(total)), None, bound)
+        return (*merged(values, bound), None, bound)
 
-    root = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), None, 1)
+    root = (np.zeros(1, dtype=packer.key_dtype), np.ones(1, dtype=_packed.coeff_dtype(1)), None, 1)
     sums = grid.transfer(m, n, beta, step, root, combine, mode, targets)
-    if classes or nongeneric:
-        factor, fl1 = None, 1
-    else:
-        factor, fl1 = _rekeyed(grid._ab_power(m, n, m).at_zero(*zero), m, n)
     out = {}
     for word in list(sums):
         keys, coeffs, _, bound = sums.pop(word)
-        total += bound * fl1
-        keys, coeffs = _packed.merge_products([(keys, coeffs, factor)], _packed.coeff_dtype(total))
+        keys, coeffs = merged([(keys, coeffs, 0)], bound * l1[0])
         out[word] = Polynomial.from_packed(m, n, packer, keys, coeffs)
     return out
 

@@ -26,8 +26,8 @@ of the next batch, so no check holds more than one batch:
   induction on the inversions from the decreasing words, every swept G
   then equals the recurrence's, which is what comparing with
   ``recurrence_table`` decides.  A parent one swap of the last pair away
-  ends in another letter, so the all-W sweep of a batch also sums those
-  parents.
+  ends in another letter, so when the recurrence check runs, the all-W
+  sweep of a batch also sums those parents.
 - The mirror compares batch k at A = y1 = 0 with its conjugates at
   B = yn = 0, the words that begin with n+1-k.
 - The sweep plan (``_plan``): per batch, each row type at A = y1 = 0,
@@ -139,23 +139,26 @@ def _plan(m: int, n: int) -> list[Sweep]:
     ]
 
 
-def _targets(m: int, n: int, sweep: Sweep) -> list[tuple[int, ...]]:
+def _targets(m: int, n: int, sweep: Sweep, parents: bool) -> list[tuple[int, ...]]:
     """The words a sweep sums: batch k at A = y1 = 0, where the all-W row
-    type also sums the recurrence parents that end in another letter; at
-    B = yn = 0, the conjugates of batch k, whose first letter is n+1-k."""
+    type also sums the recurrence parents that end in another letter when
+    ``parents`` (the recurrence check reads the sweep); at B = yn = 0, the
+    conjugates of batch k, whose first letter is n+1-k."""
     batch = _batch(m, n, sweep.k)
     if sweep.zero != ORIGIN:
         return [schubert.gamma_conjugate(pi, m, n) for pi in batch]
-    if "E" in sweep.beta:
+    if not parents or "E" in sweep.beta:
         return batch
-    parents = [schubert.recurrence_parent(pi) for pi in batch]
-    return batch + [p[1] for p in parents if p and p[1][-1] != sweep.k]
+    steps = [schubert.recurrence_parent(pi) for pi in batch]
+    return batch + [p[1] for p in steps if p and p[1][-1] != sweep.k]
 
 
-def _swept(m: int, n: int, sweep: Sweep):
-    """The sums of one sweep, or the exception (MemoryError aside) it raised."""
+def _swept(m: int, n: int, parents: bool, sweep: Sweep):
+    """The sums of one sweep (``_targets``), or the exception (MemoryError
+    aside) it raised."""
     try:
-        return schubert.reduced_weight_sums(m, n, sweep.beta, _targets(m, n, sweep), sweep.zero)
+        words = _targets(m, n, sweep, parents)
+        return schubert.reduced_weight_sums(m, n, sweep.beta, words, sweep.zero)
     except MemoryError:
         raise
     except Exception as exc:
@@ -445,7 +448,7 @@ def run_checks(names, m: int, n: int, mode: str | None = None,
     pooled = workers > 1
     pool = ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext()
     with pool:
-        sweep = functools.partial(_swept, m, n)
+        sweep = functools.partial(_swept, m, n, CHECKS["recurrence"] in entries)
         results = _ahead(pool, sweep, plan, workers) if pooled else map(sweep, plan)
         for s in plan:
             value = next(results)

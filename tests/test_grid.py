@@ -37,6 +37,17 @@ def test_pipe_numbering():
     assert pipe_numbering("EWE") == (3, 1, 2)
 
 
+def test_pipe_numbering_is_built_once_per_row_type():
+    pipe_numbering.cache_clear()
+    for beta in ["WEW", "EE", "WEW", "EE", "WEW"]:
+        pipe_numbering(beta)
+    assert pipe_numbering.cache_info()[:2] == (3, 2)  # hits, misses
+    for bad in ["WXW", "we", "WXW"]:
+        with pytest.raises(ValueError):
+            pipe_numbering(bad)
+    assert pipe_numbering.cache_info().currsize == 2
+
+
 def test_intro_dream_connectivity_and_crossings():
     d = parse_dream(INTRO_DREAM)
     pi, crossings = connectivity(d)

@@ -4,8 +4,10 @@
 polynomial times a factor, or times 1) and merges them once;
 ``_packed.merge`` merges one (keys, coefficients) buffer.  Both are
 compared with ``refpoly`` over pieces that share keys, cancel, or are
-empty, factors of one to three terms, int64 and Python-int coefficients,
-and keys of 12 and of 69 bits.  With ``_MERGE_CHUNK`` cut to a few terms,
+empty, factors of one to three terms, int32, int64 and Python-int
+coefficients, operands narrower or wider than the merge's dtype, and keys
+of 12 bits (int32), 39 (int64) and 69 (Python ints).  Merges at the int32
+tier's edge come out exact in the dtype their bound certifies.  With ``_MERGE_CHUNK`` cut to a few terms,
 every merge of more input terms in at most ``_MERGE_RUNS`` runs goes by
 key range (``_merge_ranges``), its range bounds falling on duplicated and
 cancelling keys, whole ranges cancelling; a merge of more runs keeps one
@@ -27,8 +29,11 @@ import refpoly
 from gpd import _packed
 
 # Exponents stay below 4 in pieces and factors, so their sums fit 3 bits.
-NARROW = _packed.layout((3, 3, 3, 3))
+NARROW = _packed.layout((3, 3, 3, 3))  # 12 bits: int32 keys
+MID = _packed.layout((3, 30, 3, 3))  # 39 bits: int64 keys
 WIDE = _packed.layout((3, 60, 3, 3))  # slot 0 starts at bit 66: Python-int keys
+LAYOUTS = st.sampled_from([NARROW, MID, WIDE])
+FIXED = [np.int32, np.int64]
 EXPONENTS = st.tuples(*[st.integers(0, 3)] * 4)
 SMALL = st.integers(-50, 50).filter(bool)
 BIG = st.integers(-(2**80), 2**80).filter(bool)
@@ -47,6 +52,7 @@ def decode(packer, keys, coeffs):
 
 def check_merged(packer, keys, coeffs, dtype, expected):
     assert keys.dtype == packer.key_dtype and coeffs.dtype == np.dtype(dtype)
+    assert (keys.dtype == np.int32) == (sum(packer.widths) <= 31)
     assert (keys[1:] > keys[:-1]).all() and (coeffs != 0).all()
     assert decode(packer, keys, coeffs) == expected
 
@@ -54,7 +60,7 @@ def check_merged(packer, keys, coeffs, dtype, expected):
 @st.composite
 def products(draw):
     """(layout, coefficient dtype, pieces as term dicts with factors or None)."""
-    packer = draw(st.sampled_from([NARROW, WIDE]))
+    packer = draw(LAYOUTS)
     big = draw(st.booleans())
     coeff = BIG if big else SMALL
     terms = st.dictionaries(EXPONENTS, coeff, max_size=6)
@@ -62,7 +68,7 @@ def products(draw):
     pieces = draw(st.lists(st.tuples(terms, factor), min_size=1, max_size=5))
     if draw(st.booleans()):  # every piece with its negation: the sum is 0
         pieces += [({e: -c for e, c in t.items()}, f) for t, f in pieces]
-    dtype = object if big or draw(st.booleans()) else np.int64
+    dtype = object if big or draw(st.booleans()) else draw(st.sampled_from(FIXED))
     return packer, dtype, pieces
 
 
@@ -71,7 +77,7 @@ def ranged_products(draw):
     """Like ``products``, with factors of up to eight terms and at least
     two input terms, so a ``_MERGE_CHUNK`` below their count applies.  The
     pieces are short, or long enough that a range samples every few keys."""
-    packer = draw(st.sampled_from([NARROW, WIDE]))
+    packer = draw(LAYOUTS)
     big = draw(st.booleans())
     coeff = BIG if big else SMALL
     low, high = draw(st.sampled_from([(1, 8), (40, 80)]))
@@ -82,7 +88,7 @@ def ranged_products(draw):
     # ranges that merge to nothing and across range bounds
     twice = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
     pieces += [({e: -c for e, c in t.items()}, f) for (t, f), neg in zip(pieces, twice) if neg]
-    dtype = object if big or draw(st.booleans()) else np.int64
+    dtype = object if big or draw(st.booleans()) else draw(st.sampled_from(FIXED))
     return packer, dtype, pieces
 
 
@@ -194,6 +200,42 @@ def test_ranged_merge_holds_its_output_once():
     assert peak <= output + 6 * chunk * 8, (peak, output)
 
 
+@pytest.mark.parametrize("sum_top, factors, dtype", [
+    (2**31 - 2, (46340, 46341), np.int32),  # just under the int32 tier
+    (2**31, (46341, 46341), np.int64),  # past it, and past int32
+])
+def test_merge_at_the_int32_tier_is_exact(sum_top, factors, dtype):
+    # int32 operands whose sum, or product, is the merge's bound: a bound
+    # below 2**31 - 1 certifies int32, one past it takes int64, and both
+    # come out exact where int32 arithmetic would wrap
+    e, f = (1, 0, 2, 0), (0, 1, 0, 1)
+    half = sum_top // 2
+    sum_pieces = [(*packed(NARROW, {e: c}, np.int32), None) for c in (half, sum_top - half)]
+    a, b = factors
+    product_pieces = [(*packed(NARROW, {e: a}, np.int32), packed(NARROW, {f: b}, np.int32))]
+    for pieces, bound, expected in [
+        (sum_pieces, sum_top, {e: sum_top}),
+        (product_pieces, a * b, refpoly.mul({e: a}, {f: b})),
+    ]:
+        assert _packed.coeff_dtype(bound) is dtype
+        check_merged(NARROW, *_packed.merge_products(pieces, dtype), dtype, expected)
+
+
+def test_rekey_out_of_int32_keys():
+    # a 31-bit layout (int32 keys) re-keyed into 32 and 39 bits: the top
+    # slot moves past bit 31, so the moves run in int64, and back again
+    src = _packed.layout((8, 8, 8, 7))
+    rows = [(255, 1, 0, 127), (0, 255, 255, 0), (128, 0, 3, 64)]
+    keys = src.encode(rows)
+    assert keys.dtype == np.int32
+    for dst in (_packed.layout((8, 8, 8, 8)), _packed.layout((8, 16, 8, 7))):
+        moved = src.rekey(keys, dst)
+        assert moved.dtype == np.int64
+        assert moved.tolist() == dst.encode(rows).tolist()
+        back = dst.rekey(moved, src)
+        assert back.dtype == np.int32 and back.tolist() == keys.tolist()
+
+
 def check_products(case, data):
     """``merge_products`` of the drawn pieces against the reference sum."""
     packer, dtype, pieces = case
@@ -201,10 +243,12 @@ def check_products(case, data):
     arrays = []
     for terms, factor in pieces:
         expected = refpoly.add(expected, refpoly.mul(terms, factor or {(0,) * 4: 1}))
-        # int64 operands may meet Python-int coefficients
-        kind = dtype if dtype is np.int64 else data.draw(st.sampled_from([np.int64, object]))
-        if any(abs(c) >= 2**62 for c in [*terms.values(), *(factor or {}).values()]):
-            kind = object
+        # operands come in any dtype that holds them: int32 into an int64
+        # merge, int64 into an int32 one whose bound certifies it, either
+        # into Python ints
+        top = max(map(abs, [*terms.values(), *(factor or {}).values()]), default=0)
+        kinds = [k for k in FIXED if top <= np.iinfo(k).max]
+        kind = data.draw(st.sampled_from(kinds + [object] if dtype is object else kinds))
         pair = None if factor is None else packed(packer, factor, kind)
         arrays.append((*packed(packer, terms, kind), pair))
     keys, coeffs = _packed.merge_products(arrays, dtype)
@@ -213,7 +257,7 @@ def check_products(case, data):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([NARROW, WIDE]),
+    LAYOUTS,
     st.lists(st.tuples(EXPONENTS, st.integers(-3, 3)), max_size=12),
 )
 def test_merge_matches_reference(packer, pairs):
@@ -224,7 +268,7 @@ def test_merge_matches_reference(packer, pairs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([NARROW, WIDE]), st.integers(1, 40), st.data())
+@given(LAYOUTS, st.integers(1, 40), st.data())
 def test_chunked_rekey_matches_whole(src, chunk, data):
     terms = data.draw(st.dictionaries(EXPONENTS, SMALL, max_size=60))
     keys, _ = packed(src, terms, np.int64)
@@ -238,9 +282,9 @@ def test_chunked_rekey_matches_whole(src, chunk, data):
 
 
 def rekey_by_slot(src, keys, dst):
-    """The re-key one slot at a time: a mask and a shift per live slot."""
-    if dst.key_dtype is object:
-        keys = keys.astype(object)
+    """The re-key one slot at a time: a mask and a shift per live slot, in
+    the wider of the two key dtypes."""
+    keys = keys.astype(_packed._wider(src.key_dtype, dst.key_dtype))
     out = np.zeros(len(keys), dtype=keys.dtype)
     for k, w in enumerate(src.widths):
         if w:

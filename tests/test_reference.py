@@ -2,7 +2,7 @@
 
 Random polynomials over the small shapes and (2,30), whose dense values
 take Python-int keys; coefficients past 2**63; (A+B)**64; and an int64
-headroom lowered so that operations on int64 operands promote their
+headroom lowered so that operations on int32 operands promote their
 results to Python ints.
 """
 
@@ -30,15 +30,19 @@ def _random(rng: random.Random, m: int, n: int) -> Polynomial:
 
 
 def assert_canonical(p: Polynomial) -> None:
-    """Keys strictly ascending in the value's own widths, no zero coefficient,
-    int64 coefficients only under the headroom."""
+    """Keys strictly ascending in the value's own widths, in the key dtype
+    of their width, no zero coefficient, int32 and int64 coefficients only
+    under their headrooms."""
     keys = p.keys.tolist()
     assert keys == sorted(set(keys))
     assert all(p.coeffs != 0)
     exps = [e for e, _ in p.items()]
     widths = tuple(max(col).bit_length() for col in zip(*exps)) if exps else (0,) * (2 + p.m + p.n)
     assert p.packer.widths == widths
-    assert p.keys.dtype == (np.int64 if sum(widths) <= 63 else object)
+    bits = sum(widths)
+    assert p.keys.dtype == (np.int32 if bits <= 31 else np.int64 if bits <= 63 else object)
+    if p.coeffs.dtype == np.int32:
+        assert p.l1_norm() < _packed.INT32_HEADROOM
     if p.coeffs.dtype != object:
         assert p.l1_norm() < _packed.INT64_HEADROOM
     rebuilt = Polynomial(p.m, p.n, dict(p.items()))
@@ -102,12 +106,12 @@ def test_binomial_power_matches_reference():
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (2, 30)])
 def test_lowered_headroom_promotes_inside_operations(monkeypatch, m, n):
-    # operands are built in int64 under the real headroom; a headroom just
+    # operands are built in int32 under the real headroom; a headroom just
     # above their norms makes every sum and product certify Python ints
     rng = random.Random(f"headroom {m} {n}")
     pairs = [(random_poly(rng, m, n, 6, 4), random_poly(rng, m, n, 6, 4)) for _ in range(20)]
     pairs = [(f, g) for f, g in pairs if f.l1_norm() > 1 and g.l1_norm() > 1]
-    assert all(f.coeffs.dtype == g.coeffs.dtype == np.int64 for f, g in pairs)
+    assert all(f.coeffs.dtype == g.coeffs.dtype == np.int32 for f, g in pairs)
     merged = set()
     merge = _packed.merge
 

@@ -100,8 +100,9 @@ def test_reduced_sums_beta_independent_at_1x12():
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
 def test_forced_promotion_keeps_results(monkeypatch, m, n):
-    # lowering the int64 headroom makes the engine promote its buckets to
-    # Python ints after a few dreams, or start in Python ints at all
+    # a headroom below the largest merge's bound makes the engine's later
+    # merges, each certified by its own bound, take Python ints, or every
+    # merge at a headroom of 2
     beta = "W" * (m - 1) + "E"
     full = weight_sums_by_pi(m, n, beta)
     reduced = reduced_weight_sums(m, n, beta)
@@ -115,7 +116,7 @@ def test_forced_promotion_keeps_results(monkeypatch, m, n):
         return merge(keys, coeffs)
 
     monkeypatch.setattr(_packed, "merge", spy)
-    for headroom, kinds in ((4 * 3 ** (m * n), {"i", "O"}), (2, {"O"})):
+    for headroom, kinds in ((3 ** (m + 1), {"i", "O"}), (2, {"O"})):
         monkeypatch.setattr(_packed, "INT64_HEADROOM", headroom)
         merged_dtypes.clear()
         assert weight_sums_by_pi(m, n, beta) == full
@@ -137,7 +138,7 @@ def test_product_beyond_int64_is_exact():
 def test_packer_round_trip_at_bounds(m, n):
     packer = _packed.Packer.alphabet(m, n)
     bounds = [m * n, m * n] + [n] * m + [m] * n
-    assert packer.key_dtype == (object if (m, n) == (2, 30) else np.int64)
+    assert packer.key_dtype == (object if (m, n) == (2, 30) else np.int32)
     for k, b in enumerate(bounds):
         exps = tuple(b if s == k else 0 for s in range(len(bounds)))
         p = Polynomial(m, n, {exps: -7, tuple(bounds): 3})

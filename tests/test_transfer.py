@@ -10,11 +10,12 @@ import gc
 import itertools
 import weakref
 
+import numpy as np
 import pytest
 
-from gpd import _packed, grid
+from gpd import _packed, grid, schubert
 from gpd.grid import Tile, count_dreams, enumerate_dreams, pipe_numbering
-from gpd.poly import Polynomial, Var, alphabet, product
+from gpd.poly import Polynomial, Var, alphabet, product, var_slot
 from gpd.schubert import (
     all_hybridizations,
     all_partial_perms,
@@ -198,23 +199,67 @@ def test_targets_prune_states_by_exit_reach(m, n, pi, states, top_row_only):
     ],
 )
 def test_promotion_partway_through_a_transfer(monkeypatch, sweep, m, n, beta, headroom):
-    # a lowered headroom is reached partway: values merged before it stay
-    # int64, values merged after it hold Python ints, and the sums agree
+    # a lowered headroom is reached partway: each merge takes the dtype of
+    # its own bound, so the first merges stay fixed-width, the ones whose
+    # bound reaches the headroom hold Python ints, and the sums agree
     expected = sweep(m, n, beta)
-    merged_dtypes = []
-    merge = _packed.merge
-
-    def spy(keys, coeffs):
-        merged_dtypes.append(coeffs.dtype.kind)
-        return merge(keys, coeffs)
-
-    monkeypatch.setattr(_packed, "merge", spy)
+    merges = certified_merges(monkeypatch)
     monkeypatch.setattr(_packed, "INT64_HEADROOM", headroom)
     assert sweep(m, n, beta) == expected
-    first_object = merged_dtypes.index("O")
-    assert 0 < first_object
-    assert set(merged_dtypes[:first_object]) == {"i"}
-    assert set(merged_dtypes[first_object:]) == {"O"}
+    kinds = [coeffs.kind for _, _, coeffs, _ in merges]
+    assert kinds[0] == "i" and "O" in kinds
+    for bound, _, coeffs, l1 in merges:
+        assert (coeffs == object) == (bound >= headroom) and l1 <= bound
+
+
+def certified_merges(monkeypatch):
+    """The list that records each ``_packed.merge_products`` call as
+    (the bound last certified by ``_packed.coeff_dtype``, key dtype,
+    coefficient dtype, L1 of the merged coefficients)."""
+    merges, bounds = [], []
+    coeff_dtype, merge_products = _packed.coeff_dtype, _packed.merge_products
+
+    def certify(bound):
+        bounds.append(bound)
+        return coeff_dtype(bound)
+
+    def spy(pieces, dtype):
+        keys, coeffs = merge_products(pieces, dtype)
+        merges.append((bounds[-1], keys.dtype, coeffs.dtype, sum(map(abs, coeffs.tolist()))))
+        return keys, coeffs
+
+    monkeypatch.setattr(_packed, "coeff_dtype", certify)
+    monkeypatch.setattr(_packed, "merge_products", spy)
+    return merges
+
+
+@pytest.mark.parametrize("zero", [(), schubert.ORIGIN, (Var("B"), Var("y", 4))])
+def test_sweep_merges_are_certified_int32(monkeypatch, zero):
+    # at (3,4) every bound is far below 2**31 - 1: every merge is int32,
+    # and the keys are int32 in a layout of 31 bits or fewer, which gives
+    # the variables set to 0 no bits
+    layout = schubert._layout(3, 4, zero)
+    assert sum(layout.widths) <= 31 and layout.key_dtype == np.int32
+    assert all(layout.widths[var_slot(v, 3, 4)] == 0 for v in zero)
+    expected = weight_sums_by_pi(3, 4, "WEW")
+    merges = certified_merges(monkeypatch)
+    sums = reduced_weight_sums(3, 4, "WEW", zero=zero)
+    assert sums == {pi: g.at_zero(*zero) for pi, g in expected.items()}
+    assert merges and all(
+        keys == coeffs == np.int32 and l1 <= bound < _packed.INT32_HEADROOM
+        for bound, keys, coeffs, l1 in merges)
+
+
+def test_int32_tier_is_reached_partway(monkeypatch):
+    # an int32 headroom lowered below the largest merge's bound: merges
+    # below it stay int32, the others take int64, and the sums agree
+    expected = weight_sums_by_pi(3, 3, "WEW")
+    merges = certified_merges(monkeypatch)
+    monkeypatch.setattr(_packed, "INT32_HEADROOM", 3**5)
+    assert weight_sums_by_pi(3, 3, "WEW") == expected
+    assert {coeffs for _, _, coeffs, _ in merges} == {np.dtype(np.int32), np.dtype(np.int64)}
+    for bound, _, coeffs, l1 in merges:
+        assert (coeffs == np.int32) == (bound < 3**5) and l1 <= bound
 
 
 def test_promoted_sums_are_python_ints(monkeypatch):

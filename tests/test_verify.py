@@ -425,7 +425,7 @@ def test_batched_sums_are_the_all_words_sums(m, n):
             full = reduced_weight_sums(m, n, beta, zero=zero)
             covered = set()
             for s in sweeps:
-                targets = _targets(m, n, s)
+                targets = _targets(m, n, s, True)
                 assert reduced_weight_sums(m, n, beta, targets, zero) == {
                     pi: full[pi] for pi in targets
                 }, (m, n, s)
@@ -517,13 +517,13 @@ def test_g_checks_hold_one_batch(monkeypatch, names):
     leaks = {}
     original = checks._swept
 
-    def watched(m, n, sweep):
+    def watched(m, n, parents, sweep):
         if sweep.k not in leaks:
             gc.collect()
             leaks[sweep.k] = sorted({k for k, ref in swept if ref() is not None})
         sums = {
             pi: _Swept._wrap(g.m, g.n, g.packer, g.keys, g.coeffs)
-            for pi, g in original(m, n, sweep).items()
+            for pi, g in original(m, n, parents, sweep).items()
         }
         swept.extend((sweep.k, weakref.ref(g)) for g in sums.values())
         return sums
@@ -532,6 +532,22 @@ def test_g_checks_hold_one_batch(monkeypatch, names):
     reports = run_checks(names, 3, 4)
     assert [r.failures for r in reports] == [[]] * len(names)
     assert leaks == {k: [] for k in range(1, 5)}
+
+
+@pytest.mark.parametrize("names", [[name] for name in G_CHECKS] + [G_CHECKS])
+def test_all_w_sweeps_sum_other_batches_only_for_the_recurrence(monkeypatch, names):
+    # an all-W sweep at A = y1 = 0 sums the recurrence parents that end in
+    # another letter only when the recurrence check reads it
+    calls = _count_sweeps(monkeypatch)
+    reports = run_checks(names, 3, 4)
+    assert [r.failures for r in reports] == [[]] * len(names)
+    parents = "recurrence" in names
+    letters = {beta: [] for beta in all_hybridizations(3)}
+    for beta, zero, pis in calls:
+        if zero == ORIGIN:
+            letters[beta].append(len({pi[-1] for pi in pis}))
+    assert letters["WWW"] and any(count > 1 for count in letters["WWW"]) == parents
+    assert all(count == 1 for beta, counts in letters.items() if beta != "WWW" for count in counts)
 
 
 def test_recurrence_check_reaches_a_parent_in_another_batch(monkeypatch):
