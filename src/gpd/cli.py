@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -46,6 +45,14 @@ def _emit(args, *parts: str) -> None:
     _write(args, parts)
 
 
+def _emit_json(args, payload, indent: int | None = 2) -> None:
+    """``payload`` as JSON with sorted keys; only commands that print JSON
+    import ``json``."""
+    import json
+
+    _emit(args, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+
+
 def _write(args, parts: Iterable[str]) -> None:
     """Write the parts in order, to --out or stdout, as they come."""
     if args.out:
@@ -62,7 +69,7 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         texts = [grid.serialize(d) for d in dreams]
         payload = {"count": len(texts), "dreams": texts}
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         _write(args, _joined(grid.serialize(d) for d in dreams))
     return 0
@@ -81,7 +88,7 @@ def _cmd_count(args) -> int:
     pi = _parse_pi(args.pi, args.m, args.n) if args.pi else None
     count = grid.count_dreams(args.m, args.n, args.beta, pi, args.mode)
     if args.format == "json":
-        _emit(args, json.dumps({"count": count}, sort_keys=True) + "\n")
+        _emit_json(args, {"count": count}, indent=None)
     else:
         _emit(args, f"{count}\n")
     return 0
@@ -103,7 +110,7 @@ def _cmd_poly(args) -> int:
             "pi": list(pi),
             "polynomial": g.format(),
         }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         _write(args, itertools.chain(g.format_chunks(), ("\n",)))
     return 0
@@ -135,7 +142,7 @@ def _cmd_verify(args) -> int:
                 for r in reports
             ]
         }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         lines = []
         for r in reports:
@@ -199,7 +206,7 @@ def _cmd_flux(args) -> int:
                 },
                 "independent_equations": eqs.independent_count(),
             }
-            _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            _emit_json(args, payload)
         else:
             lines = [f"connectivity: {','.join(map(str, eqs.pi))}"]
             lines.append(
@@ -221,7 +228,7 @@ def _cmd_flux(args) -> int:
     table = fluxmod.flux_grid(args.m, args.n, args.beta)
     if args.format == "json":
         payload = {str(e): fluxmod.format_flux(v) for e, v in table.items()}
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         _emit(args, render_flux_lattice(args.m, args.n, table))
     return 0

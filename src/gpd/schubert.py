@@ -157,12 +157,14 @@ def _sweep(
             tables[dtype][0] = (None, 1) if final is None else _rekeyed(final, packer, dtype)
         return tables[dtype]
 
-    l1 = {key: fl1 for key, (_, fl1) in table(_packed.coeff_dtype(1)).items()}
+    # (key, L1) by key: pending products share their tile's key
+    l1 = {key: (key, fl1) for key, (_, fl1) in table(_packed.coeff_dtype(1)).items()}
 
     def step(value, i, j, t, side):
         if _own_turn(t, side, phi[i - 1]):
             return value[0], value[1], None, value[3]
-        return value[0], value[1], (i, j, t), value[3] * l1[i, j, t]
+        key, fl1 = l1[i, j, t]
+        return value[0], value[1], key, value[3] * fl1
 
     def merged(values, bound):
         """The merge of pending products by factor key (None for 1) in the
@@ -183,7 +185,7 @@ def _sweep(
     out = {}
     for word in list(sums):
         keys, coeffs, _, bound = sums.pop(word)
-        keys, coeffs = merged([(keys, coeffs, 0)], bound * l1[0])
+        keys, coeffs = merged([(keys, coeffs, 0)], bound * l1[0][1])
         out[word] = Polynomial.from_packed(m, n, packer, keys, coeffs)
     return out
 

@@ -142,6 +142,28 @@ def test_import_builds_no_pool_and_no_layouts():
     assert done.stdout.split() == ["False", "0"]
 
 
+def test_only_json_output_loads_json():
+    # the json module costs every command at import; text output runs
+    # without it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    probe = (
+        "import contextlib, io, sys, gpd.cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gpd.cli.main(list(argv)) == 0, argv\n"
+        "    return 'json' in sys.modules\n"
+        "print(run('verify', 'beta', '--m', '2', '--n', '2'),\n"
+        "      run('count', '--m', '2', '--n', '2', '--format', 'json'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
 def test_poly_leaves_numpy_ma_unloaded():
     # np.unique without return_inverse asks numpy.ma whether its argument
     # is masked, which imports numpy.ma; the text order finds its distinct
