@@ -142,10 +142,8 @@ class Packer:
 
 
 def _wider(a, b):
-    """The wider of two key dtypes."""
-    if a is object or b is object:
-        return object
-    return a if np.dtype(a).itemsize >= np.dtype(b).itemsize else b
+    """The wider of two key dtypes, which widen int32, int64, object."""
+    return a if a is b or a is object or b is np.int32 else b
 
 
 @lru_cache(maxsize=4096)

@@ -157,35 +157,40 @@ def _sweep(
             tables[dtype][0] = (None, 1) if final is None else _rekeyed(final, packer, dtype)
         return tables[dtype]
 
-    # (key, L1) by key: pending products share their tile's key
-    l1 = {key: (key, fl1) for key, (_, fl1) in table(_packed.coeff_dtype(1)).items()}
+    # A pending product carries its factor in the dtype of the root's bound
+    # (int32 unless a headroom is lowered) and its key: (factor, L1, key).
+    base = _packed.coeff_dtype(1)
+    pending = {key: (factor, fl1, key) for key, (factor, fl1) in table(base).items()}
 
     def step(value, i, j, t, side):
         if _own_turn(t, side, phi[i - 1]):
             return value[0], value[1], None, value[3]
-        key, fl1 = l1[i, j, t]
-        return value[0], value[1], key, value[3] * fl1
+        factor, fl1, key = pending[i, j, t]
+        return value[0], value[1], factor, value[3] * fl1, key
 
     def merged(values, bound):
-        """The merge of pending products by factor key (None for 1) in the
-        dtype ``bound`` certifies; ``values`` is rewritten in place, so the
-        merge still drops each piece as it reads it."""
+        """The merge of pending products in the dtype ``bound`` certifies;
+        in another dtype than ``base`` their factors are read again by key,
+        in place, so the merge still drops each piece as it reads it."""
         dtype = _packed.coeff_dtype(bound)
-        factors = table(dtype)
-        for k, v in enumerate(values):
-            values[k] = v[0], v[1], None if v[2] is None else factors[v[2]][0]
+        if dtype is not base:
+            factors = table(dtype)
+            for k, v in enumerate(values):
+                if v[2] is not None:
+                    values[k] = v[0], v[1], factors[v[4]][0]
         return _packed.merge_products(values, dtype)
 
     def combine(values):
         bound = sum(v[3] for v in values)
         return (*merged(values, bound), None, bound)
 
-    root = (np.zeros(1, dtype=packer.key_dtype), np.ones(1, dtype=_packed.coeff_dtype(1)), None, 1)
+    root = (np.zeros(1, dtype=packer.key_dtype), np.ones(1, dtype=base), None, 1)
     sums = grid.transfer(m, n, beta, step, root, combine, mode, targets)
     out = {}
     for word in list(sums):
         keys, coeffs, _, bound = sums.pop(word)
-        keys, coeffs = merged([(keys, coeffs, 0)], bound * l1[0][1])
+        factor, fl1, key = pending[0]
+        keys, coeffs = merged([(keys, coeffs, factor, None, key)], bound * fl1)
         out[word] = Polynomial.from_packed(m, n, packer, keys, coeffs)
     return out
 
