@@ -21,7 +21,8 @@ every elbow weighs 1, that factor is 1.  ``class_of_e`` reads C itself.
 Each merge takes the coefficient dtype its own L1-norm bound certifies.
 Its (keys, coefficients) arrays become ``Polynomial`` values as they are,
 so G(pi) never leaves the packed representation.  Hybridization
-independence, the recurrence, the B-leading form, the mirror identity and the class sums
+independence, the recurrence, the B-leading form, the mirror identity and
+the class sums
 (``gpd verify beta``, ``recurrence``, ``leading``, ``mirror``, ``flux``)
 are decided at A = y1 = 0, where G(pi) has far fewer terms and, the
 evaluation being injective on the sums (see ``reduced_weight_sums``),

@@ -297,7 +297,7 @@ def test_c05_verify_recurrence_5x5_within_1gib():
     # all 120 words of (5,5), one batch of words sharing their last letter
     # at a time, each word one recurrence step from its parent's swept G;
     # each merge in the dtype its own bound certifies, int32 for all
-    # (315 MB measured; 381 MB with int64 coefficients throughout)
+    # (320 MB measured; 387 MB with int64 coefficients throughout)
     argv = ["verify", "recurrence", "--m", "5", "--n", "5"]
     code, out, err, peak_mb = gpd_within_1gib(argv, 60)
     with out:
