@@ -239,11 +239,10 @@ def _cmd_flux(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, need_beta=True, need_pi=False):
+def _add_common(sp, need_pi=False):
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    if need_beta:
-        sp.add_argument("--beta", type=str, default=None, help="row types, e.g. WEW")
+    sp.add_argument("--beta", type=str, default=None, help="row types, e.g. WEW")
     sp.add_argument(
         "--pi",
         type=str,

@@ -95,12 +95,18 @@ _TILE_CHOICES: dict[tuple[bool, bool], tuple[Tile, ...]] = {
 def routing_tiles(side: Any, south: Any, north: Any, far: Any) -> tuple[Tile, ...]:
     """The tiles, in Tile order, that route the side and South labels to
     the North and far-side labels; a label is any value, 0 for no pipe."""
-    ins = (0, side, south)
-    return tuple(
-        t
-        for t in _TILE_CHOICES[side != 0, south != 0]
-        if (ins[ROUTES[t][0]], ins[ROUTES[t][1]]) == (north, far)
+    return _routing_tiles(
+        (side != 0, south != 0),
+        (north == 0, north == side, north == south),
+        (far == 0, far == side, far == south),
     )
+
+
+@lru_cache(maxsize=None)
+def _routing_tiles(occupancy: tuple, north_is: tuple, far_is: tuple) -> tuple[Tile, ...]:
+    # north_is[s]: whether the North label equals (0, side, South)[s]; far_is alike
+    tiles = _TILE_CHOICES[occupancy]
+    return tuple(t for t in tiles if north_is[ROUTES[t][0]] and far_is[ROUTES[t][1]])
 
 
 # The tile a nongeneric dream never uses, per row type.
@@ -131,17 +137,11 @@ def pipe_numbering(beta: str) -> tuple[int, ...]:
     physical row i.  Built once per row type; a bad one raises every time.
     """
     check_beta(beta, len(beta))
-    m = len(beta)
-    phi = [0] * m
-    label = 1
-    for i in range(m):
-        if beta[i] == "W":
-            phi[i] = label
-            label += 1
-    for i in range(m - 1, -1, -1):
-        if beta[i] == "E":
-            phi[i] = label
-            label += 1
+    west = [i for i, c in enumerate(beta) if c == "W"]
+    east = [i for i, c in enumerate(beta) if c == "E"]
+    phi = [0] * len(beta)
+    for label, i in enumerate(west + east[::-1], start=1):
+        phi[i] = label
     return tuple(phi)
 
 

@@ -16,6 +16,13 @@ in-to-out matching, the sums of weight products over internal states agree.
 W rows, rightward diamond) and the WE mode (a W row over an E row, upward
 diamond); ``gpd.verify.verify_ybe`` checks that they are equal.
 
+Each of the four cluster layouts is a wire list: its three tiles in
+evaluation order, each with the named wires into its two in slots and out
+of its two out slots.  Wires named in_* and out_* are the cluster's
+external channels; every other wire is written by one tile and read by a
+later one.  ``cluster_sum`` walks the list, carrying the pipe id on each
+wire written so far.
+
 Every table is the grid's tile table: routes from ``grid.ROUTES``, weights
 by ``grid.tile_weight``.  A row square is a tile at y = y1; a diamond is a
 tile with pipe x' at y1 = A + x, the rightward diamond a W tile and the
@@ -30,7 +37,6 @@ straight, of the same weight.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .grid import _TILE_EDGES, ROUTES, SIDE, SOUTH, tile_weight
@@ -40,9 +46,7 @@ _A, _B, _XS, _YS = alphabet(2, 1)
 X, XP, Y = _XS[0], _XS[1], _YS[0]
 
 WW_IN_CHANNELS = ("in_west_upper", "in_west_lower", "in_south")
-WW_OUT_CHANNELS = ("out_north", "out_east_upper", "out_east_lower")
 WE_IN_CHANNELS = ("in_west_lower", "in_east_lower", "in_south")
-WE_OUT_CHANNELS = ("out_west_upper", "out_east_upper", "out_north")
 
 
 class TableEntry(NamedTuple):
@@ -95,121 +99,43 @@ def up_diamond() -> tuple[TableEntry, ...]:
     return _table("E", XP, 1, _A + X)
 
 
-@dataclass(frozen=True)
-class Layout:
-    """One diamond plus a two-square stack, wired and topologically ordered.
-
-    ``feeds`` maps (component, in_slot) to an external in-channel name or to
-    (component, out_slot); ``outs`` maps external out-channel names to
-    (component, out_slot).
-    """
-
-    name: str
-    tables: dict[str, tuple[TableEntry, ...]]
-    order: tuple[str, ...]
-    feeds: dict[tuple[str, int], object]
-    outs: dict[str, tuple[str, int]]
-    in_channels: tuple[str, ...]
-    out_channels: tuple[str, ...]
+# (name, table, wires into in slots 0 and 1, wires out of out slots 0 and 1)
+# per tile, in evaluation order
+Wiring = tuple[tuple[str, tuple[TableEntry, ...], tuple[str, str], tuple[str, str]], ...]
 
 
 @functools.cache
-def _layouts() -> dict[str, Layout]:
+def _layouts() -> dict[str, Wiring]:
     """The four cluster layouts by name, built on first use."""
-    ww_left = Layout(
-        name="ww-left",
-        tables={"D": right_diamond(), "T": w_square(X), "B": w_square(XP)},
-        order=("D", "B", "T"),
-        feeds={
-            ("D", 0): "in_west_upper",
-            ("D", 1): "in_west_lower",
-            ("B", 0): ("D", 1),  # br feeds the lower row's entering side
-            ("B", 1): "in_south",
-            ("T", 0): ("D", 0),  # tr feeds the upper row's entering side
-            ("T", 1): ("B", 1),
-        },
-        outs={
-            "out_north": ("T", 1),
-            "out_east_upper": ("T", 0),
-            "out_east_lower": ("B", 0),
-        },
-        in_channels=WW_IN_CHANNELS,
-        out_channels=WW_OUT_CHANNELS,
-    )
-    ww_right = Layout(
-        name="ww-right",
-        tables={"T": w_square(XP), "B": w_square(X), "D": right_diamond()},
-        order=("B", "T", "D"),
-        feeds={
-            ("T", 0): "in_west_upper",
-            ("B", 0): "in_west_lower",
-            ("B", 1): "in_south",
-            ("T", 1): ("B", 1),
-            ("D", 0): ("T", 0),  # the rows' exits feed the diamond
-            ("D", 1): ("B", 0),
-        },
-        outs={
-            "out_north": ("T", 1),
-            "out_east_upper": ("D", 0),
-            "out_east_lower": ("D", 1),
-        },
-        in_channels=WW_IN_CHANNELS,
-        out_channels=WW_OUT_CHANNELS,
-    )
-    we_left = Layout(
-        name="we-left",
-        tables={"D": up_diamond(), "T": w_square(X), "B": e_square(XP)},
-        order=("B", "D", "T"),
-        feeds={
-            ("B", 0): "in_east_lower",
-            ("B", 1): "in_south",
-            ("D", 0): ("B", 0),  # the E row's west exit feeds the lower input
-            ("D", 1): "in_west_lower",
-            ("T", 0): ("D", 1),  # tr feeds the W row's entering side
-            ("T", 1): ("B", 1),
-        },
-        outs={
-            "out_west_upper": ("D", 0),
-            "out_east_upper": ("T", 0),
-            "out_north": ("T", 1),
-        },
-        in_channels=WE_IN_CHANNELS,
-        out_channels=WE_OUT_CHANNELS,
-    )
-    we_right = Layout(
-        name="we-right",
-        tables={"T": e_square(XP), "B": w_square(X), "D": up_diamond()},
-        order=("B", "D", "T"),
-        feeds={
-            ("B", 0): "in_west_lower",
-            ("B", 1): "in_south",
-            ("D", 0): "in_east_lower",
-            ("D", 1): ("B", 0),  # the W row's east exit feeds the lower input
-            ("T", 0): ("D", 0),  # tl feeds the E row's entering side
-            ("T", 1): ("B", 1),
-        },
-        outs={
-            "out_west_upper": ("T", 0),
-            "out_east_upper": ("D", 1),
-            "out_north": ("T", 1),
-        },
-        in_channels=WE_IN_CHANNELS,
-        out_channels=WE_OUT_CHANNELS,
-    )
-    return {layout.name: layout for layout in (ww_left, ww_right, we_left, we_right)}
+    return {
+        "ww-left": (
+            ("D", right_diamond(), ("in_west_upper", "in_west_lower"), ("d0", "d1")),
+            ("B", w_square(XP), ("d1", "in_south"), ("out_east_lower", "b1")),
+            ("T", w_square(X), ("d0", "b1"), ("out_east_upper", "out_north")),
+        ),
+        "ww-right": (
+            ("B", w_square(X), ("in_west_lower", "in_south"), ("b0", "b1")),
+            ("T", w_square(XP), ("in_west_upper", "b1"), ("t0", "out_north")),
+            ("D", right_diamond(), ("t0", "b0"), ("out_east_upper", "out_east_lower")),
+        ),
+        "we-left": (
+            ("B", e_square(XP), ("in_east_lower", "in_south"), ("b0", "b1")),
+            ("D", up_diamond(), ("b0", "in_west_lower"), ("out_west_upper", "d1")),
+            ("T", w_square(X), ("d1", "b1"), ("out_east_upper", "out_north")),
+        ),
+        "we-right": (
+            ("B", w_square(X), ("in_west_lower", "in_south"), ("b0", "b1")),
+            ("D", up_diamond(), ("in_east_lower", "b0"), ("d0", "out_east_upper")),
+            ("T", e_square(XP), ("d0", "b1"), ("out_west_upper", "out_north")),
+        ),
+    }
 
-
-def __getattr__(name: str):
-    """``LAYOUTS`` is the cached ``_layouts()``: importing the module builds no table."""
-    if name == "LAYOUTS":
-        return _layouts()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 ConnectivityClass = tuple[tuple[str, str], ...]
 
 
 def cluster_sum(
-    layout: str | Layout, boundary: Mapping[str, int]
+    name: str, boundary: Mapping[str, int]
 ) -> dict[ConnectivityClass, Polynomial]:
     """Sum the weights of all internal tilings, grouped by connectivity class.
 
@@ -218,55 +144,38 @@ def cluster_sum(
     (in_channel, out_channel) pairs the pipes realize; pipe counts are
     conserved, so the out side always matches the in side in size.
     """
-    if isinstance(layout, str):
-        try:
-            layout = _layouts()[layout]
-        except KeyError:
-            raise ValueError(f"unknown layout {layout!r}") from None
-    unknown = set(boundary) - set(layout.in_channels)
+    try:
+        layout = _layouts()[name]
+    except KeyError:
+        raise ValueError(f"unknown layout {name!r}") from None
+    channels = [w for _, _, ins, _ in layout for w in ins if w.startswith("in_")]
+    ids = {ch: boundary.get(ch, 0) for ch in channels}
+    unknown = set(boundary) - set(ids)
     if unknown:
         raise ValueError(f"boundary names unknown channels {sorted(unknown)}")
-    ids = {ch: boundary.get(ch, 0) for ch in layout.in_channels}
     occupied = [p for p in ids.values() if p]
     if len(set(occupied)) != len(occupied):
         raise ValueError("occupied in-channels must carry distinct pipe ids")
+    # every tiling so far: the pipe id on each wire written, and its weight
+    walks = [(ids, Polynomial.const(1, 2, 1))]
+    for _, table, ins, outs in layout:
+        grown = []
+        for wires, weight in walks:
+            pipes = (wires[ins[0]], wires[ins[1]])
+            for entry in table:
+                if entry.inputs == (pipes[0] != 0, pipes[1] != 0):
+                    wired = {**wires, outs[0]: 0, outs[1]: 0}
+                    for in_slot, out_slot in entry.route:
+                        wired[outs[out_slot]] = pipes[in_slot]
+                    grown.append((wired, weight * entry.weight))
+        walks = grown
+    origin = {p: ch for ch, p in ids.items() if p}
     sums: dict[ConnectivityClass, Polynomial] = {}
-
-    def source_value(state, comp, slot):
-        feed = layout.feeds[(comp, slot)]
-        if isinstance(feed, str):
-            return ids[feed]
-        upstream, out_slot = feed
-        return state[upstream][out_slot]
-
-    def rec(idx: int, state: dict, weight_so_far: Polynomial):
-        if idx == len(layout.order):
-            pairs = []
-            for ch, (comp, out_slot) in layout.outs.items():
-                pid = state[comp][out_slot]
-                if pid:
-                    origin = next(c for c, p in ids.items() if p == pid)
-                    pairs.append((origin, ch))
-            cls = tuple(sorted(pairs))
-            if cls in sums:
-                sums[cls] = sums[cls] + weight_so_far
-            else:
-                sums[cls] = weight_so_far
-            return
-        comp = layout.order[idx]
-        in_vals = (source_value(state, comp, 0), source_value(state, comp, 1))
-        occupancy = (in_vals[0] != 0, in_vals[1] != 0)
-        for entry in layout.tables[comp]:
-            if entry.inputs != occupancy:
-                continue
-            outs = [0, 0]
-            for in_slot, out_slot in entry.route:
-                outs[out_slot] = in_vals[in_slot]
-            state[comp] = tuple(outs)
-            rec(idx + 1, state, weight_so_far * entry.weight)
-        state.pop(comp, None)
-
-    rec(0, {}, Polynomial.const(1, 2, 1))
+    for wires, weight in walks:
+        cls = tuple(
+            sorted((origin[p], w) for w, p in wires.items() if p and w.startswith("out_"))
+        )
+        sums[cls] = sums[cls] + weight if cls in sums else weight
     return sums
 
 

@@ -6,7 +6,6 @@ check reports FAIL with a message naming the broken word or class.
 Messages are tested by membership, not position.
 """
 
-import dataclasses
 import gc
 import json
 import weakref
@@ -293,13 +292,14 @@ def test_mirror_check_reports_a_missing_word_and_goes_on(capsys, monkeypatch):
 
 
 def test_ybe_check_fails_on_a_broken_table_weight(capsys, monkeypatch):
-    layout = yangbaxter.LAYOUTS["ww-left"]
+    layouts = yangbaxter._layouts()
+    (name, diamond, ins, outs), *squares = layouts["ww-left"]
+    assert name == "D"
     diamond = tuple(
         e._replace(weight=parse("A+B", 2, 1)) if e.label == "blank" else e
-        for e in layout.tables["D"]
+        for e in diamond
     )
-    broken = dataclasses.replace(layout, tables={**layout.tables, "D": diamond})
-    monkeypatch.setitem(yangbaxter.LAYOUTS, "ww-left", broken)
+    monkeypatch.setitem(layouts, "ww-left", ((name, diamond, ins, outs), *squares))
     code, check = only_check(capsys, "ybe", "--mode", "ww")
     assert code == 1 and check["status"] == "FAIL"
     # the blank diamond serves the boundaries with both west channels empty

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from gpd.grid import Tile
 from gpd.poly import Polynomial, parse
 from gpd.verify import verify_ybe
 from gpd.yangbaxter import (
-    LAYOUTS,
     boundary_patterns,
     class_identities,
     cluster_sum,
@@ -39,13 +39,38 @@ def test_tables_have_seven_bijective_entries():
 
 
 def test_occupancy_is_conserved_in_every_layout():
-    for layout in LAYOUTS.values():
-        for boundary in boundary_patterns("ww" if "ww" in layout.name else "we"):
-            if set(boundary) - set(layout.in_channels):
-                continue
-            for cls, poly in cluster_sum(layout, boundary).items():
+    for name in yangbaxter._layouts():
+        for boundary in boundary_patterns(name[:2]):
+            for cls, poly in cluster_sum(name, boundary).items():
                 assert len(cls) == len(boundary)
                 assert not poly.is_zero()
+
+
+@pytest.mark.parametrize("name", ["ww-left", "ww-right", "we-left", "we-right"])
+def test_layout_wires_each_internal_wire_once(name):
+    # each tile reads two wires and writes two; an internal wire is written
+    # by one tile and read by exactly one later tile
+    inputs, outputs, written, read = [], [], [], []
+    for _, table, ins, outs in yangbaxter._layouts()[name]:
+        assert len(table) == 7 and len(ins) == len(outs) == 2
+        for wire in ins:
+            if wire.startswith("in_"):
+                inputs.append(wire)
+            else:
+                assert wire in written and wire not in read, wire
+                read.append(wire)
+        for wire in outs:
+            assert not wire.startswith("in_") and wire not in written, wire
+            (outputs if wire.startswith("out_") else written).append(wire)
+    if name.startswith("ww"):
+        in_channels = yangbaxter.WW_IN_CHANNELS
+        out_channels = ("out_north", "out_east_upper", "out_east_lower")
+    else:
+        in_channels = yangbaxter.WE_IN_CHANNELS
+        out_channels = ("out_west_upper", "out_east_upper", "out_north")
+    assert sorted(inputs) == sorted(in_channels)
+    assert sorted(outputs) == sorted(out_channels)
+    assert sorted(read) == sorted(written)
 
 
 def test_verify_ybe_both_modes():
@@ -77,6 +102,19 @@ def test_verify_ybe_fails_on_a_mutated_x_tile_set(row_type, x_tiles, failing):
         for clear in caches:
             clear()
     assert verify_ybe().ok
+
+
+def test_class_identities_are_pinned():
+    # equal sides alone would pass a wiring slip that moves both alike; the
+    # hash pins every boundary, class and both sums as printed
+    lines = [
+        repr((mode, boundary, cls, west.format(), east.format()))
+        for mode in ("ww", "we")
+        for boundary, cls, west, east in class_identities(mode)
+    ]
+    assert len(lines) == 68
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1906af10e72deafd2ff19cf2e673377886badff4fd8a8364941718153a22c8b8"
 
 
 def test_ybe_specializes_at_random_integer_points():
